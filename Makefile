@@ -38,16 +38,17 @@ avf-smoke:
 avf-golden:
 	$(PYTHON) -c "from repro.avf.goldens import write_golden; write_golden()"
 
-# Tier-2 kernel gate: specialized-kernel vs interpreter parity on the golden
-# workload matrix, plus a kernel throughput floor vs BENCH_pipeline.json
-# (see PERFORMANCE.md and ARCHITECTURE.md, "Kernel lifecycle").
+# Tier-2 kernel gate: vector-plane vs interpreter parity on the golden
+# workload matrix, plus a same-run vector-over-interpreter speedup floor vs
+# BENCH_pipeline.json (see PERFORMANCE.md and ARCHITECTURE.md, "Kernel lifecycle").
 kernel-smoke:
 	REPRO_KERNEL_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_kernel_smoke.py -m kernel_smoke -q
 
-# Tier-2 batch-plane gate: population AVF/SER byte-identical between the
-# batch kernel backend and the interpreter, plus a batch-vs-per-genome
-# speedup floor against the BENCH_ga.json baseline (see PERFORMANCE.md and
-# ARCHITECTURE.md, "Batch evaluation plane").
+# Tier-2 population-plane gate: population AVF/SER byte-identical between
+# the vector plane (and its batch-kernel fallback) and the interpreter, plus
+# batch-vs-interpreter and vector-vs-batch speedup floors against the
+# BENCH_ga.json baselines (see PERFORMANCE.md and ARCHITECTURE.md,
+# "Batch evaluation plane").
 batch-smoke:
 	REPRO_BATCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_batch_smoke.py -m batch_smoke -q
 

@@ -57,16 +57,17 @@ def pytest_configure(config: pytest.Config) -> None:
     )
     config.addinivalue_line(
         "markers",
-        "kernel_smoke: specialized-kernel gate — kernel/interpreter parity on "
-        "the golden matrix plus a kernel throughput floor (run via "
-        "`make kernel-smoke` or REPRO_KERNEL_SMOKE=1; see PERFORMANCE.md)",
+        "kernel_smoke: vector-plane gate — vector/interpreter parity on the "
+        "golden matrix plus a same-run vector-over-interpreter speedup floor "
+        "(run via `make kernel-smoke` or REPRO_KERNEL_SMOKE=1; see PERFORMANCE.md)",
     )
     config.addinivalue_line(
         "markers",
-        "batch_smoke: batch evaluation-plane gate — population AVF/SER "
-        "byte-compared between the batch kernel backend and the interpreter, "
-        "plus a batch-vs-per-genome speedup floor (run via `make batch-smoke` "
-        "or REPRO_BATCH_SMOKE=1; see PERFORMANCE.md)",
+        "batch_smoke: population-plane gate — population AVF/SER byte-compared "
+        "between the vector plane (and its batch-kernel fallback) and the "
+        "interpreter, plus batch-vs-interpreter and vector-vs-batch speedup "
+        "floors (run via `make batch-smoke` or REPRO_BATCH_SMOKE=1; see "
+        "PERFORMANCE.md)",
     )
     config.addinivalue_line(
         "markers",

@@ -1,27 +1,27 @@
-"""Batch evaluation-plane gate (tier-2 ``batch_smoke``).
+"""Population-plane gate (tier-2 ``batch_smoke``).
 
-Four checks on the population-at-once kernel planes (ARCHITECTURE.md,
+Four checks on the planes GA populations run through (ARCHITECTURE.md,
 "Batch evaluation plane" and "Vector kernel plane"):
 
-* **Parity** — one GA-generation-shaped population of derived stressmarks
-  per config is simulated twice, once through the ``batch`` kernel backend
-  (one config-specialized kernel, shared warm state, operand plans) and
-  once through the interpreted reference loop, and the canonical
-  per-structure AVF / group SER payloads are compared byte for byte at
-  full ``repr`` precision — the same discipline as the AVF golden gate.
-* **Vector parity** — the same populations through the ``vector`` backend
-  (numpy-precomputed operand columns, flat-array hierarchy replica),
-  byte-compared against the interpreted payloads.  Skipped with an
-  explicit notice when numpy is not installed.
-* **Throughput floor** — the batch-vs-per-genome microbenchmark
-  (:func:`repro.experiments.bench.bench_batch_speedup`) is rerun and its
-  ``speedup`` held to the first ``kernel_batch`` baseline recorded in
-  ``BENCH_ga.json`` minus the shared 30% regression allowance; the batch
-  plane must also never be slower than the per-genome path it replaces.
+* **Vector parity** — one GA-generation-shaped population of derived
+  stressmarks per config is simulated through the ``vector`` backend
+  (numpy-precomputed operand columns, flat-array hierarchy replica) and
+  through the interpreted reference loop, and the canonical per-structure
+  AVF / group SER payloads are compared byte for byte at full ``repr``
+  precision — the same discipline as the AVF golden gate.
+* **Fallback parity** — the same populations through the ``vector`` backend
+  with its column budget (``VECTOR_MAX_OPS``) pinched to zero, so every
+  genome takes the batch-kernel fallback that programs over the budget,
+  setup sections and oversize bodies take; byte-compared the same way.
+* **Batch throughput floor** — :func:`repro.experiments.bench.
+  bench_batch_speedup` (the batch kernel vs the per-genome interpreter on
+  the same fresh GA-shaped batch) is rerun and its ``speedup`` held to the
+  first such baseline recorded in ``BENCH_ga.json`` minus the shared 30%
+  regression allowance; the batch kernel must also never be slower than
+  the interpreter.
 * **Vector throughput floor** — same protocol for
-  :func:`repro.experiments.bench.bench_vector_speedup` against the first
-  ``kernel_vector`` baseline: the vector plane must never be slower than
-  the batch plane it builds on.
+  :func:`repro.experiments.bench.bench_vector_speedup` (vector vs the batch
+  kernel) against the first ``kernel_vector`` baseline.
 
 Run via ``make batch-smoke`` or ``REPRO_BATCH_SMOKE=1``; skipped in plain
 test runs (the parity matrix takes tens of seconds).
@@ -41,8 +41,8 @@ from repro.avf.analysis import StructureGroup
 from repro.avf.report import build_report
 from repro.experiments.bench import baseline_entry, bench_batch_speedup, bench_vector_speedup
 from repro.stressmark.generator import StressmarkGenerator, reference_knobs
-from repro.uarch import kernel_batch, kernel_vector
-from repro.uarch.kernel_backends import BATCH, INTERPRETED, VECTOR
+from repro.uarch import kernel, kernel_batch, kernel_vector
+from repro.uarch.kernel_backends import INTERPRETED, VECTOR
 from repro.uarch.pipeline import OutOfOrderCore
 
 pytestmark = [pytest.mark.batch_smoke]
@@ -82,66 +82,56 @@ def _population_payload(config_name: str, backend) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
+def _assert_identical_to_interpreter(config_name: str, payload: str, plane: str) -> None:
+    interpreted_payload = _population_payload(config_name, INTERPRETED)
+    if payload != interpreted_payload:
+        diff = "\n".join(
+            difflib.unified_diff(
+                interpreted_payload.splitlines(), payload.splitlines(),
+                fromfile="interpreted", tofile=plane, lineterm="", n=2,
+            )
+        )
+        pytest.fail(f"{plane} diverged from the interpreter:\n{diff[:4000]}")
+
+
 class TestBatchParity:
     @pytest.mark.parametrize("config_name", SMOKE_CONFIGS)
-    def test_population_identical_under_batch_plane(self, config_name):
-        kernel_batch.clear_batch_caches()
-        batch_payload = _population_payload(config_name, BATCH)
-        assert kernel_batch.STATS.batch_runs >= POPULATION, (
+    def test_population_identical_under_batch_plane(self, config_name, monkeypatch):
+        kernel.clear_kernels()
+        monkeypatch.setattr(kernel_vector, "VECTOR_MAX_OPS", 0)
+        batch_payload = _population_payload(config_name, VECTOR)
+        assert kernel_vector.STATS.vector_runs == 0
+        assert kernel_vector.STATS.fallbacks == POPULATION
+        assert kernel_batch.STATS.batch_runs == POPULATION, (
             "batch kernel never engaged — the gate compared nothing"
         )
-        interpreted_payload = _population_payload(config_name, INTERPRETED)
-        if batch_payload != interpreted_payload:
-            diff = "\n".join(
-                difflib.unified_diff(
-                    interpreted_payload.splitlines(), batch_payload.splitlines(),
-                    fromfile="interpreted", tofile="batch", lineterm="", n=2,
-                )
-            )
-            pytest.fail(f"batch plane diverged from the interpreter:\n{diff[:4000]}")
+        _assert_identical_to_interpreter(config_name, batch_payload, "batch fallback")
 
 
 class TestVectorParity:
     @pytest.mark.parametrize("config_name", SMOKE_CONFIGS)
     def test_population_identical_under_vector_plane(self, config_name):
-        if not kernel_vector.numpy_available():
-            pytest.skip(
-                "numpy not installed — vector plane untested; install the "
-                "[vector] extra ('pip install repro-avf-stressmark[vector]') "
-                "to gate it"
-            )
-        kernel_vector.clear_vector_caches()
-        kernel_batch.clear_batch_caches()
+        kernel.clear_kernels()
         vector_payload = _population_payload(config_name, VECTOR)
         assert kernel_vector.STATS.vector_runs >= POPULATION, (
             "vector kernel never engaged — the gate compared nothing "
             f"(fallbacks: {kernel_vector.STATS.fallbacks})"
         )
-        interpreted_payload = _population_payload(config_name, INTERPRETED)
-        if vector_payload != interpreted_payload:
-            diff = "\n".join(
-                difflib.unified_diff(
-                    interpreted_payload.splitlines(), vector_payload.splitlines(),
-                    fromfile="interpreted", tofile="vector", lineterm="", n=2,
-                )
-            )
-            pytest.fail(f"vector plane diverged from the interpreter:\n{diff[:4000]}")
+        _assert_identical_to_interpreter(config_name, vector_payload, "vector plane")
 
 
 class TestBatchThroughput:
-    def test_batch_speedup_floor(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_batch_speedup_floor(self):
         metrics = bench_batch_speedup()
-        assert metrics["kernel"], "kernel path inactive despite REPRO_KERNEL being unset"
-        assert metrics["deterministic"], "batch and per-genome paths disagreed"
+        assert metrics["deterministic"], "batch kernel and per-genome interpreter disagreed"
         assert metrics["speedup"] >= 1.0, (
-            f"batch plane ({metrics['batch_seconds']:.3f}s) slower than the "
-            f"per-genome path ({metrics['source_seconds']:.3f}s) it replaces"
+            f"batch kernel ({metrics['batch_seconds']:.3f}s) slower than the "
+            f"per-genome interpreter ({metrics['interpreted_seconds']:.3f}s)"
         )
         recorded = baseline_entry(
             ga_bench_path(),
             lambda entry: isinstance(entry.get("kernel_batch"), dict)
-            and entry["kernel_batch"].get("kernel"),
+            and "interpreted_seconds" in entry["kernel_batch"],
         )
         if recorded is None:
             pytest.skip("no recorded batch baseline (run `python -m repro bench` first)")
@@ -154,26 +144,17 @@ class TestBatchThroughput:
 
 
 class TestVectorThroughput:
-    def test_vector_speedup_floor(self, monkeypatch):
-        if not kernel_vector.numpy_available():
-            pytest.skip(
-                "numpy not installed — vector throughput untested; install "
-                "the [vector] extra to gate it"
-            )
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_vector_speedup_floor(self):
         metrics = bench_vector_speedup()
-        assert metrics["available"], "vector probe unavailable despite numpy importing"
-        assert metrics["kernel"], "kernel path inactive despite REPRO_KERNEL being unset"
-        assert metrics["deterministic"], "vector and batch planes disagreed"
+        assert metrics["deterministic"], "vector plane and batch kernel disagreed"
         assert metrics["speedup"] >= 1.0, (
             f"vector plane ({metrics['vector_seconds']:.3f}s) slower than the "
-            f"batch plane ({metrics['batch_seconds']:.3f}s) it builds on"
+            f"batch kernel ({metrics['batch_seconds']:.3f}s) it builds on"
         )
         recorded = baseline_entry(
             ga_bench_path(),
             lambda entry: isinstance(entry.get("kernel_vector"), dict)
-            and entry["kernel_vector"].get("available")
-            and entry["kernel_vector"].get("kernel"),
+            and "speedup" in entry["kernel_vector"],
         )
         if recorded is None:
             pytest.skip("no recorded vector baseline (run `python -m repro bench` first)")

@@ -59,7 +59,7 @@ def _ledger_baseline() -> dict | None:
 
 class TestSimulatorPerf:
     def test_single_simulation_does_not_regress(self):
-        """50k-op detailed simulation stays within 30% of the baseline."""
+        """50k-op single-program simulation (the interpreter) stays within 30% of the baseline."""
         metrics = bench_pipeline(instructions=50_000, repeats=3)
         assert metrics["total_cycles"] > 0
         assert metrics["instructions_per_second"] > 0
@@ -102,7 +102,7 @@ class TestSimulatorPerf:
         assert metrics["cores"] >= 1
 
     def test_kernel_throughput_floor(self):
-        """The specialized-kernel path stays within budget of its baseline.
+        """The vector plane keeps its same-run lead over the interpreter.
 
         The same floor (shared via ``_bench_utils``) also runs with the
         parity matrix in the dedicated ``make kernel-smoke`` gate; keeping
@@ -112,6 +112,4 @@ class TestSimulatorPerf:
         from _bench_utils import assert_kernel_throughput_floor
 
         metrics = bench_pipeline(instructions=50_000, repeats=3)
-        if not metrics["kernel"]:
-            pytest.skip("kernel path disabled via REPRO_KERNEL")
         assert_kernel_throughput_floor(metrics, pytest)

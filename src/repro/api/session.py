@@ -54,7 +54,6 @@ from repro.api.registry import (
     CONFIGS,
     FAULT_RATES,
     FITNESS_OBJECTIVES,
-    KERNEL_BACKENDS,
     SCALES,
     WORKLOAD_SUITES,
     suggest,
@@ -68,6 +67,7 @@ from repro.parallel.backends import EvaluationBackend, create_backend, resolve_j
 from repro.parallel.resilience import FailurePolicy, RetryPolicy
 from repro.stressmark.fitness import FitnessFunction
 from repro.stressmark.generator import StressmarkResult
+from repro.uarch import kernel_backends
 from repro.uarch.config import MachineConfig
 from repro.uarch.faultrates import FaultRateModel
 from repro.workloads.profiles import WorkloadProfile
@@ -112,8 +112,8 @@ class Session:
     ) -> None:
         if isinstance(scale, str):
             scale = SCALES.create(scale)
-        if kernel_backend:
-            KERNEL_BACKENDS.get(kernel_backend)  # validate the pin eagerly
+        # Validate the pin — or, unpinned, REPRO_KERNEL_BACKEND — eagerly.
+        kernel_backends.resolve(kernel_backend or None)
         self._pinned_scale: Optional[ExperimentScale] = scale or (context.scale if context else None)
         self._pinned_jobs: Optional[int] = jobs if jobs is not None else (
             context.jobs if context is not None else None
@@ -122,7 +122,7 @@ class Session:
         # fields > REPRO_RETRY_* environment > library defaults.
         self._pinned_retry: Optional[RetryPolicy] = retry
         # Kernel-backend precedence: pinned (CLI --kernel-backend) > spec >
-        # REPRO_KERNEL_BACKEND environment > the registry default (batch).
+        # REPRO_KERNEL_BACKEND environment > the registry default (vector).
         self._pinned_kernel_backend: Optional[str] = kernel_backend
         self._resume = bool(resume)
         self._store: Optional["ResultStore"] = None
@@ -236,9 +236,10 @@ class Session:
         """The kernel-backend name a spec runs under (pinned > spec).
 
         Empty string means "no pin": the registry's own resolution
-        (``REPRO_KERNEL_BACKEND`` environment, then the ``batch`` default)
-        applies at simulation time.  Purely an execution choice — every
-        backend is bit-identical — so it never enters store keys.
+        (``REPRO_KERNEL_BACKEND`` environment, then the ``vector`` default)
+        applies when a GA population is evaluated.  Purely an execution
+        choice — every backend is bit-identical — so it never enters store
+        keys.
         """
         if self._pinned_kernel_backend:
             return self._pinned_kernel_backend

@@ -71,12 +71,12 @@ class RunSpec:
     :class:`~repro.parallel.resilience.RetryPolicy` (max attempts per item,
     per-item deadline in seconds); unset means the ``REPRO_RETRY_*``
     environment (or library defaults) applies.  ``kernel_backend`` pins how
-    simulations execute (a :data:`~repro.uarch.kernel_backends.
-    KERNEL_BACKENDS` name — ``batch``/``source``/``interpreted``/``vector``,
-    the last needing the optional numpy dependency at run time); unset
-    means the ``REPRO_KERNEL_BACKEND`` environment (or the ``batch``
-    default) applies — all backends are bit-identical, so this never changes
-    results or digests.  Sweep-only fields: ``base``, ``axes``, ``runs``.
+    GA populations execute (a :data:`~repro.uarch.kernel_backends.
+    KERNEL_BACKENDS` name — ``vector`` or ``interpreted``); unset means the
+    ``REPRO_KERNEL_BACKEND`` environment (or the ``vector`` default)
+    applies.  Single-program simulations always run the interpreter.  Both
+    backends are bit-identical, so this never changes results or digests.
+    Sweep-only fields: ``base``, ``axes``, ``runs``.
     """
 
     kind: str

@@ -31,11 +31,21 @@ SMOKE_SCALE = "quick"
 SMOKE_CONFIGS = ("baseline", "extended")
 
 
-def avf_smoke_payload() -> dict:
-    """Simulate the smoke matrix and return the canonical payload dict."""
+def avf_smoke_payload(backend=None) -> dict:
+    """Simulate the smoke matrix and return the canonical payload dict.
+
+    By default every proxy runs through the Session's single-program path
+    (the interpreter).  ``backend`` — a kernel backend such as
+    :data:`~repro.uarch.kernel_backends.VECTOR` — instead simulates each
+    config's proxies as one population through its ``run_many``; the
+    payload must not change (the ``kernel-smoke`` gate).
+    """
     from repro.api.session import Session
     from repro.api.spec import RunSpec
     from repro.avf.analysis import StructureGroup
+    from repro.avf.report import build_report
+    from repro.uarch.pipeline import OutOfOrderCore
+    from repro.workloads.synthetic import build_workload
 
     payload: dict[str, object] = {
         "suite": SMOKE_SUITE,
@@ -50,9 +60,24 @@ def avf_smoke_payload() -> dict:
                 config=config,
                 suites=(SMOKE_SUITE,),
             )
-            reports = session.workload_report_set(spec)
-            for name in sorted(reports.reports):
-                report = reports.report(name)
+            if backend is None:
+                reports = session.workload_report_set(spec).reports
+            else:
+                resolved = session.resolve(spec)
+                scale = resolved.scale
+                profiles = session.resolve_profiles(resolved.spec)
+                programs = [
+                    build_workload(profile, resolved.config, seed=scale.workload_seed)
+                    for profile in profiles
+                ]
+                core = OutOfOrderCore(resolved.config, seed=scale.simulation_seed)
+                results = backend.run_many(core, programs, scale.workload_instructions)
+                reports = {
+                    profile.name: build_report(result, resolved.fault_rates)
+                    for profile, result in zip(profiles, results)
+                }
+            for name in sorted(reports):
+                report = reports[name]
                 payload[f"{config}/{name}"] = {
                     "cycles": report.total_cycles,
                     "instructions": report.committed_instructions,

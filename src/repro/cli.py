@@ -210,9 +210,9 @@ def _cmd_bench(session: Session, args: argparse.Namespace) -> None:
             "seconds": pipeline["seconds"],
             "insn_per_sec": pipeline["instructions_per_second"],
             "ipc": pipeline["ipc"],
-            "kernel": str(pipeline["kernel"]),
-            "kernel_speedup": pipeline["kernel_speedup"],
-            "identical": str(pipeline["kernel_identical"]),
+            "vector_seconds": pipeline["vector_seconds"],
+            "vector_speedup": pipeline["vector_speedup"],
+            "identical": str(pipeline["vector_identical"]),
         }],
     )
     _print_rows(
@@ -239,30 +239,26 @@ def _cmd_bench(session: Session, args: argparse.Namespace) -> None:
         }],
     )
     _print_rows(
-        "Benchmark: batch kernel plane vs per-genome kernels (BENCH_ga.json)",
+        "Benchmark: batch kernel vs per-genome interpreter (BENCH_ga.json)",
         [{
             "batch": kernel_batch["batch"],
             "batch_ms_per_genome": kernel_batch["batch_ms_per_genome"],
-            "source_ms_per_genome": kernel_batch["source_ms_per_genome"],
+            "interp_ms_per_genome": kernel_batch["interpreted_ms_per_genome"],
             "batch_speedup": kernel_batch["speedup"],
             "deterministic": str(kernel_batch["deterministic"]),
         }],
     )
     kernel_vector = metrics["kernel_vector"]
-    if kernel_vector.get("available"):
-        _print_rows(
-            "Benchmark: vector kernel plane vs batch plane (BENCH_ga.json)",
-            [{
-                "batch": kernel_vector["batch"],
-                "vector_ms_per_genome": kernel_vector["vector_ms_per_genome"],
-                "batch_ms_per_genome": kernel_vector["batch_ms_per_genome"],
-                "vector_speedup": kernel_vector["speedup"],
-                "deterministic": str(kernel_vector["deterministic"]),
-            }],
-        )
-    else:
-        print("\n=== Benchmark: vector kernel plane — skipped (numpy not "
-              "installed; pip install repro-avf-stressmark[vector]) ===")
+    _print_rows(
+        "Benchmark: vector kernel plane vs batch kernel (BENCH_ga.json)",
+        [{
+            "batch": kernel_vector["batch"],
+            "vector_ms_per_genome": kernel_vector["vector_ms_per_genome"],
+            "batch_ms_per_genome": kernel_vector["batch_ms_per_genome"],
+            "vector_speedup": kernel_vector["speedup"],
+            "deterministic": str(kernel_vector["deterministic"]),
+        }],
+    )
 
 
 def _cmd_stressmark(session: Session, args: argparse.Namespace) -> None:
@@ -346,11 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-attempt deadline before a worker is declared hung "
                              "and replaced (resilient backend, --jobs > 1; "
                              "default: $REPRO_RETRY_TIMEOUT, then unlimited)")
-    parser.add_argument("--kernel-backend", choices=KERNEL_BACKENDS.names(), default=None,
-                        help="how simulations execute: 'batch' (population-at-once "
-                             "compiled kernels, the default), 'source' (per-program "
-                             "kernels) or 'interpreted' (reference loop); all are "
-                             "bit-identical (default: $REPRO_KERNEL_BACKEND, then batch)")
+    parser.add_argument("--kernel-backend", default=None, metavar="NAME",
+                        help="how GA populations execute: "
+                             f"{' or '.join(repr(name) for name in KERNEL_BACKENDS.names())}; "
+                             "both are bit-identical, single programs always run "
+                             "the interpreter (default: $REPRO_KERNEL_BACKEND, then vector)")
     parser.add_argument("--repair", action="store_true",
                         help="fsck command only: repair salvageable damage in place "
                              "(truncate torn JSONL tails, drop unloadable checkpoints, "
@@ -409,21 +405,8 @@ def _cmd_list() -> None:
         "kernel_backends": "kernel backends",
         "structures": "tracked structures",
     }
-    from repro.uarch.kernel_backends import unavailable_reason
-
     for key, registry in registries().items():
-        names = registry.names()
-        if key == "kernel_backends":
-            # Backends stay registered even when a runtime dependency is
-            # missing (specs naming them validate uniformly); the listing
-            # says so instead of hiding the entry.
-            names = [
-                f"{name} (unavailable: {reason})"
-                if (reason := unavailable_reason(name)) is not None
-                else name
-                for name in names
-            ]
-        print(f"  {labels.get(key, key):<20s} {', '.join(names)}")
+        print(f"  {labels.get(key, key):<20s} {', '.join(registry.names())}")
     _print_structures()
 
 

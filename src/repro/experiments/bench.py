@@ -6,19 +6,19 @@ the recorded baselines:
 
 * ``BENCH_pipeline.json`` — one 50k-instruction detailed simulation of the
   reference stressmark on the baseline configuration (the unit of work every
-  GA fitness evaluation pays).
+  fitness evaluation pays), through the interpreter and through the vector
+  plane back to back.
 * ``BENCH_ga.json`` — one full quick-scale GA stressmark search (a small
   number of generations, the shape of every figure-5/7/8 experiment), plus
   the wall-clock speedup of the process-pool backend over the serial backend
-  on one batch of independent evaluations, plus the batch kernel plane's
-  speedup over the per-genome source-kernel path on one GA-shaped batch of
-  fresh genomes (``kernel_batch``), plus the numpy vector plane's speedup
-  over the batch plane on the same batch shape (``kernel_vector``; records
-  ``{"available": False}`` when numpy is not installed).
+  on one batch of independent evaluations, plus the batch kernel's speedup
+  over the per-genome interpreter on one GA-shaped batch of fresh genomes
+  (``kernel_batch``), plus the vector plane's speedup over the batch kernel
+  on the same batch shape (``kernel_vector``).
 
 Every entry also records the environment it was measured in (python,
-machine, numpy version or ``"absent"``, timestamp) so trajectory numbers
-are comparable across hosts and installs.
+machine, numpy version, timestamp) so trajectory numbers are comparable
+across hosts and installs.
 
 Each ``repro bench`` run appends an entry to the files' ``entries`` list;
 the first entry is the recorded baseline that ``benchmarks/
@@ -60,58 +60,58 @@ def _best_of(callable_, repeats: int) -> float:
     return best
 
 
+def _signature(result) -> tuple:
+    """Everything two bit-identical simulation results agree on."""
+    return (
+        result.stats,
+        {n: (a.occupied_entry_cycles, a.ace_bit_cycles) for n, a in result.accumulators.items()},
+    )
+
+
 def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
     """Time a single detailed simulation of the reference stressmark.
 
-    Times both execution paths — the specialized kernel (the default; see
-    PERFORMANCE.md and ``REPRO_KERNEL``) and the interpreted reference loop
-    — and asserts they produce identical results.  ``seconds`` /
-    ``instructions_per_second`` describe the *active* default path, which is
-    what every GA fitness evaluation pays; ``kernel_build_seconds`` is the
-    one-time codegen + compile cost of the kernel (paid once per distinct
-    program per process, amortised by the memo and the artifact store).
+    ``seconds`` / ``instructions_per_second`` describe
+    :meth:`OutOfOrderCore.run` — the single-program path, which is the
+    interpreted reference loop.  ``vector_seconds`` times the same program
+    as a population of one through the vector plane (the path GA fitness
+    evaluation takes), back to back in the same process after one untimed
+    warm-up run; ``vector_speedup`` (interpreter over vector) is the
+    same-run ratio the kernel-smoke and bench-smoke floors hold, and
+    ``vector_identical`` asserts both results agree bit for bit.
+    ``kernel_build_seconds`` is the one-time codegen + compile cost of the
+    config's vector kernel (paid once per config per process, amortised by
+    the memo and the artifact store).
     """
-    from repro.uarch import kernel as kernel_cache
+    from repro.uarch.kernel import compile_vector_kernel
+    from repro.uarch.kernel_backends import VECTOR
+    from repro.uarch.kernelgen import generate_vector_kernel_source
 
     config = baseline_config()
     generator = StressmarkGenerator(config=config, max_instructions=instructions)
     program = generator.codegen.generate(reference_knobs(config))
     core = OutOfOrderCore(config, seed=1)
 
-    interpreted_result = core.run_interpreted(program, max_instructions=instructions)
-    interpreted_seconds = _best_of(
-        lambda: core.run_interpreted(program, max_instructions=instructions), repeats
-    )
-
-    kernel_active = kernel_cache.kernel_enabled()
-    build_seconds = 0.0
-    if kernel_active:
-        # Direct codegen + compile cost, independent of the memo state (the
-        # throwaway code object is not installed in the kernel cache).
-        build_start = time.perf_counter()
-        kernel_cache.compile_kernel(
-            kernel_cache.kernel_source(config, program), ("bench", "probe")
-        )
-        build_seconds = time.perf_counter() - build_start
-    result = core.run(program, max_instructions=instructions)  # warm-up + stats
+    result = core.run(program, max_instructions=instructions)
     seconds = _best_of(lambda: core.run(program, max_instructions=instructions), repeats)
-    kernel_identical = (
-        result.stats == interpreted_result.stats
-        and {n: (a.occupied_entry_cycles, a.ace_bit_cycles) for n, a in result.accumulators.items()}
-        == {n: (a.occupied_entry_cycles, a.ace_bit_cycles)
-            for n, a in interpreted_result.accumulators.items()}
-    )
+
+    # Direct codegen + compile cost, independent of the memo state (the
+    # throwaway code object is not installed in the kernel cache).
+    build_start = time.perf_counter()
+    compile_vector_kernel(generate_vector_kernel_source(config), "bench-probe")
+    build_seconds = time.perf_counter() - build_start
+    vector_result = VECTOR.run_many(core, [program], instructions)[0]  # warm-up
+    vector_seconds = _best_of(lambda: VECTOR.run_many(core, [program], instructions), repeats)
     return {
         "instructions": instructions,
         "seconds": seconds,
         "instructions_per_second": instructions / seconds if seconds > 0 else 0.0,
         "total_cycles": result.stats.total_cycles,
         "ipc": result.stats.ipc,
-        "kernel": kernel_active,
-        "kernel_identical": kernel_identical,
+        "vector_seconds": vector_seconds,
+        "vector_speedup": seconds / vector_seconds if vector_seconds > 0 else 0.0,
+        "vector_identical": _signature(vector_result) == _signature(result),
         "kernel_build_seconds": build_seconds,
-        "interpreted_seconds": interpreted_seconds,
-        "kernel_speedup": interpreted_seconds / seconds if kernel_active and seconds > 0 else 1.0,
     }
 
 
@@ -222,13 +222,12 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
     ``warmup_seconds`` covers pool spin-up (process fork, module
     initialisation) plus one full untimed batch of distinct genomes so
     every worker builds its per-task state; ``steady_seconds`` then times a
-    second batch of previously unseen genomes — each paying its own
-    simulator-kernel build, exactly as GA generations do — on the warm
-    workers.  The serial reference runs the *same* fresh batch in the
-    parent process, which compiled none of its kernels (the pool forks
-    before the parent touches them), so neither side gets a memoization
-    head start and the headline ``speedup`` (serial over steady) measures
-    parallelism honestly.  (Field-meaning change in the trajectory:
+    second batch of previously unseen genomes on the warm workers.  The
+    serial reference runs the *same* fresh batch in the parent process,
+    which has simulated none of them (the pool forks before the parent
+    touches them), so neither side gets a memoization head start and the
+    headline ``speedup`` (serial over steady) measures parallelism
+    honestly.  (Field-meaning change in the trajectory:
     entries before PR 5 recorded ``parallel_seconds`` after an untimed
     single-item warm-up — spin-up excluded, but ``jobs - 1`` workers still
     paying first-task construction inside the timed batch; since PR 5
@@ -261,11 +260,11 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
     warm_batch = genomes(0)
     # Two distinct fresh batches: a timing is only as good as its quietest
     # run, so steady/serial are each the best of two cold batches (a batch
-    # can be cold only once — repeats would hit the kernel memo).
+    # can be cold only once).
     fresh_batches = [genomes(batch), genomes(2 * batch)]
 
-    # Pool first: workers fork before the parent compiles any fresh-batch
-    # kernel, so the pool's steady batches and the serial reference both
+    # Pool first: workers fork before the parent simulates any fresh-batch
+    # genome, so the pool's steady batches and the serial reference both
     # meet those genomes cold.
     pool = ProcessPoolBackend(jobs)
     pool_outcomes = []
@@ -311,32 +310,8 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
     }
 
 
-def bench_batch_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
-    """Population-at-once batch kernels vs the per-genome source-kernel path.
-
-    Times the comparison the batch evaluation plane exists for: one
-    GA-generation-shaped batch of ``batch`` *fresh* genomes (never seen by
-    any kernel memo), run once through the ``batch`` backend's ``run_many``
-    — one config-specialized kernel, shared functional warm state, one
-    operand plan per batch — and once through the ``source`` backend's
-    per-genome ``run_one`` loop, which pays codegen + compile + functional
-    warm-up for every genome, exactly what GA generations cost before the
-    batch plane.  An untimed warm-up batch first compiles the config batch
-    kernel and builds the shared warm state, so ``batch_seconds`` measures
-    the steady state a GA search lives in; fresh batches still pay their
-    own operand plans inside the timed region (so does every real
-    generation).  The source side has no cross-genome state to warm — that
-    asymmetry *is* the measurement.  The two backends touch disjoint memo
-    caches, and the probe clears every in-process kernel memo first (other
-    benchmarks in the same process touch overlapping programs), so both
-    sides meet the same fresh programs cold; each side is best-of-two over
-    two distinct fresh batches, and both must produce bit-identical
-    simulation results (``deterministic``).  The recorded ``speedup`` is
-    the number the ``batch-smoke`` tier-2 gate holds future changes to.
-    """
-    from repro.uarch import kernel as kernel_cache
-    from repro.uarch.kernel_backends import BATCH, SOURCE
-
+def _fresh_programs(batch: int, instructions: int):
+    """(core, programs(first_seed)) for GA-generation-shaped fresh batches."""
     config = baseline_config()
     generator = StressmarkGenerator(config=config, max_instructions=instructions)
     reference = reference_knobs(config)
@@ -348,140 +323,113 @@ def bench_batch_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
             for seed in range(first_seed, first_seed + batch)
         ]
 
+    return OutOfOrderCore(config, seed=generator.simulation_seed), programs
+
+
+def _time_batches(run, fresh_batches: list) -> tuple[float, list]:
+    """Best-of wall time of ``run(batch)`` over fresh batches, plus results."""
+    results = []
+    timings = []
+    for fresh in fresh_batches:
+        start = time.perf_counter()
+        results.append(run(fresh))
+        timings.append(time.perf_counter() - start)
+    return min(timings), results
+
+
+def _identical(first_runs: list, second_runs: list) -> bool:
+    return all(
+        _signature(a) == _signature(b)
+        for first, second in zip(first_runs, second_runs)
+        for a, b in zip(first, second)
+    )
+
+
+def bench_batch_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
+    """The batch kernel vs the per-genome interpreter on fresh GA batches.
+
+    The batch kernel is the vector plane's per-program fallback (setup
+    sections, oversize bodies, runs over ``VECTOR_MAX_OPS``), so it must
+    still beat simulating each genome through :meth:`OutOfOrderCore.run`.
+    One GA-generation-shaped batch of ``batch`` *fresh* genomes (never seen
+    by any memo) runs once through :func:`kernel_batch.run_many` — one
+    config-specialized kernel, shared functional warm state, one operand
+    plan per batch — and once through the interpreter genome by genome.  An
+    untimed warm-up batch first compiles the config batch kernel and builds
+    the shared warm state, so ``batch_seconds`` measures the steady state a
+    GA search lives in; fresh batches still pay their own operand plans
+    inside the timed region.  The interpreter has no cross-genome state to
+    warm — that asymmetry *is* the measurement.  Each side is best-of-two
+    over two distinct fresh batches, and both must produce bit-identical
+    results (``deterministic``).  The recorded ``speedup`` is the number
+    the ``batch-smoke`` tier-2 gate holds future changes to.
+    """
+    from repro.uarch import kernel as kernel_cache
     from repro.uarch import kernel_batch
+    from repro.uarch.kernel_backends import INTERPRETED
 
     kernel_cache.clear_kernels()
-    kernel_batch.clear_batch_caches()
-    core = OutOfOrderCore(config, seed=generator.simulation_seed)
-    kernel_active = kernel_cache.kernel_enabled()
-    BATCH.run_many(core, programs(0), instructions)  # untimed warm-up batch
-
+    core, programs = _fresh_programs(batch, instructions)
+    kernel_batch.run_many(core, programs(0), instructions)  # untimed warm-up batch
     fresh_batches = [programs(batch), programs(2 * batch)]
 
-    batch_results = []
-    batch_timings = []
-    for fresh in fresh_batches:
-        start = time.perf_counter()
-        batch_results.append(BATCH.run_many(core, fresh, instructions))
-        batch_timings.append(time.perf_counter() - start)
-    batch_seconds = min(batch_timings)
-
-    source_results = []
-    source_timings = []
-    for fresh in fresh_batches:
-        start = time.perf_counter()
-        source_results.append(
-            [SOURCE.run_one(core, program, instructions) for program in fresh]
-        )
-        source_timings.append(time.perf_counter() - start)
-    source_seconds = min(source_timings)
-
-    def signature(result) -> tuple:
-        return (
-            result.stats,
-            {n: (a.occupied_entry_cycles, a.ace_bit_cycles)
-             for n, a in result.accumulators.items()},
-        )
-
-    deterministic = all(
-        signature(via_batch) == signature(via_source)
-        for batch_run, source_run in zip(batch_results, source_results)
-        for via_batch, via_source in zip(batch_run, source_run)
+    batch_seconds, batch_results = _time_batches(
+        lambda fresh: kernel_batch.run_many(core, fresh, instructions), fresh_batches
+    )
+    interpreted_seconds, interpreted_results = _time_batches(
+        lambda fresh: INTERPRETED.run_many(core, fresh, instructions), fresh_batches
     )
     return {
         "batch": batch,
         "instructions": instructions,
-        "kernel": kernel_active,
         "batch_seconds": batch_seconds,
-        "source_seconds": source_seconds,
+        "interpreted_seconds": interpreted_seconds,
         "batch_ms_per_genome": 1000.0 * batch_seconds / batch,
-        "source_ms_per_genome": 1000.0 * source_seconds / batch,
-        "speedup": source_seconds / batch_seconds if batch_seconds > 0 else 0.0,
-        "deterministic": deterministic,
+        "interpreted_ms_per_genome": 1000.0 * interpreted_seconds / batch,
+        "speedup": interpreted_seconds / batch_seconds if batch_seconds > 0 else 0.0,
+        "deterministic": _identical(batch_results, interpreted_results),
     }
 
 
 def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
-    """The numpy vector plane vs the batch kernel plane (PR 9).
+    """The vector plane vs the batch kernel it builds on.
 
-    Same protocol as :func:`bench_batch_speedup`, one rung up the backend
-    ladder: one GA-generation-shaped batch of fresh genomes through the
-    ``vector`` backend's ``run_many`` (operand columns precomputed with
-    numpy, flat-array hierarchy replica) and through the ``batch``
-    backend's ``run_many``.  An untimed warm-up batch compiles both config
-    kernels and builds/freezes the shared warm state, fresh batches pay
-    their own operand plans and column builds inside the timed region, and
-    both sides must be bit-identical (``deterministic``).  Without numpy
-    the probe records ``{"available": False, "numpy": "absent"}`` instead
-    of failing, so trajectories stay appendable on minimal installs.
+    Same protocol as :func:`bench_batch_speedup`, one rung up: one
+    GA-generation-shaped batch of fresh genomes through the ``vector``
+    backend's ``run_many`` (operand columns precomputed with numpy,
+    flat-array hierarchy replica) and through :func:`kernel_batch.run_many`.
+    An untimed warm-up batch compiles both config kernels and builds/freezes
+    the shared warm state, fresh batches pay their own operand plans and
+    column builds inside the timed region, and both sides must be
+    bit-identical (``deterministic``).
     """
     from repro.uarch import kernel as kernel_cache
-    from repro.uarch import kernel_batch, kernel_vector
-    from repro.uarch.kernel_backends import BATCH, VECTOR
-
-    if not kernel_vector.numpy_available():
-        return {"available": False, "numpy": "absent"}
-
-    config = baseline_config()
-    generator = StressmarkGenerator(config=config, max_instructions=instructions)
-    reference = reference_knobs(config)
-    codegen = generator.codegen
-
-    def programs(first_seed: int) -> list:
-        return [
-            codegen.generate(reference.derive(random_seed=seed))
-            for seed in range(first_seed, first_seed + batch)
-        ]
+    from repro.uarch import kernel_batch
+    from repro.uarch.kernel_backends import VECTOR
 
     kernel_cache.clear_kernels()
-    core = OutOfOrderCore(config, seed=generator.simulation_seed)
-    kernel_active = kernel_cache.kernel_enabled()
+    core, programs = _fresh_programs(batch, instructions)
     # Untimed warm-up: compiles the batch and vector kernels, builds the
     # shared warm state and its frozen flat-array image.
-    BATCH.run_many(core, programs(0), instructions)
+    kernel_batch.run_many(core, programs(0), instructions)
     VECTOR.run_many(core, programs(0), instructions)
-
     fresh_batches = [programs(batch), programs(2 * batch)]
 
-    vector_results = []
-    vector_timings = []
-    for fresh in fresh_batches:
-        start = time.perf_counter()
-        vector_results.append(VECTOR.run_many(core, fresh, instructions))
-        vector_timings.append(time.perf_counter() - start)
-    vector_seconds = min(vector_timings)
-
-    batch_results = []
-    batch_timings = []
-    for fresh in fresh_batches:
-        start = time.perf_counter()
-        batch_results.append(BATCH.run_many(core, fresh, instructions))
-        batch_timings.append(time.perf_counter() - start)
-    batch_seconds = min(batch_timings)
-
-    def signature(result) -> tuple:
-        return (
-            result.stats,
-            {n: (a.occupied_entry_cycles, a.ace_bit_cycles)
-             for n, a in result.accumulators.items()},
-        )
-
-    deterministic = all(
-        signature(via_vector) == signature(via_batch)
-        for vector_run, batch_run in zip(vector_results, batch_results)
-        for via_vector, via_batch in zip(vector_run, batch_run)
+    vector_seconds, vector_results = _time_batches(
+        lambda fresh: VECTOR.run_many(core, fresh, instructions), fresh_batches
+    )
+    batch_seconds, batch_results = _time_batches(
+        lambda fresh: kernel_batch.run_many(core, fresh, instructions), fresh_batches
     )
     return {
-        "available": True,
         "batch": batch,
         "instructions": instructions,
-        "kernel": kernel_active,
         "vector_seconds": vector_seconds,
         "batch_seconds": batch_seconds,
         "vector_ms_per_genome": 1000.0 * vector_seconds / batch,
         "batch_ms_per_genome": 1000.0 * batch_seconds / batch,
         "speedup": batch_seconds / vector_seconds if vector_seconds > 0 else 0.0,
-        "deterministic": deterministic,
+        "deterministic": _identical(vector_results, batch_results),
     }
 
 
@@ -489,16 +437,12 @@ def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
 
 
 def _environment() -> dict:
-    try:
-        import numpy
+    import numpy
 
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = "absent"
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
 

@@ -133,18 +133,15 @@ class _WorkloadSimulationTask:
         instructions: int,
         workload_seed: int,
         simulation_seed: int,
-        kernel_backend: str = "",
     ) -> None:
         self.config = config
         self.instructions = instructions
         self.workload_seed = workload_seed
         self.simulation_seed = simulation_seed
-        self.kernel_backend = kernel_backend
 
     def __call__(self, profile: WorkloadProfile) -> SimulationResult:
         program = build_workload(profile, self.config, seed=self.workload_seed)
         core = OutOfOrderCore(self.config, seed=self.simulation_seed)
-        core.kernel_backend = self.kernel_backend or None
         return core.run(program, max_instructions=self.instructions)
 
 
@@ -187,8 +184,9 @@ class ExperimentContext:
         self.store = store
         self.resume = resume
         self.failure_policy = failure_policy
-        # Execution choice only (kernel backends are bit-identical), so it
-        # never enters result cache keys or stressmark artifact keys.
+        # Population-plane choice only (kernel backends are bit-identical),
+        # so it never enters result cache keys or stressmark artifact keys;
+        # workload simulations are single programs and ignore it.
         self.kernel_backend = kernel_backend
         self._backend = backend
         # A context closes backends it created; a *shared* backend (the
@@ -231,7 +229,6 @@ class ExperimentContext:
                 instructions=self.scale.workload_instructions,
                 workload_seed=self.scale.workload_seed,
                 simulation_seed=self.scale.simulation_seed,
-                kernel_backend=self.kernel_backend,
             )
             self._workload_tasks[config.name] = task
         return task

@@ -22,6 +22,7 @@ from repro.stressmark.fitness import FitnessFunction
 from repro.stressmark.knobs import KnobSpace, StressmarkKnobs
 from repro.uarch.config import MachineConfig
 from repro.uarch.faultrates import FaultRateModel, unit_fault_rates
+from repro.uarch.kernel_backends import resolve
 from repro.uarch.pipeline import OutOfOrderCore, SimulationResult
 
 
@@ -81,9 +82,12 @@ class StressmarkEvaluator:
         self.knob_space = knob_space
         self.max_instructions = max_instructions
         self.simulation_seed = simulation_seed
-        # Execution choice only (all kernel backends are bit-identical), so
-        # it is deliberately *not* part of context_digest(): cached fitness
-        # results stay valid across backend selections.
+        # Population-plane choice only (all kernel backends are
+        # bit-identical), so it is deliberately *not* part of
+        # context_digest(): cached fitness results stay valid across backend
+        # selections.  Resolved here so an unknown pin or
+        # REPRO_KERNEL_BACKEND value fails before any worker sees it.
+        resolve(kernel_backend or None)
         self.kernel_backend = kernel_backend
         self._codegen: Optional[CodeGenerator] = None
 
@@ -112,7 +116,6 @@ class StressmarkEvaluator:
         knobs = self.knob_space.decode(individual.genome)
         program = self.codegen.generate(knobs)
         core = OutOfOrderCore(self.config, seed=self.simulation_seed)
-        core.kernel_backend = self.kernel_backend or None
         result = core.run(program, max_instructions=self.max_instructions)
         score = self.fitness(result)
         report = build_report(result, self.fault_rates)
@@ -122,21 +125,18 @@ class StressmarkEvaluator:
         return score
 
     def evaluate_batch(self, individuals: list[Individual]) -> list[tuple[float, dict]]:
-        """Population-at-once evaluation through the batch plane.
+        """Population-at-once evaluation through the resolved kernel backend.
 
         Bit-identical to calling the evaluator per individual — one
         ``OutOfOrderCore`` per simulation with the same seed, the same
-        codegen, the same fitness — but the resolved backend's ``run_many``
-        shares the compiled batch kernel, warm cache/TLB state and operand
-        plans across the whole slice.
+        codegen, the same fitness — but the backend's ``run_many`` (``vector``
+        unless pinned) shares the compiled config kernel, warm cache/TLB
+        state and operand plans across the whole slice.
         """
-        from repro.uarch.kernel_backends import resolve
-
         decoded = [self.knob_space.decode(individual.genome) for individual in individuals]
         programs = [self.codegen.generate(knobs) for knobs in decoded]
         backend = resolve(self.kernel_backend or None)
         core = OutOfOrderCore(self.config, seed=self.simulation_seed)
-        core.kernel_backend = self.kernel_backend or None
         results = backend.run_many(core, programs, self.max_instructions)
         outcomes: list[tuple[float, dict]] = []
         for individual, knobs, program, result in zip(individuals, decoded, programs, results):
@@ -205,14 +205,12 @@ class StressmarkGenerator:
         """Generate and simulate the candidate program for one knob setting."""
         program = self.codegen.generate(knobs)
         core = OutOfOrderCore(self.config, seed=self.simulation_seed)
-        core.kernel_backend = self.kernel_backend or None
         return core.run(program, max_instructions=max_instructions or self.max_instructions)
 
     def evaluate(self, knobs: StressmarkKnobs) -> tuple[float, SerReport, Program]:
         """Evaluate one knob setting; returns (fitness, report, program)."""
         program = self.codegen.generate(knobs)
         core = OutOfOrderCore(self.config, seed=self.simulation_seed)
-        core.kernel_backend = self.kernel_backend or None
         result = core.run(program, max_instructions=self.max_instructions)
         score = self.fitness(result)
         report = build_report(result, self.fault_rates)

@@ -1,16 +1,16 @@
-"""Compiled, memoized simulator kernels (the ``REPRO_KERNEL`` switch).
+"""Compiled, memoized config kernels for the population planes.
 
-:func:`kernel_for` turns a ``(program, config)`` pair into a compiled
-``kernel_run(core, program, max_instructions)`` callable by asking
-:mod:`repro.uarch.kernelgen` for specialized Python source and
-``compile()``/``exec()``-ing it once.  Kernels are memoized at two levels:
+:func:`batch_kernel_for` and :func:`vector_kernel_for` turn a machine
+configuration into the compiled ``batch_run`` / ``vector_run`` callable of
+:mod:`repro.uarch.kernel_batch` / :mod:`repro.uarch.kernel_vector` by asking
+:mod:`repro.uarch.kernelgen` for config-specialized Python source and
+``compile()``/``exec()``-ing it once.  Both go through one routine,
+:func:`_config_kernel_for`, which memoizes at two levels:
 
-* **in-process** — a module-level table keyed by
-  ``(program digest, config digest)``; every later simulation of the same
-  program on the same configuration (bench repeats, duplicate GA genomes,
-  workload replays) reuses the compiled code object.  Worker processes keep
-  their own table, so a process pool compiles each distinct kernel at most
-  once per worker.
+* **in-process** — a bounded LRU table per plane keyed by config digest;
+  every later population on the same configuration reuses the compiled code
+  object.  Worker processes keep their own tables, so a process pool
+  compiles each config kernel at most once per worker.
 * **across processes** — when an
   :class:`~repro.store.artifacts.ArtifactStore` is attached via
   :func:`configure_source_store` (the experiment context wires the result
@@ -19,10 +19,9 @@
   sessions — never closures or code objects — and each process compiles
   what it loads.
 
-``REPRO_KERNEL=0`` (also ``false``/``off``/``no``) disables the kernel path
-globally; :meth:`OutOfOrderCore.run` then executes the interpreted reference
-loop.  The two paths are bit-identical by construction (see
-``kernelgen``'s module docstring and ``tests/test_kernel_differential.py``).
+Single-program runs do not compile anything: :meth:`OutOfOrderCore.run
+<repro.uarch.pipeline.OutOfOrderCore.run>` executes the interpreted
+reference loop (see :mod:`repro.uarch.kernel_backends`).
 """
 
 from __future__ import annotations
@@ -35,22 +34,12 @@ from repro.parallel.cache import evaluation_context_digest
 from repro.uarch.kernelgen import (
     KERNEL_SCHEMA,
     generate_batch_kernel_source,
-    generate_kernel_source,
     generate_vector_kernel_source,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.isa.program import Program
     from repro.uarch.config import MachineConfig
-
-#: Environment switch: set to 0/false/off/no to force the interpreted loop.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Programs with more static body instructions than this fall back to the
-#: interpreter — the unrolled source (and its compile time) grows linearly
-#: with the body, and bodies this large amortise interpretation fine anyway.
-MAX_KERNEL_BODY = 4096
-
 
 @dataclass
 class KernelStats:
@@ -74,19 +63,11 @@ class KernelStats:
 
 STATS = KernelStats()
 
-#: Most compiled kernels kept in the in-process memo (oldest evicted first).
-#: A GA run compiles one kernel per distinct genome, so an unbounded memo
-#: would grow for the whole search — in the parent *and* in every pool
-#: worker, which the warm evaluation fabric deliberately never recycles.
-KERNEL_CACHE_LIMIT = 256
-
-#: Compiled config-specialized batch/vector kernels are one per distinct
-#: machine configuration — a GA search uses exactly one — but a long-lived
-#: ``repro serve`` daemon can meet many configs over its lifetime, so these
-#: memos are bounded too.
+#: Compiled config kernels are one per distinct machine configuration — a
+#: GA search uses exactly one — but a long-lived ``repro serve`` daemon can
+#: meet many configs over its lifetime, so these memos are bounded.
 CONFIG_KERNEL_CACHE_LIMIT = 64
 
-_kernels: dict[tuple[str, str], Callable] = {}
 #: Compiled config-specialized batch kernels, keyed by config digest.
 _batch_kernels: dict[str, Callable] = {}
 #: Compiled config-specialized vector kernels, keyed by config digest.
@@ -119,25 +100,14 @@ def _lru_put(cache: dict, key, value, limit: int) -> None:
     cache[key] = value
 
 
-def kernel_enabled() -> bool:
-    """Whether the specialized-kernel path is active (default: yes)."""
-    value = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
 def program_digest(program: "Program") -> str:
-    """Content digest of a program (everything the generated source bakes in)."""
+    """Content digest of a program (operand plans are keyed by it)."""
     return evaluation_context_digest("kernel-program", KERNEL_SCHEMA, program)
 
 
 def config_digest(config: "MachineConfig") -> str:
     """Content digest of a machine configuration."""
     return evaluation_context_digest("kernel-config", KERNEL_SCHEMA, config)
-
-
-def source_key(prog_digest: str, cfg_digest: str) -> str:
-    """ArtifactStore key one kernel's source is persisted under."""
-    return f"kernel-src|v{KERNEL_SCHEMA}|{cfg_digest}|{prog_digest}"
 
 
 def batch_source_key(cfg_digest: str) -> str:
@@ -245,43 +215,44 @@ def _active_source_store():
     return _source_store
 
 
-def supports(program: "Program", functional_setup: bool) -> bool:
-    """Whether a kernel can replace the interpreter for this invocation.
+def _config_kernel_for(
+    plane: str,
+    memo: dict,
+    store_key: Callable[[str], str],
+    generate: Callable,
+    compile_: Callable,
+    config: "MachineConfig",
+) -> Optional[Callable]:
+    """The compiled config kernel of one plane, or ``None`` on failure.
 
-    The kernel path covers the hot shape: functional cache warm-up plus the
-    repeated loop body.  Explicitly simulated setup sections (rare; used by
-    a few unit tests) stay on the interpreted reference loop.
+    Lookup order: the in-process LRU ``memo``, then persisted source in the
+    attached ArtifactStore, then fresh generation (written back to the
+    store).  Failures (codegen or compile errors) are remembered per
+    (plane, config digest) and never retried, so a pathological config
+    degrades to the fallback path once instead of paying the failed
+    generation per population.
     """
-    return functional_setup and len(program.body) <= MAX_KERNEL_BODY
-
-
-def kernel_for(config: "MachineConfig", program: "Program") -> Optional[Callable]:
-    """The compiled kernel for (program, config), or ``None`` on failure.
-
-    Failures (codegen or compile errors) are remembered per digest pair and
-    never retried, so a pathological program degrades to the interpreter
-    once instead of paying the failed generation per run.
-    """
-    key = (program_digest(program), config_digest(config))
-    kernel = _lru_get(_kernels, key)
+    cfg_digest = config_digest(config)
+    kernel = _lru_get(memo, cfg_digest)
     if kernel is not None:
         STATS.memo_hits += 1
         return kernel
-    if key in STATS.failed_digests:
+    failed_key = (plane, cfg_digest)
+    if failed_key in STATS.failed_digests:
         return None
 
     # The durable cache is an optimisation only: a broken or closed store
     # (e.g. outliving the session that attached it) detaches itself and
     # generation proceeds locally.
+    key = store_key(cfg_digest)
     store = _active_source_store()
     source: Optional[str] = None
     from_store = False
     if store is not None:
         try:
-            stored = store.get(source_key(*key))
+            stored = store.get(key)
         except Exception:
             _discard_failed_store(store)
-            store = None
             stored = None
         if isinstance(stored, str):
             source = stored
@@ -291,21 +262,19 @@ def kernel_for(config: "MachineConfig", program: "Program") -> Optional[Callable
     kernel = None
     if source is not None:
         try:
-            kernel = compile_kernel(source, key)
+            kernel = compile_(source, cfg_digest)
         except Exception:
             # A truncated/garbled stored entry must not permanently demote
-            # this program to the interpreter — regenerate locally below.
-            kernel = None
-            source = None
+            # this config to the fallback path — regenerate locally below.
             from_store = False
     if kernel is None:
         try:
-            source = generate_kernel_source(config, program)
+            source = generate(config)
             STATS.generated += 1
-            kernel = compile_kernel(source, key)
+            kernel = compile_(source, cfg_digest)
         except Exception:
             STATS.failures += 1
-            STATS.failed_digests.add(key)
+            STATS.failed_digests.add(failed_key)
             return None
     if not from_store:
         # Re-resolve: a store that failed during the lookup has been pruned
@@ -313,143 +282,33 @@ def kernel_for(config: "MachineConfig", program: "Program") -> Optional[Callable
         store = _active_source_store()
         if store is not None:
             try:
-                store.put(source_key(*key), source)
+                store.put(key, source)
             except Exception:
                 _discard_failed_store(store)
 
     STATS.compiled += 1
-    _lru_put(_kernels, key, kernel, KERNEL_CACHE_LIMIT)
+    _lru_put(memo, cfg_digest, kernel, CONFIG_KERNEL_CACHE_LIMIT)
     return kernel
 
 
 def batch_kernel_for(config: "MachineConfig") -> Optional[Callable]:
-    """The compiled config-specialized batch kernel, or ``None`` on failure.
-
-    Same two-level memoization as :func:`kernel_for` — in-process by config
-    digest, cross-process as persisted source text in the attached
-    ArtifactStore — with the same never-retry policy for failed generation.
-    """
-    cfg_digest = config_digest(config)
-    kernel = _lru_get(_batch_kernels, cfg_digest)
-    if kernel is not None:
-        STATS.memo_hits += 1
-        return kernel
-    failed_key = ("batch", cfg_digest)
-    if failed_key in STATS.failed_digests:
-        return None
-
-    store = _active_source_store()
-    source: Optional[str] = None
-    from_store = False
-    if store is not None:
-        try:
-            stored = store.get(batch_source_key(cfg_digest))
-        except Exception:
-            _discard_failed_store(store)
-            store = None
-            stored = None
-        if isinstance(stored, str):
-            source = stored
-            from_store = True
-            STATS.source_store_hits += 1
-
-    kernel = None
-    if source is not None:
-        try:
-            kernel = compile_batch_kernel(source, cfg_digest)
-        except Exception:
-            kernel = None
-            source = None
-            from_store = False
-    if kernel is None:
-        try:
-            source = generate_batch_kernel_source(config)
-            STATS.generated += 1
-            kernel = compile_batch_kernel(source, cfg_digest)
-        except Exception:
-            STATS.failures += 1
-            STATS.failed_digests.add(failed_key)
-            return None
-    if not from_store:
-        store = _active_source_store()
-        if store is not None:
-            try:
-                store.put(batch_source_key(cfg_digest), source)
-            except Exception:
-                _discard_failed_store(store)
-
-    STATS.compiled += 1
-    _lru_put(_batch_kernels, cfg_digest, kernel, CONFIG_KERNEL_CACHE_LIMIT)
-    return kernel
+    """The compiled config-specialized batch kernel, or ``None`` on failure."""
+    return _config_kernel_for(
+        "batch", _batch_kernels, batch_source_key,
+        generate_batch_kernel_source, compile_batch_kernel, config,
+    )
 
 
 def vector_kernel_for(config: "MachineConfig") -> Optional[Callable]:
     """The compiled config-specialized vector kernel, or ``None`` on failure.
 
-    Same two-level memoization and never-retry policy as
-    :func:`batch_kernel_for`, keyed under a distinct store namespace so batch
-    and vector sources for one config coexist in the ArtifactStore.
+    Keyed under a distinct store namespace from the batch kernel, so both
+    sources for one config coexist in the ArtifactStore.
     """
-    cfg_digest = config_digest(config)
-    kernel = _lru_get(_vector_kernels, cfg_digest)
-    if kernel is not None:
-        STATS.memo_hits += 1
-        return kernel
-    failed_key = ("vector", cfg_digest)
-    if failed_key in STATS.failed_digests:
-        return None
-
-    store = _active_source_store()
-    source: Optional[str] = None
-    from_store = False
-    if store is not None:
-        try:
-            stored = store.get(vector_source_key(cfg_digest))
-        except Exception:
-            _discard_failed_store(store)
-            store = None
-            stored = None
-        if isinstance(stored, str):
-            source = stored
-            from_store = True
-            STATS.source_store_hits += 1
-
-    kernel = None
-    if source is not None:
-        try:
-            kernel = compile_vector_kernel(source, cfg_digest)
-        except Exception:
-            kernel = None
-            source = None
-            from_store = False
-    if kernel is None:
-        try:
-            source = generate_vector_kernel_source(config)
-            STATS.generated += 1
-            kernel = compile_vector_kernel(source, cfg_digest)
-        except Exception:
-            STATS.failures += 1
-            STATS.failed_digests.add(failed_key)
-            return None
-    if not from_store:
-        store = _active_source_store()
-        if store is not None:
-            try:
-                store.put(vector_source_key(cfg_digest), source)
-            except Exception:
-                _discard_failed_store(store)
-
-    STATS.compiled += 1
-    _lru_put(_vector_kernels, cfg_digest, kernel, CONFIG_KERNEL_CACHE_LIMIT)
-    return kernel
-
-
-def compile_kernel(source: str, key: tuple[str, str]) -> Callable:
-    """Compile generated source and return its ``kernel_run`` callable."""
-    filename = f"<repro-kernel {key[0][:12]}.{key[1][:12]}>"
-    namespace: dict[str, object] = {}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["kernel_run"]  # type: ignore[return-value]
+    return _config_kernel_for(
+        "vector", _vector_kernels, vector_source_key,
+        generate_vector_kernel_source, compile_vector_kernel, config,
+    )
 
 
 def compile_batch_kernel(source: str, cfg_digest: str) -> Callable:
@@ -468,19 +327,8 @@ def compile_vector_kernel(source: str, cfg_digest: str) -> Callable:
     return namespace["vector_run"]  # type: ignore[return-value]
 
 
-def kernel_source(config: "MachineConfig", program: "Program") -> str:
-    """Freshly generated kernel source — for inspection and tests.
-
-    Source text is deliberately not retained after compilation (only the
-    code objects are memoized, bounded by ``KERNEL_CACHE_LIMIT``), so this
-    regenerates on demand.
-    """
-    return generate_kernel_source(config, program)
-
-
 def clear_kernels() -> None:
     """Drop every compiled kernel and reset counters (tests/benchmarks)."""
-    _kernels.clear()
     _batch_kernels.clear()
     _vector_kernels.clear()
     STATS.reset()

@@ -1,35 +1,33 @@
-"""Pluggable kernel backends: how a simulation request becomes machine code.
+"""Kernel backends: how a population of simulations becomes machine code.
 
-PR 2 made experiment components (configs, fault rates, suites, objectives,
-scales, evaluation backends) named registry entries; PR 4 did the same for
-vulnerable structures.  This module closes the loop for the innermost layer:
-*how* :meth:`repro.uarch.pipeline.OutOfOrderCore.run` executes is now a
-registered component too, selectable per run via spec (``kernel_backend``),
-CLI (``--kernel-backend``) or environment (``REPRO_KERNEL_BACKEND``):
+Experiment components (configs, fault rates, suites, objectives, scales,
+evaluation backends, vulnerable structures) are named registry entries; so
+is the innermost layer.  Two planes are registered, selectable for
+population evaluation (:meth:`StressmarkEvaluator.evaluate_batch
+<repro.stressmark.generator.StressmarkEvaluator.evaluate_batch>` →
+``run_many``) per spec (``kernel_backend``), CLI (``--kernel-backend``) or
+environment (``REPRO_KERNEL_BACKEND``):
 
-* ``batch`` (default) — the population-at-once plane: one config-specialized
-  compiled kernel, shared functional warm-up, operand plans memoized in the
-  ArtifactStore (:mod:`repro.uarch.kernel_batch`).  Single-program runs
-  (``run_one``) execute through the per-program ``source`` path, so
-  non-batched callers are unchanged.
-* ``source`` — the PR 5 per-(program, config) specialized source-codegen
-  kernels, with interpreter fallback for unsupported shapes.
-* ``interpreted`` — the reference loop, the semantics oracle every other
-  backend is differentially tested against.
-* ``vector`` — the batch plane with operand columns precomputed by numpy
-  array arithmetic and replayed through an inlined flat-array hierarchy
-  replica (:mod:`repro.uarch.kernel_vector`).  Requires the optional numpy
-  dependency (``pip install repro-avf-stressmark[vector]``); programs the
-  column lowering cannot express fall back to ``batch`` per program.
+* ``vector`` (default) — one config-specialized compiled kernel per
+  machine configuration, operand columns precomputed by numpy array
+  arithmetic, and a flat-array hierarchy replica warmed once per footprint
+  (:mod:`repro.uarch.kernel_vector`).  Programs the column lowering cannot
+  express — explicit setup sections, bodies over
+  :data:`~repro.uarch.kernel_vector.MAX_KERNEL_BODY`, runs over
+  :data:`~repro.uarch.kernel_vector.VECTOR_MAX_OPS` — fall back per program
+  to the batch kernel of :mod:`repro.uarch.kernel_batch`, which is not a
+  selectable plane of its own.
+* ``interpreted`` — the reference loop, the semantics oracle every fast
+  path is differentially tested against.
 
-All backends are bit-identical by construction; selection is purely about
+Single-program runs (:meth:`OutOfOrderCore.run
+<repro.uarch.pipeline.OutOfOrderCore.run>`) always execute through
+:meth:`InterpretedBackend.run_one`; no pin applies to them.
+
+Both planes are bit-identical by construction; selection is purely about
 speed, which is why evaluation/fitness-cache digests deliberately do *not*
-include the backend name — results cached under one backend are valid under
-every other.
-
-``REPRO_KERNEL=0`` (the PR 5 escape hatch) still forces the interpreter
-regardless of any selection, so existing differential harnesses and the
-kernel-smoke gate keep working unchanged.
+include the backend name — results cached under one plane are valid under
+the other.
 """
 
 from __future__ import annotations
@@ -43,10 +41,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.isa.program import Program
     from repro.uarch.pipeline import OutOfOrderCore, SimulationResult
 
-#: Environment selector; the ``REPRO_KERNEL=0`` kill switch takes precedence.
+#: Environment selector for population evaluation.
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-DEFAULT_BACKEND = "batch"
+# Routing by measurement (2-core x86_64, Python 3.11, numpy 2.4.6; one
+# process per plane, Session.run cold / warm):
+# ga_search_spec(1, 0..1) populations -> vector 2.2 / 1.4 s, batch kernel 5.2 / 4.4 s
+# workload_suite_spec(1, 0..1) single programs -> interpreter 4.6 / 7.1 s at
+#   105 MB, per-program source kernels 10.4 / 13.5 s at 175 MB (~200 ms compile
+#   per ~70 ms proxy) — so OutOfOrderCore.run stays on the interpreter.
+DEFAULT_BACKEND = "vector"
 
 KERNEL_BACKENDS = Registry("kernel backend")
 
@@ -74,7 +78,7 @@ class KernelBackend:
 
 
 class InterpretedBackend(KernelBackend):
-    """The reference loop — the oracle the compiled backends diff against."""
+    """The reference loop — the oracle the compiled planes diff against."""
 
     name = "interpreted"
 
@@ -82,49 +86,12 @@ class InterpretedBackend(KernelBackend):
         return core.run_interpreted(program, max_instructions, True)
 
 
-class SourceKernelBackend(KernelBackend):
-    """Per-(program, config) specialized source-codegen kernels (PR 5)."""
-
-    name = "source"
-
-    def run_one(self, core, program, max_instructions):
-        from repro.uarch import kernel as _kernel
-
-        if _kernel.supports(program, True):
-            kernel_run = _kernel.kernel_for(core.config, program)
-            if kernel_run is not None:
-                return kernel_run(core, program, max_instructions)
-        return core.run_interpreted(program, max_instructions, True)
-
-
-class BatchKernelBackend(SourceKernelBackend):
-    """Config-specialized batch kernels with shared warm state.
-
-    ``run_one`` inherits the ``source`` path — for isolated simulations the
-    per-program kernel is already optimal and keeps single-run latency
-    unchanged; the batch machinery engages through ``run_many``.
-    """
-
-    name = "batch"
-
-    def run_many(self, core, programs, max_instructions):
-        from repro.uarch import kernel_batch
-
-        results = kernel_batch.run_many(core, programs, max_instructions)
-        if results is None:
-            # Batch kernel unavailable (codegen failure): per-genome path.
-            return [self.run_one(core, program, max_instructions) for program in programs]
-        return results
-
-
-class VectorKernelBackend(BatchKernelBackend):
-    """Batch plane with numpy-precomputed operand columns (PR 9).
+class VectorKernelBackend(KernelBackend):
+    """Population plane over numpy-precomputed operand columns.
 
     ``run_many`` lowers every vectorizable genome through the config's
-    vector kernel; genomes the column lowering cannot express (setup
-    sections, oversize bodies, pattern overflow) fall back to the batch
-    kernel per program.  ``run_one`` inherits the ``source`` path, exactly
-    like ``batch``.
+    vector kernel; genomes the column lowering cannot express fall back to
+    the batch kernel per program.  Single programs never reach this plane.
     """
 
     name = "vector"
@@ -132,66 +99,24 @@ class VectorKernelBackend(BatchKernelBackend):
     def run_many(self, core, programs, max_instructions):
         from repro.uarch import kernel_vector
 
-        results = kernel_vector.run_many(core, programs, max_instructions)
-        if results is None:
-            # Vector plane unavailable (no numpy / codegen failure): batch.
-            return super().run_many(core, programs, max_instructions)
-        return results
+        return kernel_vector.run_many(core, programs, max_instructions)
 
 
 INTERPRETED = InterpretedBackend()
-SOURCE = SourceKernelBackend()
-BATCH = BatchKernelBackend()
 VECTOR = VectorKernelBackend()
 
-
-def unavailable_reason(name: str) -> Optional[str]:
-    """Why a registered backend cannot run here, or ``None`` if it can.
-
-    ``vector`` is always *registered* so specs naming it validate uniformly,
-    but it needs numpy at run time; the CLI listing uses this to annotate
-    the entry instead of hiding it.
-    """
-    if name == "vector":
-        from repro.uarch import kernel_vector
-
-        if not kernel_vector.numpy_available():
-            return (
-                "requires numpy — install the optional dependency with "
-                "'pip install repro-avf-stressmark[vector]'"
-            )
-    return None
-
-
-def _require_vector_backend() -> KernelBackend:
-    reason = unavailable_reason("vector")
-    if reason is not None:
-        from repro.registry import RegistryError
-
-        raise RegistryError(
-            f"kernel backend 'vector' is unavailable: {reason}",
-            suggestion="use the 'batch' backend, or install the [vector] extra",
-        )
-    return VECTOR
-
-
-KERNEL_BACKENDS.register("batch", lambda: BATCH)
-KERNEL_BACKENDS.register("source", lambda: SOURCE)
 KERNEL_BACKENDS.register("interpreted", lambda: INTERPRETED)
-KERNEL_BACKENDS.register("vector", _require_vector_backend)
+KERNEL_BACKENDS.register("vector", lambda: VECTOR)
 
 
 def resolve(name: Optional[str] = None) -> KernelBackend:
-    """The kernel backend a run should execute through.
+    """The kernel backend a population evaluation runs through.
 
-    Precedence: the ``REPRO_KERNEL=0`` kill switch (forces the interpreter,
-    preserving the PR 5 contract), then an explicit ``name`` (spec/CLI pin),
-    then ``REPRO_KERNEL_BACKEND``, then the default (``batch``).
+    Precedence: an explicit ``name`` (spec/CLI pin), then
+    ``REPRO_KERNEL_BACKEND``, then the default (``vector``).  Unknown names
+    — including the removed ``source`` and ``batch`` planes — raise
+    :class:`~repro.registry.RegistryError` listing the registered choices.
     """
-    from repro.uarch import kernel as _kernel
-
-    if not _kernel.kernel_enabled():
-        return INTERPRETED
     if not name:
         name = os.environ.get(BACKEND_ENV_VAR, "").strip() or DEFAULT_BACKEND
     return KERNEL_BACKENDS.create(name)

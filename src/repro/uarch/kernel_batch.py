@@ -1,11 +1,14 @@
-"""Population-at-once batch evaluation: shared warm state + plan memoization.
+"""The batch kernel: shared warm state + plan memoization for populations.
 
 The GA evaluates a whole generation of genomes against one machine
-configuration.  Per genome, the per-program kernel path (PR 5) pays codegen
-+ compile + functional warm-up from scratch; at GA scale the warm-up — which
-walks the program's declared :class:`~repro.isa.program.WarmupRegion`
-footprint through the caches and TLBs — dominates.  This module retires that
-per-genome cost:
+configuration.  Simulated one by one, each genome pays functional warm-up —
+walking the program's declared :class:`~repro.isa.program.WarmupRegion`
+footprint through the caches and TLBs — from scratch.  This module shares
+that cost across a population, and the ``vector`` plane
+(:mod:`repro.uarch.kernel_vector`) builds on it: it freezes the warm states
+and reuses the operand plans built here, and runs the batch kernel per
+program for inputs its column lowering cannot express.  The batch kernel is
+not a selectable plane of its own.
 
 * **One compiled kernel per config.**  :func:`repro.uarch.kernelgen.
   generate_batch_kernel_source` folds the machine constants in once; the
@@ -232,45 +235,43 @@ def _plan_for(
 # ------------------------------------------------------------- batch runner
 
 
+def run_program(
+    core: "OutOfOrderCore",
+    program: "Program",
+    max_instructions: int,
+    rows: list,
+) -> "SimulationResult":
+    """One program through the config batch kernel, given its plan ``rows``.
+
+    Empty bodies — and every program, should the config's batch kernel fail
+    to generate — run the interpreted reference instead.
+    """
+    config = core.config
+    kernel = _kernel.batch_kernel_for(config)
+    if kernel is None or not program.body:
+        return core.run_interpreted(program, max_instructions, True)
+    warm = warm_state_for(config, program) if supports_warm_sharing(program) else None
+    STATS.batch_runs += 1
+    return kernel(core, program, max_instructions, rows, warm)
+
+
 def run_many(
     core: "OutOfOrderCore",
     programs: list["Program"],
     max_instructions: int = 50_000,
-) -> Optional[list["SimulationResult"]]:
+) -> list["SimulationResult"]:
     """Simulate every program of a batch through the config batch kernel.
 
-    Returns results aligned with ``programs``, or ``None`` when the batch
-    kernel is unavailable for this configuration (the caller falls back to
-    the per-genome path).  Programs the batch plane cannot cover (empty
-    bodies) run through the interpreted reference inline.
+    Returns results aligned with ``programs``; one operand plan covers the
+    whole batch (see :func:`run_program` for the per-program path).
     """
-    config = core.config
-    kernel = _kernel.batch_kernel_for(config)
-    if kernel is None:
-        return None
-    cfg_digest = _kernel.config_digest(config)
+    cfg_digest = _kernel.config_digest(core.config)
     prog_digests = [_kernel.program_digest(program) for program in programs]
     plans = _plan_for(core, cfg_digest, programs, prog_digests)
-
-    results: list["SimulationResult"] = []
-    for program, digest in zip(programs, prog_digests):
-        if not program.body:
-            results.append(core.run_interpreted(program, max_instructions, True))
-            continue
-        warm = warm_state_for(config, program) if supports_warm_sharing(program) else None
-        results.append(kernel(core, program, max_instructions, plans[digest], warm))
-        STATS.batch_runs += 1
-    return results
-
-
-def run_one(
-    core: "OutOfOrderCore",
-    program: "Program",
-    max_instructions: int = 50_000,
-) -> Optional["SimulationResult"]:
-    """Single-program entry of the batch plane (shares warm/kernel caches)."""
-    results = run_many(core, [program], max_instructions)
-    return results[0] if results else None
+    return [
+        run_program(core, program, max_instructions, plans[digest])
+        for program, digest in zip(programs, prog_digests)
+    ]
 
 
 def clear_batch_caches() -> None:

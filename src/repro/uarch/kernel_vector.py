@@ -32,25 +32,20 @@ Everything on the AVF path stays integer-exact: word lifetime state packs
 are integer sums, and end-of-run credit for still-live ACE writes is the
 closed form ``count * final_cycle - sum(start_cycles)`` maintained
 incrementally — so results are bit-identical to the interpreted reference
-(enforced by the four-way differential matrix in
-``tests/test_kernel_differential.py`` and the batch-smoke byte-compare).
+(enforced by the differential matrix in
+``tests/test_kernel_differential.py`` and the kernel-smoke and batch-smoke
+byte-compares).
 
-Programs the lowering cannot express (explicit setup sections, oversize
-bodies, address columns that overflow the int64 window) fall back to the
-``batch`` plane per item — the same policy the source kernel uses.  numpy
-is an optional dependency (the ``vector`` extra); without it
-:func:`run_many` reports unavailable and the backend chain falls through to
-``batch`` untouched.
+Programs the lowering cannot express (explicit setup sections, bodies over
+:data:`MAX_KERNEL_BODY`, runs over :data:`VECTOR_MAX_OPS`, address columns
+that overflow the int64 window) fall back to the batch kernel per item.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-try:  # optional dependency — the `vector` extra (pip install repro-avf-stressmark[vector])
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the numpy-less tests
-    _np = None
+import numpy as _np
 
 from repro.isa.memoryref import (
     FixedPattern,
@@ -66,8 +61,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.uarch.config import MachineConfig
 
 #: Dynamic-op ceiling for column materialization (memory bound, not a
-#: correctness bound — larger runs fall back to the batch plane).
+#: correctness bound — larger runs fall back to the batch kernel).
 VECTOR_MAX_OPS = 500_000
+
+#: Programs with more static body instructions than this fall back to the
+#: batch kernel — bodies this large are not worth lowering to columns.
+MAX_KERNEL_BODY = 4096
 
 #: Column values must stay well inside int64 under the decomposition
 #: arithmetic; anything near the edge takes the (unbounded-int) fallback.
@@ -104,11 +103,6 @@ _frozen_warm: dict[tuple, Optional["VectorWarmState"]] = {}
 _predictor_templates: dict[tuple, tuple] = {}
 
 
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency is importable."""
-    return _np is not None
-
-
 def clear_vector_caches() -> None:
     """Drop the vector plane's in-process caches (tests, ``clear_kernels``)."""
     _frozen_warm.clear()
@@ -123,7 +117,7 @@ def supports_vector(program: "Program") -> bool:
     explicit setup sections replay stateful warm-up the columns cannot
     model, oversize bodies are not worth specializing.
     """
-    return not program.setup and len(program.body) <= _kernel.MAX_KERNEL_BODY
+    return not program.setup and len(program.body) <= MAX_KERNEL_BODY
 
 
 # --------------------------------------------------------------- predictor
@@ -960,33 +954,18 @@ def _frozen_warm_for(
 # ------------------------------------------------------------------ running
 
 
-def _run_via_batch(core, config, program, max_instructions: int, rows):
-    """One program through the batch plane (the per-item fallback)."""
-    kernel = _kernel.batch_kernel_for(config)
-    if kernel is not None:
-        warm = None
-        if kernel_batch.supports_warm_sharing(program):
-            warm = kernel_batch.warm_state_for(config, program)
-        return kernel(core, program, max_instructions, rows, warm)
-    from repro.uarch.kernel_backends import BATCH
-
-    return BATCH.run_one(core, program, max_instructions)
-
-
 def run_many(core, programs, max_instructions: int = 50_000):
-    """Evaluate ``programs`` through the vector plane.
+    """Evaluate ``programs`` through the vector plane, aligned with the input.
 
-    Returns None when the plane is unavailable for this process/config
-    (numpy missing, codegen failure) — the backend then falls through to
-    the batch plane wholesale.  Individual programs the lowering cannot
-    express fall back to the batch plane per item.
+    Programs the lowering cannot express — or every program, should the
+    config's vector kernel fail to generate — fall back to the batch kernel
+    per item, counted in ``STATS.fallbacks``; empty bodies run the
+    interpreted reference inline.
     """
-    if _np is None or not programs:
-        return None
+    if not programs:
+        return []
     config = core.config
     kernel = _kernel.vector_kernel_for(config)
-    if kernel is None:
-        return None
     config_dig = _kernel.config_digest(config)
     program_digests = [_kernel.program_digest(program) for program in programs]
     plans = kernel_batch._plan_for(core, config_dig, programs, program_digests)
@@ -995,7 +974,7 @@ def run_many(core, programs, max_instructions: int = 50_000):
         if not program.body:
             results.append(core.run_interpreted(program, max_instructions, True))
             continue
-        if supports_vector(program):
+        if kernel is not None and supports_vector(program):
             warm = _frozen_warm_for(config, program)
             if warm is not None:
                 try:
@@ -1007,5 +986,5 @@ def run_many(core, programs, max_instructions: int = 50_000):
                     results.append(result)
                     continue
         STATS.fallbacks += 1
-        results.append(_run_via_batch(core, config, program, max_instructions, plans[digest]))
+        results.append(kernel_batch.run_program(core, program, max_instructions, plans[digest]))
     return results

@@ -1,67 +1,31 @@
-"""Program-specialized simulator code generation.
+"""Config-specialized simulator code generation.
 
-Stressmarks and synthetic workload proxies are a tiny static body repeated
-thousands of times, which is the ideal shape for program-specialized code
-generation — the same trick :mod:`repro.stressmark.codegen` uses to emit C
-stressmarks, turned inward on our own simulator.  Given a
-:class:`~repro.isa.program.Program` and a
-:class:`~repro.uarch.config.MachineConfig`, :func:`generate_kernel_source`
-emits the Python source of a ``kernel_run(core, program, max_instructions)``
-function that is semantically identical to
-:meth:`repro.uarch.pipeline.OutOfOrderCore.run_interpreted` (with
-``functional_setup=True``) but specialized to the program:
-
-* the per-dynamic-op tuple unpacking and every static class flag
-  (``is_nop``/``is_lq``/``is_store``/``writes_reg``/branch behaviour) are
-  constant-folded away — each static instruction becomes a straight-line
-  block containing only the statements its class can ever execute;
-* machine-configuration constants (widths, queue depths, latencies,
-  bits-per-entry) are baked in as literals;
-* fixed execution latencies fold into ``complete = issue + N``; the
-  functional-unit ACE credit of arithmetic ops folds into a single literal;
-* address patterns with closed-form address streams (fixed, strided,
-  pointer-chase, line-cover) are inlined as integer arithmetic, and
-  :class:`~repro.isa.memoryref.RandomPattern` draws through the *same*
-  hoisted ``memory_rng.randint`` the interpreter uses;
-* per-op ``committed``/``committed_ace``/``branch_count`` bookkeeping
-  becomes closed-form arithmetic over static per-iteration counts and
-  prefix tables.
+Given a :class:`~repro.uarch.config.MachineConfig`, this module emits the
+Python source of the two population kernels: the ``batch`` kernel
+(:func:`generate_batch_kernel_source`) and the ``vector`` kernel
+(:func:`generate_vector_kernel_source`).  Machine-configuration constants
+(widths, queue depths, latencies, bits-per-entry) are baked in as literals
+once per config; everything program-specific — the per-op info rows the
+interpreter precomputes, address patterns, iteration count, front-end miss
+model — stays a runtime input, so one compile covers a whole GA search.
 
 **Bit-identity contract.**  The generated code performs the same sequence of
 floating-point additions into the same accumulators, draws the same RNG
 streams in the same order, and probes the memory hierarchy / branch
-predictor with the same arguments at the same simulated cycles as the
-interpreter.  Constant folding only ever combines values that the
-interpreter also combines in one left-associated expression, so every folded
-literal equals the interpreter's intermediate exactly.  The differential
-suite (``tests/test_kernel_differential.py``) and the ``kernel-smoke``
-tier-2 gate enforce the contract.
-
-The final partial loop iteration (when ``max_instructions`` is not a
-multiple of the body length) runs through a *generic* transcription of the
-interpreter's per-op body over the same precomputed info tuples — constant
-code size regardless of body length, and trivially in lockstep with the
-reference implementation.
+predictor with the same arguments at the same simulated cycles as
+:meth:`repro.uarch.pipeline.OutOfOrderCore.run_interpreted`.  Constant
+folding only ever combines values that the interpreter also combines in one
+left-associated expression, so every folded literal equals the interpreter's
+intermediate exactly.  The differential suite
+(``tests/test_kernel_differential.py``) and the ``kernel-smoke`` and
+``batch-smoke`` tier-2 gates enforce the contract.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.isa.memoryref import (
-    FixedPattern,
-    LineCoverPattern,
-    PointerChasePattern,
-    RandomPattern,
-    StridedPattern,
-)
-from repro.isa.program import BranchBehavior, Program
 from repro.uarch.config import MachineConfig
 from repro.uarch.structures import StructureName
 from repro.vuln.ledger import VulnerabilityLedger
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 #: Bump when the generated-source layout or semantics change: persisted
 #: sources are keyed by this, so stale kernels can never be loaded.
@@ -92,366 +56,6 @@ class _Emitter:
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
-
-
-def _address_statements(pattern, index: int, needs: list[int]) -> tuple[list[str], str]:
-    """(setup statements, address expression) inlining one address pattern.
-
-    Patterns with closed-form streams become integer arithmetic over
-    ``iteration``; :class:`RandomPattern` draws via the hoisted
-    ``memory_randint`` (the same ``memory_rng.randint`` call the pattern's
-    ``resolve`` performs, so RNG consumption is unchanged).  Unknown pattern
-    types fall back to calling ``resolve`` on the pattern object itself
-    (``needs`` collects body indices whose pattern must be bound at runtime).
-    """
-    if isinstance(pattern, FixedPattern):
-        return [], _lit(pattern.address)
-    if isinstance(pattern, (StridedPattern, PointerChasePattern)):
-        return [], f"{_lit(pattern.base)} + (iteration * {_lit(pattern.stride)}) % {_lit(pattern.region)}"
-    if isinstance(pattern, LineCoverPattern):
-        words_per_line = max(1, pattern.line_bytes // pattern.word_bytes)
-        setup = [
-            f"_eff = iteration + {_lit(pattern.iteration_offset)}",
-            "if _eff < 0:",
-            "    _eff = 0",
-        ]
-        if pattern.iteration_offset == 0:
-            # iteration >= 0 always, so max(0, .) is the identity.
-            setup = []
-            effective = "iteration"
-        else:
-            effective = "_eff"
-        expr = (
-            f"{_lit(pattern.base)} + ({effective} * {_lit(pattern.line_bytes)}) % {_lit(pattern.region)}"
-            f" + (({effective} * {_lit(pattern.slots)} + {_lit(pattern.slot)}) % {_lit(words_per_line)})"
-            f" * {_lit(pattern.word_bytes)}"
-        )
-        return setup, expr
-    if isinstance(pattern, RandomPattern):
-        slots = max(1, pattern.region // pattern.alignment)
-        return [], f"{_lit(pattern.base)} + memory_randint(0, {_lit(slots - 1)}) * {_lit(pattern.alignment)}"
-    needs.append(index)
-    return [], f"_pat_{index}.resolve(iteration, memory_rng)"
-
-
-def generate_kernel_source(config: MachineConfig, program: Program) -> str:
-    """Generate specialized ``kernel_run`` source for (program, config)."""
-    from repro.uarch.pipeline import OutOfOrderCore
-
-    core = OutOfOrderCore(config)
-    body = program.body
-    infos = [
-        core._instruction_info(instruction, index, False, program)
-        for index, instruction in enumerate(body)
-    ]
-
-    ledger = VulnerabilityLedger(config)
-    accounts = ledger.accounts
-    rob_bits = accounts[StructureName.ROB].bits_per_entry
-    iq_bits = accounts[StructureName.IQ].bits_per_entry
-    lqt_bits = accounts[StructureName.LQ_TAG].bits_per_entry
-    lqd_bits = accounts[StructureName.LQ_DATA].bits_per_entry
-    sqt_bits = accounts[StructureName.SQ_TAG].bits_per_entry
-    sqd_bits = accounts[StructureName.SQ_DATA].bits_per_entry
-    rf_bits = accounts[StructureName.RF].bits_per_entry
-    fu_bits = accounts[StructureName.FU].bits_per_entry
-    sb_account = accounts.get(StructureName.SB)
-    track_sb = sb_account is not None
-    sb_bits = sb_account.bits_per_entry if track_sb else 0
-    sb_drain = float(config.store_buffer_drain_cycles)
-
-    from repro.isa.instructions import ARCH_REG_COUNT
-
-    architected = config.architected_registers
-    num_regs = max(ARCH_REG_COUNT, architected)
-    all_present = architected >= ARCH_REG_COUNT
-
-    frontend_miss_rate = float(program.metadata.get("frontend_miss_rate", 0.0))
-    frontend_miss_penalty = int(program.metadata.get("frontend_miss_penalty", 10))
-    has_frontend = frontend_miss_rate > 0.0
-
-    # Ring sizing — the exact formula of the interpreter's prologue.
-    max_override = 0
-    for info in infos:
-        if info[14] is not None and info[14] > max_override:
-            max_override = info[14]
-    per_op_latency_bound = (
-        config.memory_latency
-        + config.tlb_miss_penalty
-        + max(config.multiply_latency, config.divide_latency, config.alu_latency, max_override)
-        + 2
-    )
-    window_bound = config.rob_entries * per_op_latency_bound + 1024
-    ring_size = 1 << (min(max(window_bound, 1024), 1 << 17) - 1).bit_length()
-
-    body_len = len(body)
-    ace_prefix = [0]
-    branch_prefix = [0]
-    for info in infos:
-        ace_prefix.append(ace_prefix[-1] + (1 if info[11] else 0))
-        branch_prefix.append(branch_prefix[-1] + (1 if info[5] else 0))
-    has_loop_closing = any(info[17] for info in infos)
-    has_random_pattern = any(
-        isinstance(instruction.address_pattern, RandomPattern)
-        for instruction in body
-        if instruction.address_pattern is not None
-    )
-    has_memory = any(info[1] for info in infos)
-    has_loads = any(info[3] for info in infos)
-    has_stores = any(info[4] for info in infos)
-
-    fallback_patterns: list[int] = []
-    # Pre-render the per-instruction blocks so fallback-pattern bindings are
-    # known before the prologue is emitted.
-    blocks: list[list[str]] = []
-    for index, info in enumerate(infos):
-        block = _Emitter()
-        block.indent = 0
-        _emit_op_block(
-            block,
-            info,
-            body[index].address_pattern,
-            index,
-            config=config,
-            track_sb=track_sb,
-            sb_bits=sb_bits,
-            sb_drain=sb_drain,
-            bits=(rob_bits, iq_bits, lqt_bits, lqd_bits, sqt_bits, sqd_bits, rf_bits, fu_bits),
-            all_present=all_present,
-            has_frontend=has_frontend,
-            frontend_miss_rate=frontend_miss_rate,
-            frontend_miss_penalty=frontend_miss_penalty,
-            fallback_patterns=fallback_patterns,
-        )
-        blocks.append(block.lines)
-
-    out = _Emitter()
-    out.block(
-        '"""Auto-generated specialized simulator kernel.',
-        "",
-        f"program: {program.name!r}  config: {config.name!r}  schema: {KERNEL_SCHEMA}",
-        "Generated by repro.uarch.kernelgen; do not edit.  See ARCHITECTURE.md.",
-        '"""',
-        "",
-        "import heapq",
-        "from collections import deque",
-        "",
-        "from repro.branch.predictors import HybridPredictor",
-        "from repro.memory.hierarchy import MemoryHierarchy",
-        "from repro.uarch.pipeline import OutOfOrderCore, SimulationResult, SimulationStats",
-        "from repro.uarch.structures import StructureName",
-        "from repro.utils.rng import DeterministicRng",
-        "from repro.vuln.ledger import VulnerabilityLedger",
-        "",
-        "_grow_rings = OutOfOrderCore._grow_rings",
-        "",
-        f"_ACE_PREFIX = {tuple(ace_prefix)!r}",
-        f"_BRANCH_PREFIX = {tuple(branch_prefix)!r}",
-        "",
-        "",
-        f"def kernel_run(core, program, max_instructions={50_000}):",
-    )
-    out.indent = 1
-    out.block(
-        "if max_instructions <= 0:",
-        "    raise ValueError('max_instructions must be positive')",
-        "config = core.config",
-        "rng = DeterministicRng(core.seed).spawn('sim', program.name)",
-        "ledger = VulnerabilityLedger(config)",
-        "hierarchy = MemoryHierarchy(",
-        "    dl1_config=config.dl1,",
-        "    l2_config=config.l2,",
-        "    dtlb_config=config.dtlb,",
-        "    memory_latency=config.memory_latency,",
-        "    tlb_miss_penalty=config.tlb_miss_penalty,",
-        "    ledger=ledger,",
-        "    l2_tlb_config=config.l2_tlb,",
-        "    l2_tlb_hit_latency=config.l2_tlb_hit_latency,",
-        ")",
-        "predictor = HybridPredictor(",
-        "    global_entries=config.branch_predictor_global_entries,",
-        "    local_history_entries=config.branch_predictor_local_entries,",
-        "    choice_entries=config.branch_predictor_choice_entries,",
-        ")",
-        "stats = SimulationStats()",
-        "memory_rng = rng.spawn('memory')",
-        "branch_rng = rng.spawn('branch')",
-        "frontend_rng = rng.spawn('frontend')",
-        "core._run_functional_setup(program, hierarchy, rng)",
-        "",
-        f"ring_size = {ring_size}",
-        f"ring_mask = {ring_size - 1}",
-        f"ring_tag = [-1] * {ring_size}",
-        f"ring_issue = [0] * {ring_size}",
-        f"ring_mem = [0] * {ring_size}",
-        f"ring_alu = [0] * {ring_size}",
-        f"ring_mul = [0] * {ring_size}",
-        "",
-        "rob_commits = deque()",
-        "lq_commits = deque()",
-        "sq_commits = deque()",
-        "iq_issue_heap = []",
-        "rename_commit_heap = []",
-        "# Container lengths mirrored in locals (append/pop sites keep them",
-        "# exact), replacing per-op len() calls.",
-        "rob_len = lq_len = sq_len = 0",
-        "iq_len = rename_len = 0",
-        "",
-        f"reg_present = [True] * {architected} + [False] * {num_regs - architected}",
-        f"reg_complete = [0] * {num_regs}",
-        f"reg_width = [1.0] * {num_regs}",
-        f"reg_ace = [True] * {num_regs}",
-        f"reg_last_read = [-1] * {num_regs}",
-        f"reg_ready = [0] * {num_regs}",
-        "extra_regs = []",
-        "",
-        "rob_occ = rob_ace = 0.0",
-        "iq_occ = iq_ace = 0.0",
-        "lqt_occ = lqt_ace = 0.0",
-        "lqd_occ = lqd_ace = 0.0",
-        "sqt_occ = sqt_ace = 0.0",
-        "sqd_occ = sqd_ace = 0.0",
-        "rf_occ = rf_ace = 0.0",
-        "fu_occ = fu_ace = 0.0",
-    )
-    if track_sb:
-        out.emit("sb_occ = sb_ace = 0.0")
-    out.block(
-        "",
-        "hierarchy_access = hierarchy.access_parts",
-        "predictor_update = predictor.update",
-        "branch_random = branch_rng.raw().random",
-    )
-    if has_frontend:
-        out.emit("frontend_random = frontend_rng.raw().random")
-    if has_random_pattern:
-        out.emit("memory_randint = memory_rng.randint")
-    out.block(
-        "heappush = heapq.heappush",
-        "heappop = heapq.heappop",
-        "rob_append = rob_commits.append",
-        "rob_popleft = rob_commits.popleft",
-    )
-    if has_loads:
-        out.block("lq_append = lq_commits.append", "lq_popleft = lq_commits.popleft")
-    if has_stores:
-        out.block("sq_append = sq_commits.append", "sq_popleft = sq_commits.popleft")
-    for index in sorted(set(fallback_patterns)):
-        out.emit(f"_pat_{index} = program.body[{index}].address_pattern")
-    out.block(
-        "",
-        "branch_mispredictions = 0",
-        "l2_misses = 0",
-        "min_dispatch_cycle = 1",
-        "fetch_resume_cycle = 0",
-        "last_commit_cycle = 0",
-        "final_cycle = 1",
-        "disp_cycle = -1",
-        "disp_count = 0",
-        "commit_count = 0",
-        "",
-        f"full_iters = max_instructions // {body_len}",
-        f"if full_iters >= {program.iterations}:",
-        f"    full_iters = {program.iterations}",
-        "    tail_ops = 0",
-        "else:",
-        f"    tail_ops = max_instructions - full_iters * {body_len}",
-        "",
-        "for iteration in range(full_iters):",
-    )
-    out.indent = 2
-    if has_loop_closing:
-        out.emit(f"closing_taken = iteration < {program.iterations - 1}")
-    for index, block_lines in enumerate(blocks):
-        instruction = body[index]
-        out.emit(f"# --- op {index}: {instruction.opclass.value}"
-                 + (f" [{instruction.label}]" if instruction.label else ""))
-        for line in block_lines:
-            out.emit(line)
-    out.indent = 1
-
-    # ------------------------------------------------------- generic tail
-    out.block(
-        "",
-        "if tail_ops:",
-    )
-    out.indent = 2
-    out.block(
-        "body_infos = [core._instruction_info(instruction, index, False, program)",
-        "              for index, instruction in enumerate(program.body)]",
-        "iteration = full_iters",
-        f"closing_taken = iteration < {program.iterations - 1}",
-        "for _tail_index in range(tail_ops):",
-    )
-    out.indent = 3
-    _emit_generic_op(
-        out,
-        track_sb=track_sb,
-        sb_bits=sb_bits,
-        sb_drain=sb_drain,
-        bits=(rob_bits, iq_bits, lqt_bits, lqd_bits, sqt_bits, sqd_bits, rf_bits, fu_bits),
-        has_frontend=has_frontend,
-        frontend_miss_rate=frontend_miss_rate,
-        frontend_miss_penalty=frontend_miss_penalty,
-        config=config,
-    )
-    out.indent = 1
-
-    # ---------------------------------------------------------- epilogue
-    out.block(
-        "",
-        f"for reg in range({architected}):",
-        "    if reg_ace[reg]:",
-        "        last_read = reg_last_read[reg]",
-        "        if last_read > reg_complete[reg]:",
-        "            duration = float(last_read - reg_complete[reg])",
-        "            rf_occ += duration",
-        f"            rf_ace += duration * {rf_bits} * reg_width[reg]",
-        "for reg in extra_regs:",
-        "    if reg_ace[reg]:",
-        "        last_read = reg_last_read[reg]",
-        "        if last_read > reg_complete[reg]:",
-        "            duration = float(last_read - reg_complete[reg])",
-        "            rf_occ += duration",
-        f"            rf_ace += duration * {rf_bits} * reg_width[reg]",
-        "",
-        "credit = ledger.credit",
-        "credit(StructureName.ROB, rob_occ, rob_ace)",
-        "credit(StructureName.IQ, iq_occ, iq_ace)",
-        "credit(StructureName.LQ_TAG, lqt_occ, lqt_ace)",
-        "credit(StructureName.LQ_DATA, lqd_occ, lqd_ace)",
-        "credit(StructureName.SQ_TAG, sqt_occ, sqt_ace)",
-        "credit(StructureName.SQ_DATA, sqd_occ, sqd_ace)",
-        "credit(StructureName.RF, rf_occ, rf_ace)",
-        "credit(StructureName.FU, fu_occ, fu_ace)",
-    )
-    if track_sb:
-        out.emit("credit(StructureName.SB, sb_occ, sb_ace)")
-    out.block(
-        "",
-        "hierarchy.finalize(final_cycle)",
-        "",
-        f"committed = full_iters * {body_len} + tail_ops",
-        "stats.committed_instructions = committed",
-        f"stats.committed_ace_instructions = full_iters * {ace_prefix[-1]} + _ACE_PREFIX[tail_ops]",
-        f"stats.branch_count = full_iters * {branch_prefix[-1]} + _BRANCH_PREFIX[tail_ops]",
-        "stats.branch_mispredictions = branch_mispredictions",
-        "stats.l2_misses = l2_misses",
-        "stats.total_cycles = final_cycle",
-        "stats.dl1_miss_rate = hierarchy.dl1.stats.miss_rate",
-        "stats.l2_miss_rate = hierarchy.l2.stats.miss_rate",
-        "stats.dtlb_miss_rate = hierarchy.dtlb.stats.miss_rate",
-        "",
-        "return SimulationResult(",
-        "    program_name=program.name,",
-        "    config=config,",
-        "    accumulators=dict(ledger.collect()),",
-        "    stats=stats,",
-        "    metadata=dict(program.metadata),",
-        ")",
-    )
-    out.indent = 0
-    return out.source()
 
 
 def generate_batch_kernel_source(config: MachineConfig) -> str:
@@ -667,11 +271,7 @@ def generate_batch_kernel_source(config: MachineConfig) -> str:
         sb_bits=sb_bits,
         sb_drain=sb_drain,
         bits=(rob_bits, iq_bits, lqt_bits, lqd_bits, sqt_bits, sqd_bits, rf_bits, fu_bits),
-        has_frontend=False,
-        frontend_miss_rate=0.0,
-        frontend_miss_penalty=0,
         config=config,
-        runtime_frontend=True,
     )
     out.indent = 1
 
@@ -692,11 +292,7 @@ def generate_batch_kernel_source(config: MachineConfig) -> str:
         sb_bits=sb_bits,
         sb_drain=sb_drain,
         bits=(rob_bits, iq_bits, lqt_bits, lqd_bits, sqt_bits, sqd_bits, rf_bits, fu_bits),
-        has_frontend=False,
-        frontend_miss_rate=0.0,
-        frontend_miss_penalty=0,
         config=config,
-        runtime_frontend=True,
     )
     out.indent = 1
 
@@ -1265,313 +861,6 @@ def _emit_vector_op(
     )
 
 
-def _emit_op_block(
-    out: _Emitter,
-    info: tuple,
-    pattern,
-    index: int,
-    *,
-    config: MachineConfig,
-    track_sb: bool,
-    sb_bits: int,
-    sb_drain: float,
-    bits: tuple[int, int, int, int, int, int, int, int],
-    all_present: bool,
-    has_frontend: bool,
-    frontend_miss_rate: float,
-    frontend_miss_penalty: int,
-    fallback_patterns: list[int],
-) -> None:
-    """Emit the specialized straight-line block of one static instruction."""
-    (_, is_memory, is_nop, is_lq, is_store, is_branch, is_mul, is_arith,
-     writes_reg, dest, srcs, ace, data_frac, width_frac, fixed_latency,
-     _pattern, taken_probability, loop_closing, pc) = info
-    rob_bits, iq_bits, lqt_bits, lqd_bits, sqt_bits, sqd_bits, rf_bits, fu_bits = bits
-
-    # ---------------------------------------------------------- dispatch
-    out.block(
-        "dispatch = min_dispatch_cycle",
-        "if fetch_resume_cycle > dispatch:",
-        "    dispatch = fetch_resume_cycle",
-    )
-    if has_frontend:
-        out.block(
-            f"if frontend_random() < {_lit(frontend_miss_rate)}:",
-            f"    dispatch += {_lit(frontend_miss_penalty)}",
-        )
-    out.block(
-        f"if rob_len >= {config.rob_entries} and rob_commits[0] > dispatch:",
-        "    dispatch = rob_commits[0]",
-    )
-    if is_lq:
-        out.block(
-            f"if lq_len >= {config.lq_entries} and lq_commits[0] > dispatch:",
-            "    dispatch = lq_commits[0]",
-        )
-    elif is_store:
-        out.block(
-            f"if sq_len >= {config.sq_entries} and sq_commits[0] > dispatch:",
-            "    dispatch = sq_commits[0]",
-        )
-    if writes_reg:
-        out.block(
-            "while rename_len and rename_commit_heap[0] <= dispatch:",
-            "    heappop(rename_commit_heap)",
-            "    rename_len -= 1",
-            f"if rename_len >= {config.free_rename_registers}:",
-            "    if rename_commit_heap[0] > dispatch:",
-            "        dispatch = rename_commit_heap[0]",
-            "    while rename_len and rename_commit_heap[0] <= dispatch:",
-            "        heappop(rename_commit_heap)",
-            "        rename_len -= 1",
-        )
-    if not is_nop:
-        out.block(
-            "while iq_len and iq_issue_heap[0] <= dispatch:",
-            "    heappop(iq_issue_heap)",
-            "    iq_len -= 1",
-            f"if iq_len >= {config.iq_entries}:",
-            "    if iq_issue_heap[0] > dispatch:",
-            "        dispatch = iq_issue_heap[0]",
-            "    while iq_len and iq_issue_heap[0] <= dispatch:",
-            "        heappop(iq_issue_heap)",
-            "        iq_len -= 1",
-        )
-    out.block(
-        "if dispatch == disp_cycle:",
-        f"    if disp_count >= {config.dispatch_width}:",
-        "        dispatch += 1",
-        "        disp_cycle = dispatch",
-        "        disp_count = 1",
-        "    else:",
-        "        disp_count += 1",
-        "else:",
-        "    disp_cycle = dispatch",
-        "    disp_count = 1",
-        "min_dispatch_cycle = dispatch",
-    )
-
-    # ------------------------------------------------------------- issue
-    if is_nop:
-        out.block("issue = dispatch", "complete = dispatch")
-    else:
-        out.emit("issue = dispatch + 1")
-        for src in srcs:
-            out.block(
-                f"ready = reg_ready[{src}]",
-                "if ready > issue:",
-                "    issue = ready",
-            )
-        if is_memory:
-            port_cond = f"if ring_mem[slot] >= {config.memory_issue_width}:"
-            ring_counter = "ring_mem"
-        elif is_mul:
-            port_cond = f"if ring_mul[slot] >= {config.int_multipliers}:"
-            ring_counter = "ring_mul"
-        else:
-            port_cond = f"if ring_alu[slot] >= {config.int_alus}:"
-            ring_counter = "ring_alu"
-        out.block(
-            "while True:",
-            "    slot = issue & ring_mask",
-            "    if ring_tag[slot] == issue:",
-            f"        if ring_issue[slot] >= {config.issue_width}:",
-            "            issue += 1",
-            "            continue",
-            f"        {port_cond}",
-            "            issue += 1",
-            "            continue",
-            "    break",
-        )
-        out.block(
-            "if issue - dispatch >= ring_size:",
-            "    ring_size, ring_mask, ring_tag, ring_issue, ring_mem, ring_alu, ring_mul = _grow_rings(",
-            "        issue - dispatch, dispatch, ring_size,",
-            "        ring_tag, ring_issue, ring_mem, ring_alu, ring_mul,",
-            "    )",
-            "    slot = issue & ring_mask",
-            "if ring_tag[slot] == issue:",
-            "    ring_issue[slot] += 1",
-            "else:",
-            "    ring_tag[slot] = issue",
-            "    ring_issue[slot] = 1",
-            "    ring_mem[slot] = 0",
-            "    ring_alu[slot] = 0",
-            "    ring_mul[slot] = 0",
-            f"{ring_counter}[slot] += 1",
-        )
-        if fixed_latency is not None:
-            out.emit(f"complete = issue + {_lit(fixed_latency)}")
-        else:
-            setup, expr = _address_statements(pattern, index, fallback_patterns)
-            out.block(*setup)
-            out.block(
-                f"latency, dl1_hit, l2_hit, _ = hierarchy_access({expr}, False, issue, {_lit(ace)})",
-                "if not dl1_hit and not l2_hit:",
-                "    l2_misses += 1",
-                "complete = issue + latency",
-            )
-
-    # ------------------------------------------------------------ commit
-    out.block(
-        "commit = complete + 1",
-        "if last_commit_cycle > commit:",
-        "    commit = last_commit_cycle",
-        f"if commit == last_commit_cycle and commit_count >= {config.commit_width}:",
-        "    commit += 1",
-        "if commit == last_commit_cycle:",
-        "    commit_count += 1",
-        "else:",
-        "    commit_count = 1",
-        "last_commit_cycle = commit",
-        "if commit > final_cycle:",
-        "    final_cycle = commit",
-    )
-
-    if is_store and pattern is not None:
-        setup, expr = _address_statements(pattern, index, fallback_patterns)
-        out.block(*setup)
-        out.emit(f"hierarchy_access({expr}, True, commit, {_lit(ace)})")
-
-    # ------------------------------------------------------ branch logic
-    if is_branch:
-        if loop_closing:
-            out.emit("taken = closing_taken")
-        else:
-            out.emit(f"taken = branch_random() < {_lit(taken_probability)}")
-        out.block(
-            f"if predictor_update({_lit(pc)}, taken):",
-            "    branch_mispredictions += 1",
-            f"    resume = complete + {config.branch_misprediction_penalty}",
-            "    if resume > fetch_resume_cycle:",
-            "        fetch_resume_cycle = resume",
-        )
-
-    # ------------------------------------------------- structural state
-    out.block(
-        "rob_append(commit)",
-        f"if rob_len >= {config.rob_entries}:",
-        "    rob_popleft()",
-        "else:",
-        "    rob_len += 1",
-    )
-    if is_lq:
-        out.block(
-            "lq_append(commit)",
-            f"if lq_len >= {config.lq_entries}:",
-            "    lq_popleft()",
-            "else:",
-            "    lq_len += 1",
-        )
-    elif is_store:
-        out.block(
-            "sq_append(commit)",
-            f"if sq_len >= {config.sq_entries}:",
-            "    sq_popleft()",
-            "else:",
-            "    sq_len += 1",
-        )
-    if not is_nop:
-        out.block("heappush(iq_issue_heap, issue)", "iq_len += 1")
-    if writes_reg:
-        out.block("heappush(rename_commit_heap, commit)", "rename_len += 1")
-
-    # --------------------------------------------------------- ACE credit
-    out.block(
-        "duration = float(commit - dispatch)",
-        "rob_occ += duration",
-    )
-    if ace:
-        out.emit(f"rob_ace += duration * {rob_bits}")
-    if not is_nop:
-        out.block(
-            "duration = float(issue - dispatch)",
-            "iq_occ += duration",
-        )
-        if ace:
-            out.emit(f"iq_ace += duration * {iq_bits}")
-    if is_lq:
-        out.block(
-            "lqt_occ += float(issue - dispatch)",
-            "duration = float(commit - issue)",
-            "lqt_occ += duration",
-        )
-        if ace:
-            out.emit(f"lqt_ace += duration * {lqt_bits}")
-        out.block(
-            "lqd_occ += float(complete - dispatch)",
-            "duration = float(commit - complete)",
-            "lqd_occ += duration",
-        )
-        if data_frac:
-            out.emit(f"lqd_ace += duration * {lqd_bits}" + ("" if data_frac == 1.0 else f" * {_lit(data_frac)}"))
-    elif is_store:
-        out.block(
-            "sqt_occ += float(issue - dispatch)",
-            "duration = float(commit - issue)",
-            "sqt_occ += duration",
-        )
-        if ace:
-            out.emit(f"sqt_ace += duration * {sqt_bits}")
-        out.emit("sqd_occ += float(issue - dispatch)")
-        if data_frac:
-            out.emit(f"sqd_ace += duration * {sqd_bits}" + ("" if data_frac == 1.0 else f" * {_lit(data_frac)}"))
-        out.emit("sqd_occ += duration")
-        if track_sb:
-            out.emit(f"sb_occ += {_lit(sb_drain)}")
-            if data_frac:
-                out.emit(f"sb_ace += {_lit(sb_drain * sb_bits * data_frac)}")
-    if is_arith:
-        fu_duration = float(fixed_latency if fixed_latency > 1 else 1)
-        out.emit(f"fu_occ += {_lit(fu_duration)}")
-        if ace:
-            out.emit(f"fu_ace += {_lit(fu_duration * fu_bits)}")
-
-    # ------------------------------------------- register-file lifetime
-    if ace and srcs:
-        for src in srcs:
-            if all_present:
-                out.block(
-                    f"if issue > reg_last_read[{src}]:",
-                    f"    reg_last_read[{src}] = issue",
-                )
-            else:
-                out.block(
-                    f"if reg_present[{src}] and issue > reg_last_read[{src}]:",
-                    f"    reg_last_read[{src}] = issue",
-                )
-    if writes_reg:
-        if all_present:
-            out.block(
-                f"if reg_ace[{dest}]:",
-                f"    last_read = reg_last_read[{dest}]",
-                f"    if last_read > reg_complete[{dest}]:",
-                "        duration = float(last_read - reg_complete[" + str(dest) + "])",
-                "        rf_occ += duration",
-                f"        rf_ace += duration * {rf_bits} * reg_width[{dest}]",
-            )
-        else:
-            out.block(
-                f"if reg_present[{dest}]:",
-                f"    if reg_ace[{dest}]:",
-                f"        last_read = reg_last_read[{dest}]",
-                f"        if last_read > reg_complete[{dest}]:",
-                "            duration = float(last_read - reg_complete[" + str(dest) + "])",
-                "            rf_occ += duration",
-                f"            rf_ace += duration * {rf_bits} * reg_width[{dest}]",
-                "else:",
-                f"    reg_present[{dest}] = True",
-                f"    extra_regs.append({dest})",
-            )
-        out.block(
-            f"reg_complete[{dest}] = complete",
-            f"reg_width[{dest}] = {_lit(width_frac)}",
-            f"reg_ace[{dest}] = {_lit(ace)}",
-            f"reg_last_read[{dest}] = -1",
-            f"reg_ready[{dest}] = complete",
-        )
-
-
 def _emit_generic_op(
     out: _Emitter,
     *,
@@ -1579,23 +868,15 @@ def _emit_generic_op(
     sb_bits: int,
     sb_drain: float,
     bits: tuple[int, int, int, int, int, int, int, int],
-    has_frontend: bool,
-    frontend_miss_rate: float,
-    frontend_miss_penalty: int,
     config: MachineConfig,
-    runtime_frontend: bool = False,
 ) -> None:
     """Emit the generic per-op body (the interpreter transcription).
 
-    Used for the final partial iteration of program-specialized kernels and
-    for the whole main loop of the config-specialized batch kernel; mirrors
-    the reference loop of :meth:`OutOfOrderCore.run_interpreted` statement
-    for statement, reading the same precomputed info tuples.
-
-    ``runtime_frontend`` emits the interpreter's runtime front-end gate
-    (``has_frontend and frontend_random() < frontend_miss_rate``, same
-    short-circuit so RNG draw order is preserved) instead of folding the
-    program's miss rate/penalty in as literals.
+    The whole main loop and the final partial iteration of the batch kernel;
+    mirrors the reference loop of :meth:`OutOfOrderCore.run_interpreted`
+    statement for statement, reading the same precomputed info tuples —
+    including the front-end gate's short-circuit, so RNG draw order is
+    preserved.
     """
     rob_bits, iq_bits, lqt_bits, lqd_bits, sqt_bits, sqd_bits, rf_bits, fu_bits = bits
     out.block(
@@ -1607,16 +888,10 @@ def _emit_generic_op(
         "if fetch_resume_cycle > dispatch:",
         "    dispatch = fetch_resume_cycle",
     )
-    if runtime_frontend:
-        out.block(
-            "if has_frontend and frontend_random() < frontend_miss_rate:",
-            "    dispatch += frontend_miss_penalty",
-        )
-    elif has_frontend:
-        out.block(
-            f"if frontend_random() < {_lit(frontend_miss_rate)}:",
-            f"    dispatch += {_lit(frontend_miss_penalty)}",
-        )
+    out.block(
+        "if has_frontend and frontend_random() < frontend_miss_rate:",
+        "    dispatch += frontend_miss_penalty",
+    )
     out.block(
         f"if rob_len >= {config.rob_entries} and rob_commits[0] > dispatch:",
         "    dispatch = rob_commits[0]",

@@ -34,12 +34,11 @@ inefficiencies) is modelled statistically: programs may carry
 
 Implementation notes (hot loop)
 -------------------------------
-``run`` is the single hottest function of the repository — every GA fitness
-evaluation is one call.  By default it executes through a *program-
-specialized compiled kernel* (see :mod:`repro.uarch.kernel` and
-ARCHITECTURE.md, "Kernel lifecycle"); ``run_interpreted`` below is the
-reference implementation the kernels are generated from and differentially
-tested against, and its inner loop avoids per-dynamic-op Python overhead:
+``run_interpreted`` is the reference implementation: ``run`` executes it for
+every single-program simulation, and the population planes of
+:mod:`repro.uarch.kernel_backends` (GA fitness evaluation) are generated
+from it and differentially tested against it (ARCHITECTURE.md, "Kernel
+lifecycle").  Its inner loop avoids per-dynamic-op Python overhead:
 
 * Static per-instruction facts (class flags, latencies, ACE fractions,
   branch behaviour) are precomputed once per run into flat tuples instead of
@@ -153,9 +152,6 @@ class OutOfOrderCore:
     def __init__(self, config: MachineConfig, seed: int = 0) -> None:
         self.config = config
         self.seed = int(seed)
-        #: Kernel-backend pin (a KERNEL_BACKENDS name) — ``None`` resolves
-        #: through the environment / default chain; see kernel_backends.
-        self.kernel_backend: Optional[str] = None
 
     # ------------------------------------------------------------------ run
 
@@ -172,22 +168,17 @@ class OutOfOrderCore:
         occupying core structures, mirroring the common practice of functional
         cache warm-up before a detailed simulation window.
 
-        Execution is delegated to the selected *kernel backend* (see
-        :mod:`repro.uarch.kernel_backends`): by default the per-program
-        specialized kernels of :mod:`repro.uarch.kernel`, with the
-        ``interpreted`` reference and the population-at-once ``batch`` plane
-        as registered alternatives.  All backends are bit-identical to the
-        interpreted reference loop — same floating-point addition order,
-        same RNG consumption — so the switch is purely about speed.  Set
-        ``REPRO_KERNEL=0`` to force the interpreter; invocations a compiled
-        kernel does not cover (explicitly simulated setup sections, enormous
-        bodies) fall back automatically.
+        A single program runs the interpreted reference loop through
+        :meth:`InterpretedBackend.run_one
+        <repro.uarch.kernel_backends.InterpretedBackend.run_one>`: for the
+        short programs of the workload suite it beats compiling a kernel per
+        program.  Populations go through a kernel backend's ``run_many``
+        instead (see :mod:`repro.uarch.kernel_backends`).
         """
         if functional_setup:
-            from repro.uarch import kernel_backends as _backends
+            from repro.uarch.kernel_backends import INTERPRETED
 
-            backend = _backends.resolve(self.kernel_backend)
-            return backend.run_one(self, program, max_instructions)
+            return INTERPRETED.run_one(self, program, max_instructions)
         return self.run_interpreted(program, max_instructions, functional_setup)
 
     def run_interpreted(
@@ -199,8 +190,9 @@ class OutOfOrderCore:
         """The interpreted reference implementation of :meth:`run`.
 
         Kept as the semantics oracle for the generated kernels: the
-        differential suite and the ``kernel-smoke`` gate compare the two
-        paths cycle-for-cycle and ledger-credit-for-credit.
+        differential suite and the ``kernel-smoke`` gate compare the
+        population planes against it cycle-for-cycle and
+        ledger-credit-for-credit.
         """
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")

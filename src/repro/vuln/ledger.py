@@ -32,10 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-try:  # numpy only accelerates the bulk interval path; the ledger runs without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the vector-less test matrix
-    _np = None
+import numpy as _np
 
 from repro.registry import RegistryError, suggest
 from repro.vuln.structures import (
@@ -124,7 +121,7 @@ class AceAccumulator:
         count = len(starts)
         if len(ends) != count or (ace_fractions is not None and len(ace_fractions) != count):
             raise ValueError("interval columns must have equal lengths")
-        if _np is not None and count >= 8:
+        if count >= 8:
             starts_arr = _np.asarray(starts, dtype=_np.int64)
             ends_arr = _np.asarray(ends, dtype=_np.int64)
             durations = ends_arr - starts_arr

@@ -108,7 +108,7 @@ class TestDefaultComponents:
     def test_kernel_backend_registry(self):
         from repro.api.registry import KERNEL_BACKENDS
 
-        assert KERNEL_BACKENDS.names() == ["batch", "source", "interpreted", "vector"]
+        assert KERNEL_BACKENDS.names() == ["interpreted", "vector"]
         assert registries()["kernel_backends"] is KERNEL_BACKENDS
 
     def test_structure_registry_is_exposed(self):

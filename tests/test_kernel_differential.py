@@ -1,4 +1,4 @@
-"""Differential suite: generated kernels vs the interpreted reference loop.
+"""Differential suite: the population planes vs the interpreted reference loop.
 
 Every comparison checks *bit-identity*, not closeness: total cycles, commit
 counters, branch/miss statistics, and every ledger account's occupancy and
@@ -7,8 +7,9 @@ consumption).  Programs cover the stressmark generator's output, the
 synthetic workload proxies, and seeded randomized programs over the whole
 ISA; configurations cover the paper baseline, a constrained derivative
 (small queues, fewer architected registers than the ISA — exercising the
-kernel's non-resident register path), and the ``extended`` config (store
-buffer + L2 TLB).
+kernels' non-resident register path), and the ``extended`` config (store
+buffer + L2 TLB).  The ``vector`` plane is diffed directly; the batch kernel
+is diffed as the vector plane's per-program fallback.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.isa.program import BranchBehavior, Program, WarmupRegion
 from repro.stressmark.generator import StressmarkGenerator, reference_knobs
 from repro.uarch import kernel, kernel_batch, kernel_vector
 from repro.uarch.config import MachineConfig, baseline_config, config_a, extended_config
-from repro.uarch.kernel_backends import KERNEL_BACKENDS, SOURCE, VECTOR
+from repro.uarch.kernel_backends import BACKEND_ENV_VAR, KERNEL_BACKENDS, VECTOR, resolve
 from repro.uarch.pipeline import OutOfOrderCore
 from repro.utils.rng import DeterministicRng
 from repro.workloads.suite import all_profiles
@@ -90,11 +91,14 @@ def assert_identical(reference, candidate, label: str) -> None:
 
 
 def run_both(config, program, max_instructions, seed=3):
+    """(interpreter, vector plane) results; fails on a silent fallback."""
     core = OutOfOrderCore(config, seed=seed)
     reference = core.run_interpreted(program, max_instructions=max_instructions)
-    kernel_run = kernel.kernel_for(config, program)
-    assert kernel_run is not None, "kernel generation failed"
-    candidate = kernel_run(core, program, max_instructions)
+    kernel_vector.STATS.reset()
+    (candidate,) = VECTOR.run_many(core, [program], max_instructions)
+    assert kernel_vector.STATS.vector_runs == 1, (
+        f"vector plane fell back (fallbacks: {kernel_vector.STATS.fallbacks})"
+    )
     return reference, candidate
 
 
@@ -186,7 +190,7 @@ class TestKernelDifferential:
 
     @pytest.mark.parametrize("budget", [1, 17, 81, 82, 1000, 2_047])
     def test_partial_iteration_budgets(self, budget):
-        """Budgets that end mid-iteration exercise the generic tail path."""
+        """Budgets that end mid-iteration exercise the kernel's tail path."""
         config = baseline_config()
         program = random_program(99, "tail-program")
         reference, candidate = run_both(config, program, budget)
@@ -196,27 +200,21 @@ class TestKernelDifferential:
         )
 
     def test_dispatcher_uses_kernel_by_default(self, monkeypatch):
-        monkeypatch.delenv(kernel.KERNEL_ENV_VAR, raising=False)
+        """Populations default to the vector kernel; single runs compile nothing."""
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         kernel.clear_kernels()
         config = baseline_config()
         program = random_program(5, "dispatch-check")
         core = OutOfOrderCore(config, seed=3)
-        core.run(program, max_instructions=500)
-        assert kernel.STATS.compiled == 1
-        core.run(program, max_instructions=500)
+        single = core.run(program, max_instructions=500)
+        assert kernel.STATS.compiled == 0
+        backend = resolve(None)
+        assert backend is VECTOR
+        (population,) = backend.run_many(core, [program], 500)
+        assert kernel.STATS.compiled == 1 and kernel_vector.STATS.vector_runs == 1
+        backend.run_many(core, [program], 500)
         assert kernel.STATS.memo_hits >= 1
-
-    def test_repro_kernel_zero_forces_interpreter(self, monkeypatch):
-        monkeypatch.setenv(kernel.KERNEL_ENV_VAR, "0")
-        kernel.clear_kernels()
-        config = baseline_config()
-        program = random_program(6, "disabled-check")
-        core = OutOfOrderCore(config, seed=3)
-        disabled = core.run(program, max_instructions=500)
-        assert kernel.STATS.compiled == 0 and kernel.STATS.generated == 0
-        monkeypatch.delenv(kernel.KERNEL_ENV_VAR, raising=False)
-        enabled = core.run(program, max_instructions=500)
-        assert_identical(disabled, enabled, "env-switch")
+        assert_identical(single, population, "dispatch")
 
     def test_explicit_setup_section_falls_back_to_interpreter(self):
         """functional_setup=False is out of kernel scope — results still match."""
@@ -232,23 +230,19 @@ class TestKernelDifferential:
 
 
 class TestBatchKernelDifferential:
-    """Batch plane vs per-genome kernels vs the interpreted reference.
+    """The batch kernel — the vector plane's per-program fallback — vs the interpreter.
 
-    Every program of a batch must be bit-identical under all three
-    execution paths — the config batch kernel with shared warm state, the
-    per-(program, config) specialized kernel, and the interpreted loop.
+    Every program of a batch must be bit-identical under the config batch
+    kernel with shared warm state and under the interpreted loop.
     """
 
-    def _assert_three_way(self, config, programs, budget, label):
+    def _assert_matches_interpreter(self, config, programs, budget, label):
         core = OutOfOrderCore(config, seed=3)
         via_batch = kernel_batch.run_many(core, programs, budget)
-        assert via_batch is not None, f"{label}: batch kernel generation failed"
         assert len(via_batch) == len(programs)
         for index, (program, candidate) in enumerate(zip(programs, via_batch)):
             reference = core.run_interpreted(program, max_instructions=budget)
             assert_identical(reference, candidate, f"{label}[{index}] batch-vs-interp")
-            per_genome = SOURCE.run_one(core, program, budget)
-            assert_identical(per_genome, candidate, f"{label}[{index}] batch-vs-source")
 
     @pytest.mark.parametrize(
         "config_factory", [baseline_config, config_a, extended_config, constrained_config]
@@ -262,7 +256,7 @@ class TestBatchKernelDifferential:
             generator.codegen.generate(knobs.derive(random_seed=seed))
             for seed in range(1, 5)
         ]
-        self._assert_three_way(config, programs, 2_500, f"batch-stressmark/{config.name}")
+        self._assert_matches_interpreter(config, programs, 2_500, f"batch-stressmark/{config.name}")
 
     def test_mixed_program_lengths_in_one_batch(self):
         """One batch mixing random programs and stressmarks of varying size."""
@@ -276,21 +270,21 @@ class TestBatchKernelDifferential:
             random_program(47, "mixed-c"),
         ]
         assert len({len(program.body) for program in programs}) > 1
-        self._assert_three_way(config, programs, 2_000, "batch-mixed-lengths")
+        self._assert_matches_interpreter(config, programs, 2_000, "batch-mixed-lengths")
 
     @pytest.mark.parametrize("budget", [1, 17, 81, 1_999, 2_001])
     def test_partial_final_iteration_budgets(self, budget):
         """Budgets ending mid-iteration exercise the batch kernel's tail."""
         config = baseline_config()
         programs = [random_program(97, "batch-tail-a"), random_program(99, "batch-tail-b")]
-        self._assert_three_way(config, programs, budget, f"batch-budget-{budget}")
+        self._assert_matches_interpreter(config, programs, budget, f"batch-budget-{budget}")
 
     def test_duplicate_programs_share_one_plan_entry(self):
         """The same digest appearing twice is planned once, simulated twice."""
         kernel_batch.clear_batch_caches()
         config = baseline_config()
         program = random_program(51, "batch-dup")
-        self._assert_three_way(config, [program, program, program], 1_500, "batch-dup")
+        self._assert_matches_interpreter(config, [program, program, program], 1_500, "batch-dup")
         assert kernel_batch.STATS.plans_built == 1
 
     def test_setup_program_skips_warm_sharing(self):
@@ -302,7 +296,7 @@ class TestBatchKernelDifferential:
         plain = random_program(54, "batch-plain")
         assert not kernel_batch.supports_warm_sharing(with_setup)
         assert kernel_batch.supports_warm_sharing(plain)
-        self._assert_three_way(config, [with_setup, plain], 1_500, "batch-setup-mix")
+        self._assert_matches_interpreter(config, [with_setup, plain], 1_500, "batch-setup-mix")
         assert kernel_batch.STATS.warm_builds == 1  # only the plain program shares
 
     def test_warm_state_reused_across_batches(self):
@@ -314,9 +308,9 @@ class TestBatchKernelDifferential:
         first = [generator.codegen.generate(knobs.derive(random_seed=s)) for s in (1, 2)]
         second = [generator.codegen.generate(knobs.derive(random_seed=s)) for s in (3, 4)]
         core = OutOfOrderCore(config, seed=3)
-        assert kernel_batch.run_many(core, first, 1_500) is not None
+        kernel_batch.run_many(core, first, 1_500)
         builds_after_first = kernel_batch.STATS.warm_builds
-        assert kernel_batch.run_many(core, second, 1_500) is not None
+        kernel_batch.run_many(core, second, 1_500)
         assert kernel_batch.STATS.warm_hits > 0
         assert kernel_batch.STATS.warm_builds == builds_after_first
 
@@ -328,7 +322,7 @@ class TestBatchKernelDifferential:
         plain = random_program(58, "batch-nonempty")
         core = OutOfOrderCore(config, seed=3)
         results = kernel_batch.run_many(core, [empty, plain], 1_000)
-        assert results is not None and len(results) == 2
+        assert len(results) == 2
         assert_identical(
             core.run_interpreted(empty, max_instructions=1_000),
             results[0],
@@ -342,33 +336,25 @@ class TestBatchKernelDifferential:
 
 
 class TestVectorKernelDifferential:
-    """Vector plane vs batch plane vs per-genome kernels vs the interpreter.
+    """Vector plane vs the batch kernel vs the interpreter.
 
-    Every program of a batch must be bit-identical under all *four*
+    Every program of a batch must be bit-identical under all three
     execution paths; the vector path additionally asserts it actually
     engaged (``kernel_vector.STATS.vector_runs``) rather than silently
     falling back — a fallback-everything implementation would pass the
     equality checks while vectorizing nothing.
     """
 
-    pytestmark = pytest.mark.skipif(
-        not kernel_vector.numpy_available(), reason="numpy not installed"
-    )
-
-    def _assert_four_way(self, config, programs, budget, label, expect_vectorized=None):
+    def _assert_three_way(self, config, programs, budget, label, expect_vectorized=None):
         kernel_vector.STATS.reset()
         core = OutOfOrderCore(config, seed=3)
         via_vector = kernel_vector.run_many(core, programs, budget)
-        assert via_vector is not None, f"{label}: vector kernel generation failed"
         assert len(via_vector) == len(programs)
         via_batch = kernel_batch.run_many(core, programs, budget)
-        assert via_batch is not None, f"{label}: batch kernel generation failed"
         for index, (program, candidate) in enumerate(zip(programs, via_vector)):
             reference = core.run_interpreted(program, max_instructions=budget)
             assert_identical(reference, candidate, f"{label}[{index}] vector-vs-interp")
             assert_identical(via_batch[index], candidate, f"{label}[{index}] vector-vs-batch")
-            per_genome = SOURCE.run_one(core, program, budget)
-            assert_identical(per_genome, candidate, f"{label}[{index}] vector-vs-source")
         if expect_vectorized is None:
             expect_vectorized = len(programs)
         assert kernel_vector.STATS.vector_runs == expect_vectorized, (
@@ -389,7 +375,7 @@ class TestVectorKernelDifferential:
             generator.codegen.generate(knobs.derive(random_seed=seed))
             for seed in range(1, 5)
         ]
-        self._assert_four_way(config, programs, 2_500, f"vector-stressmark/{config.name}")
+        self._assert_three_way(config, programs, 2_500, f"vector-stressmark/{config.name}")
 
     def test_mixed_program_lengths_in_one_batch(self):
         """One batch mixing random programs and stressmarks of varying size."""
@@ -403,14 +389,14 @@ class TestVectorKernelDifferential:
             random_program(47, "vmixed-c"),
         ]
         assert len({len(program.body) for program in programs}) > 1
-        self._assert_four_way(config, programs, 2_000, "vector-mixed-lengths")
+        self._assert_three_way(config, programs, 2_000, "vector-mixed-lengths")
 
     @pytest.mark.parametrize("budget", [1, 17, 81, 1_999, 2_001])
     def test_partial_final_iteration_budgets(self, budget):
         """Budgets ending mid-iteration exercise the vector kernel's tail."""
         config = baseline_config()
         programs = [random_program(97, "vtail-a"), random_program(99, "vtail-b")]
-        self._assert_four_way(config, programs, budget, f"vector-budget-{budget}")
+        self._assert_three_way(config, programs, budget, f"vector-budget-{budget}")
 
     def test_setup_program_falls_back_to_batch(self):
         """Explicit setup sections are out of vector scope; results still match."""
@@ -420,7 +406,7 @@ class TestVectorKernelDifferential:
         plain = random_program(54, "vplain")
         assert not kernel_vector.supports_vector(with_setup)
         assert kernel_vector.supports_vector(plain)
-        self._assert_four_way(
+        self._assert_three_way(
             config, [with_setup, plain], 1_500, "vector-setup-mix", expect_vectorized=1
         )
         assert kernel_vector.STATS.fallbacks == 1
@@ -433,7 +419,7 @@ class TestVectorKernelDifferential:
         plain = random_program(58, "vnonempty")
         core = OutOfOrderCore(config, seed=3)
         results = kernel_vector.run_many(core, [empty, plain], 1_000)
-        assert results is not None and len(results) == 2
+        assert len(results) == 2
         for index, program in enumerate([empty, plain]):
             assert_identical(
                 core.run_interpreted(program, max_instructions=1_000),
@@ -459,46 +445,9 @@ class TestVectorKernelDifferential:
             )
 
 
-class TestVectorWithoutNumpy:
-    """The vector backend degrades loudly — never silently — without numpy."""
-
-    def test_run_many_returns_none(self, monkeypatch):
-        monkeypatch.setattr(kernel_vector, "_np", None)
-        assert not kernel_vector.numpy_available()
-        core = OutOfOrderCore(baseline_config(), seed=3)
-        assert kernel_vector.run_many(core, [random_program(63, "nonumpy")], 500) is None
-
-    def test_registry_create_raises_with_install_hint(self, monkeypatch):
-        from repro.registry import RegistryError
-
-        monkeypatch.setattr(kernel_vector, "_np", None)
-        assert "vector" in KERNEL_BACKENDS.names()  # stays registered
-        with pytest.raises(RegistryError, match=r"repro-avf-stressmark\[vector\]"):
-            KERNEL_BACKENDS.create("vector")
-
-    def test_spec_naming_vector_still_validates(self, monkeypatch):
-        """Spec validation checks registration, not runtime availability."""
-        from repro.api.spec import RunSpec
-
-        monkeypatch.setattr(kernel_vector, "_np", None)
-        spec = RunSpec(kind="stressmark", name="v", kernel_backend="vector")
-        spec.validate()  # must not raise
-
-    def test_backend_object_falls_back_to_batch_plane(self, monkeypatch):
-        """The backend instance itself (already resolved) degrades to batch."""
-        monkeypatch.setattr(kernel_vector, "_np", None)
-        config = baseline_config()
-        program = random_program(67, "nonumpy-fallback")
-        core = OutOfOrderCore(config, seed=3)
-        results = VECTOR.run_many(core, [program], 800)
-        assert_identical(
-            core.run_interpreted(program, max_instructions=800),
-            results[0],
-            "nonumpy-batch-fallback",
-        )
-
-
 class TestKernelCache:
+    """The shared config-kernel routine behind batch_kernel_for / vector_kernel_for."""
+
     def test_source_store_round_trip(self, tmp_path):
         from repro.store.artifacts import ArtifactStore
 
@@ -508,23 +457,21 @@ class TestKernelCache:
         store = ArtifactStore(tmp_path / "kernels.sqlite")
         try:
             kernel.configure_source_store(store)
-            first = kernel.kernel_for(config, program)
+            first = kernel.batch_kernel_for(config)
             assert first is not None and kernel.STATS.generated == 1
-            key = kernel.source_key(kernel.program_digest(program), kernel.config_digest(config))
+            key = kernel.batch_source_key(kernel.config_digest(config))
             assert isinstance(store.get(key), str)
 
             # A fresh process (simulated by clearing the in-process memo)
             # loads source from the store instead of regenerating.
             kernel.clear_kernels()
-            second = kernel.kernel_for(config, program)
-            assert second is not None
+            core = OutOfOrderCore(config, seed=3)
+            (result,) = kernel_batch.run_many(core, [program], 400)
             assert kernel.STATS.generated == 0
             assert kernel.STATS.source_store_hits == 1
-            core = OutOfOrderCore(config, seed=3)
+            assert kernel_batch.STATS.batch_runs == 1
             assert_identical(
-                core.run_interpreted(program, max_instructions=400),
-                second(core, program, 400),
-                "store-kernel",
+                core.run_interpreted(program, max_instructions=400), result, "store-kernel"
             )
         finally:
             kernel.configure_source_store(None)
@@ -541,14 +488,21 @@ class TestKernelCache:
             calls["n"] += 1
             raise RuntimeError("codegen exploded")
 
-        monkeypatch.setattr(kernel, "generate_kernel_source", boom)
-        assert kernel.kernel_for(config, program) is None
-        assert kernel.kernel_for(config, program) is None
+        monkeypatch.setattr(kernel, "generate_vector_kernel_source", boom)
+        monkeypatch.setattr(kernel, "generate_batch_kernel_source", boom)
+        assert kernel.vector_kernel_for(config) is None
+        assert kernel.vector_kernel_for(config) is None
         assert calls["n"] == 1 and kernel.STATS.failures == 1
-        # The dispatcher degrades to the interpreter transparently.
+        # The population plane degrades transparently: vector → batch →
+        # the interpreter, each failure generated once.
         core = OutOfOrderCore(config, seed=3)
-        result = core.run(program, max_instructions=300)
-        assert result.stats.committed_instructions == 300
+        results = VECTOR.run_many(core, [program, program], 300)
+        assert calls["n"] == 2 and kernel.STATS.failures == 2
+        assert kernel_vector.STATS.fallbacks == 2
+        for result in results:
+            assert_identical(
+                core.run_interpreted(program, max_instructions=300), result, "failed-codegen"
+            )
         kernel.clear_kernels()
 
     def test_closed_source_store_detaches_instead_of_failing(self, tmp_path):
@@ -566,9 +520,7 @@ class TestKernelCache:
         kernel.configure_source_store(store)
         store.close()  # the owner went away without detaching
 
-        config = baseline_config()
-        program = random_program(19, "closed-store-check")
-        assert kernel.kernel_for(config, program) is not None
+        assert kernel.batch_kernel_for(baseline_config()) is not None
         assert kernel.STATS.failures == 0
         kernel.clear_kernels()
 
@@ -581,8 +533,7 @@ class TestKernelCache:
         context = ExperimentContext(ExperimentScale.quick(), store=store)
         context.close()
         store.close()
-        program = random_program(23, "context-close-check")
-        assert kernel.kernel_for(baseline_config(), program) is not None
+        assert kernel.batch_kernel_for(baseline_config()) is not None
         assert kernel.STATS.failures == 0
         kernel.clear_kernels()
 
@@ -617,15 +568,12 @@ class TestKernelCache:
             kernel.attach_source_store(healthy)
             kernel.attach_source_store(broken)
             broken.close()  # now every get/put on it raises
-            program = random_program(37, "failed-store-check")
-            assert kernel.kernel_for(baseline_config(), program) is not None
+            assert kernel.batch_kernel_for(baseline_config()) is not None
             assert kernel.STATS.failures == 0
             # The broken store was pruned and the healthy one restored —
             # persistence keeps working (source landed in the survivor).
             assert kernel._active_source_store() is healthy
-            key = kernel.source_key(
-                kernel.program_digest(program), kernel.config_digest(baseline_config())
-            )
+            key = kernel.batch_source_key(kernel.config_digest(baseline_config()))
             assert isinstance(healthy.get(key), str)
         finally:
             kernel.release_source_store(healthy)
@@ -636,29 +584,26 @@ class TestKernelCache:
 
     def test_memo_is_bounded(self, monkeypatch):
         kernel.clear_kernels()
-        monkeypatch.setattr(kernel, "KERNEL_CACHE_LIMIT", 2)
-        config = baseline_config()
-        for seed in (31, 32, 33):
-            assert kernel.kernel_for(config, random_program(seed, f"bound-{seed}")) is not None
-        assert len(kernel._kernels) == 2
+        monkeypatch.setattr(kernel, "CONFIG_KERNEL_CACHE_LIMIT", 2)
+        for config_factory in (baseline_config, extended_config, constrained_config):
+            assert kernel.batch_kernel_for(config_factory()) is not None
+        assert len(kernel._batch_kernels) == 2
         kernel.clear_kernels()
 
     def test_memo_eviction_is_least_recently_used(self, monkeypatch):
         """A hit refreshes recency, so eviction drops the coldest entry."""
         kernel.clear_kernels()
-        monkeypatch.setattr(kernel, "KERNEL_CACHE_LIMIT", 2)
-        config = baseline_config()
-        programs = {seed: random_program(seed, f"lru-{seed}") for seed in (71, 72, 73)}
-        keys = {
-            seed: (kernel.program_digest(program), kernel.config_digest(config))
-            for seed, program in programs.items()
+        monkeypatch.setattr(kernel, "CONFIG_KERNEL_CACHE_LIMIT", 2)
+        configs = {
+            "a": baseline_config(), "b": extended_config(), "c": constrained_config(),
         }
-        assert kernel.kernel_for(config, programs[71]) is not None
-        assert kernel.kernel_for(config, programs[72]) is not None
-        assert kernel.kernel_for(config, programs[71]) is not None  # refresh 71
-        assert kernel.kernel_for(config, programs[73]) is not None  # evicts 72
-        assert keys[71] in kernel._kernels and keys[73] in kernel._kernels
-        assert keys[72] not in kernel._kernels
+        keys = {label: kernel.config_digest(config) for label, config in configs.items()}
+        assert kernel.vector_kernel_for(configs["a"]) is not None
+        assert kernel.vector_kernel_for(configs["b"]) is not None
+        assert kernel.vector_kernel_for(configs["a"]) is not None  # refresh a
+        assert kernel.vector_kernel_for(configs["c"]) is not None  # evicts b
+        assert keys["a"] in kernel._vector_kernels and keys["c"] in kernel._vector_kernels
+        assert keys["b"] not in kernel._vector_kernels
         kernel.clear_kernels()
 
     def test_memo_eviction_does_not_break_reuse(self, monkeypatch):
@@ -684,7 +629,6 @@ class TestKernelCache:
         for round_index in range(2):
             for program in (first, second):  # each batch evicts the other's state
                 results = kernel_batch.run_many(core, [program], 800)
-                assert results is not None
                 assert_identical(
                     expected[program.name], results[0],
                     f"evict-round-{round_index}/{program.name}",
@@ -694,7 +638,6 @@ class TestKernelCache:
         assert kernel_batch.STATS.warm_builds >= 4  # rebuilt after each eviction
         kernel.clear_kernels()
 
-    @pytest.mark.skipif(not kernel_vector.numpy_available(), reason="numpy not installed")
     def test_vector_frozen_warm_eviction_does_not_break_reuse(self, monkeypatch):
         """Same pinch for the vector plane's frozen-warm LRU."""
         kernel.clear_kernels()
@@ -707,7 +650,6 @@ class TestKernelCache:
         for round_index in range(2):
             for program in (first, second):
                 results = kernel_vector.run_many(core, [program], 800)
-                assert results is not None
                 assert_identical(
                     core.run_interpreted(program, max_instructions=800),
                     results[0],
@@ -716,7 +658,6 @@ class TestKernelCache:
         assert len(kernel_vector._frozen_warm) == 1
         kernel.clear_kernels()
 
-    @pytest.mark.skipif(not kernel_vector.numpy_available(), reason="numpy not installed")
     def test_vector_source_store_round_trip(self, tmp_path):
         """Vector kernel source persists under its own store namespace."""
         from repro.store.artifacts import ArtifactStore
@@ -745,14 +686,14 @@ class TestKernelCache:
 
         kernel.clear_kernels()
         config = baseline_config()
-        program = random_program(29, "corrupt-source-check")
         store = ArtifactStore(tmp_path / "kernels.sqlite")
         try:
-            key = kernel.source_key(kernel.program_digest(program), kernel.config_digest(config))
-            store.put(key, "def kernel_run(:  # truncated garbage")
+            key = kernel.batch_source_key(kernel.config_digest(config))
+            store.put(key, "def batch_run(:  # truncated garbage")
             kernel.configure_source_store(store)
-            kernel_run = kernel.kernel_for(config, program)
-            assert kernel_run is not None, "corrupt stored source must not disable the kernel"
+            assert kernel.batch_kernel_for(config) is not None, (
+                "corrupt stored source must not disable the kernel"
+            )
             assert kernel.STATS.failures == 0
             assert kernel.STATS.generated == 1
             # The repaired source overwrites the corrupt entry.
@@ -783,10 +724,9 @@ class TestKernelCache:
 
     def test_distinct_configs_get_distinct_kernels(self):
         kernel.clear_kernels()
-        program = random_program(17, "digest-check")
         assert kernel.config_digest(baseline_config()) != kernel.config_digest(extended_config())
-        assert kernel.kernel_for(baseline_config(), program) is not kernel.kernel_for(
-            extended_config(), program
+        assert kernel.batch_kernel_for(baseline_config()) is not kernel.batch_kernel_for(
+            extended_config()
         )
         assert kernel.STATS.compiled == 2
         kernel.clear_kernels()

@@ -150,17 +150,6 @@ class TestAddIntervalsBulk:
         with pytest.raises(ValueError):
             ledger.add_intervals("dtlb", starts, ends)
 
-    def test_bulk_works_without_numpy(self, monkeypatch):
-        from repro.vuln import ledger as ledger_module
-
-        monkeypatch.setattr(ledger_module, "_np", None)
-        starts = list(range(0, 640, 10))
-        ends = [start + 7 for start in starts]
-        ledger = VulnerabilityLedger(baseline_config())
-        ledger.add_intervals("dtlb", starts, ends)
-        looped = self._looped(starts, ends)
-        assert ledger.account("dtlb").ace_bit_cycles == looped.ace_bit_cycles
-
 
 class TestStructureNameOpenEnum:
     def test_lookup_by_value(self):
