@@ -202,7 +202,6 @@ def _cmd_bench(session: Session, args: argparse.Namespace) -> None:
     ledger = metrics["ledger"]
     ga = metrics["ga"]
     parallel = metrics["parallel"]
-    kernel_batch = metrics["kernel_batch"]
     _print_rows(
         "Benchmark: single detailed simulation (BENCH_pipeline.json)",
         [{
@@ -238,23 +237,13 @@ def _cmd_bench(session: Session, args: argparse.Namespace) -> None:
             "deterministic": str(parallel["deterministic"]),
         }],
     )
-    _print_rows(
-        "Benchmark: batch kernel vs per-genome interpreter (BENCH_ga.json)",
-        [{
-            "batch": kernel_batch["batch"],
-            "batch_ms_per_genome": kernel_batch["batch_ms_per_genome"],
-            "interp_ms_per_genome": kernel_batch["interpreted_ms_per_genome"],
-            "batch_speedup": kernel_batch["speedup"],
-            "deterministic": str(kernel_batch["deterministic"]),
-        }],
-    )
     kernel_vector = metrics["kernel_vector"]
     _print_rows(
-        "Benchmark: vector kernel plane vs batch kernel (BENCH_ga.json)",
+        "Benchmark: vector kernel plane vs per-genome interpreter (BENCH_ga.json)",
         [{
             "batch": kernel_vector["batch"],
             "vector_ms_per_genome": kernel_vector["vector_ms_per_genome"],
-            "batch_ms_per_genome": kernel_vector["batch_ms_per_genome"],
+            "interp_ms_per_genome": kernel_vector["interpreted_ms_per_genome"],
             "vector_speedup": kernel_vector["speedup"],
             "deterministic": str(kernel_vector["deterministic"]),
         }],

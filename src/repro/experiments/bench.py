@@ -10,11 +10,10 @@ the recorded baselines:
   plane back to back.
 * ``BENCH_ga.json`` — one full quick-scale GA stressmark search (a small
   number of generations, the shape of every figure-5/7/8 experiment), plus
-  the wall-clock speedup of the process-pool backend over the serial backend
-  on one batch of independent evaluations, plus the batch kernel's speedup
-  over the per-genome interpreter on one GA-shaped batch of fresh genomes
-  (``kernel_batch``), plus the vector plane's speedup over the batch kernel
-  on the same batch shape (``kernel_vector``).
+  the wall-clock speedup of the production worker pool over the serial
+  backend on one batch of independent evaluations, plus the vector plane's
+  speedup over the per-genome interpreter on one GA-shaped batch of fresh
+  genomes (``kernel_vector``).
 
 Every entry also records the environment it was measured in (python,
 machine, numpy version, timestamp) so trajectory numbers are comparable
@@ -38,7 +37,7 @@ from typing import Optional
 from repro.api.session import Session
 from repro.api.spec import RunSpec
 from repro.ga.individual import Individual
-from repro.parallel.backends import ProcessPoolBackend, SerialBackend, resolve_jobs
+from repro.parallel.backends import SerialBackend, create_backend, resolve_jobs
 from repro.stressmark.generator import StressmarkEvaluator, StressmarkGenerator, reference_knobs
 from repro.stressmark.knobs import KnobSpace
 from repro.uarch.config import baseline_config
@@ -81,7 +80,7 @@ def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
     ``vector_identical`` asserts both results agree bit for bit.
     ``kernel_build_seconds`` is the one-time codegen + compile cost of the
     config's vector kernel (paid once per config per process, amortised by
-    the memo and the artifact store).
+    the in-process memo).
     """
     from repro.uarch.kernel import compile_vector_kernel
     from repro.uarch.kernel_backends import VECTOR
@@ -211,7 +210,12 @@ def bench_ga(jobs: Optional[int] = None, generations: int = 2, population: int =
 
 
 def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
-    """Serial vs process-pool wall clock on one batch of GA evaluations.
+    """Serial vs worker-pool wall clock on one batch of GA evaluations.
+
+    The pool is the one production ``jobs > 1`` runs use:
+    :func:`~repro.parallel.backends.create_backend` (the fault-tolerant
+    ``ResilientPoolBackend``).  Entries recorded before that switch timed
+    the chunked ``ProcessPoolBackend`` and are not comparable.
 
     The batch mirrors one GA generation: ``batch`` independent fitness
     evaluations of distinct genomes.  Fitness values must be identical under
@@ -266,7 +270,7 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
     # Pool first: workers fork before the parent simulates any fresh-batch
     # genome, so the pool's steady batches and the serial reference both
     # meet those genomes cold.
-    pool = ProcessPoolBackend(jobs)
+    pool = create_backend(jobs)
     pool_outcomes = []
     steady_timings = []
     try:
@@ -326,15 +330,20 @@ def _fresh_programs(batch: int, instructions: int):
     return OutOfOrderCore(config, seed=generator.simulation_seed), programs
 
 
-def _time_batches(run, fresh_batches: list) -> tuple[float, list]:
-    """Best-of wall time of ``run(batch)`` over fresh batches, plus results."""
-    results = []
-    timings = []
+def _time_interleaved(runs: list, fresh_batches: list) -> list[tuple[float, list]]:
+    """Best-of wall time and results of each ``run(batch)`` over fresh batches.
+
+    Every run meets a fresh batch back to back before the next batch starts,
+    so drift in machine load hits all sides alike.
+    """
+    timings: list[list[float]] = [[] for _ in runs]
+    results: list[list] = [[] for _ in runs]
     for fresh in fresh_batches:
-        start = time.perf_counter()
-        results.append(run(fresh))
-        timings.append(time.perf_counter() - start)
-    return min(timings), results
+        for run, run_timings, run_results in zip(runs, timings, results):
+            start = time.perf_counter()
+            run_results.append(run(fresh))
+            run_timings.append(time.perf_counter() - start)
+    return [(min(run_timings), run_results) for run_timings, run_results in zip(timings, results)]
 
 
 def _identical(first_runs: list, second_runs: list) -> bool:
@@ -345,91 +354,52 @@ def _identical(first_runs: list, second_runs: list) -> bool:
     )
 
 
-def bench_batch_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
-    """The batch kernel vs the per-genome interpreter on fresh GA batches.
-
-    The batch kernel is the vector plane's per-program fallback (setup
-    sections, oversize bodies, runs over ``VECTOR_MAX_OPS``), so it must
-    still beat simulating each genome through :meth:`OutOfOrderCore.run`.
-    One GA-generation-shaped batch of ``batch`` *fresh* genomes (never seen
-    by any memo) runs once through :func:`kernel_batch.run_many` — one
-    config-specialized kernel, shared functional warm state, one operand
-    plan per batch — and once through the interpreter genome by genome.  An
-    untimed warm-up batch first compiles the config batch kernel and builds
-    the shared warm state, so ``batch_seconds`` measures the steady state a
-    GA search lives in; fresh batches still pay their own operand plans
-    inside the timed region.  The interpreter has no cross-genome state to
-    warm — that asymmetry *is* the measurement.  Each side is best-of-two
-    over two distinct fresh batches, and both must produce bit-identical
-    results (``deterministic``).  The recorded ``speedup`` is the number
-    the ``batch-smoke`` tier-2 gate holds future changes to.
-    """
-    from repro.uarch import kernel as kernel_cache
-    from repro.uarch import kernel_batch
-    from repro.uarch.kernel_backends import INTERPRETED
-
-    kernel_cache.clear_kernels()
-    core, programs = _fresh_programs(batch, instructions)
-    kernel_batch.run_many(core, programs(0), instructions)  # untimed warm-up batch
-    fresh_batches = [programs(batch), programs(2 * batch)]
-
-    batch_seconds, batch_results = _time_batches(
-        lambda fresh: kernel_batch.run_many(core, fresh, instructions), fresh_batches
-    )
-    interpreted_seconds, interpreted_results = _time_batches(
-        lambda fresh: INTERPRETED.run_many(core, fresh, instructions), fresh_batches
-    )
-    return {
-        "batch": batch,
-        "instructions": instructions,
-        "batch_seconds": batch_seconds,
-        "interpreted_seconds": interpreted_seconds,
-        "batch_ms_per_genome": 1000.0 * batch_seconds / batch,
-        "interpreted_ms_per_genome": 1000.0 * interpreted_seconds / batch,
-        "speedup": interpreted_seconds / batch_seconds if batch_seconds > 0 else 0.0,
-        "deterministic": _identical(batch_results, interpreted_results),
-    }
-
-
 def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
-    """The vector plane vs the batch kernel it builds on.
+    """The vector plane vs the per-genome interpreter on fresh GA batches.
 
-    Same protocol as :func:`bench_batch_speedup`, one rung up: one
-    GA-generation-shaped batch of fresh genomes through the ``vector``
-    backend's ``run_many`` (operand columns precomputed with numpy,
-    flat-array hierarchy replica) and through :func:`kernel_batch.run_many`.
-    An untimed warm-up batch compiles both config kernels and builds/freezes
-    the shared warm state, fresh batches pay their own operand plans and
-    column builds inside the timed region, and both sides must be
-    bit-identical (``deterministic``).
+    One GA-generation-shaped batch of ``batch`` *fresh* genomes (never seen
+    by any memo) runs through the ``vector`` backend's ``run_many`` — one
+    config-specialized kernel, operand columns precomputed with numpy, one
+    frozen flat-array warm state — and, back to back, through the
+    interpreter genome by genome.  An untimed warm-up batch first compiles
+    the config kernel and freezes the shared warm state, so
+    ``vector_seconds`` measures the steady state a GA search lives in;
+    fresh batches still pay their own column builds inside the timed
+    region.  The interpreter has no cross-genome state to warm — that
+    asymmetry *is* the measurement.  Each side is best-of-three over three
+    distinct fresh batches, timed interleaved (vector, then the interpreter,
+    on each batch) — on a shared 2-core host this kept eight ratios within
+    7.2–8.3x where timing one side's batches before the other's spread
+    them over 5.9–10.4x.  Both sides must produce bit-identical results
+    (``deterministic``).  The recorded ``speedup`` is the number the
+    ``batch-smoke`` tier-2 gate holds future changes to.
     """
     from repro.uarch import kernel as kernel_cache
-    from repro.uarch import kernel_batch
-    from repro.uarch.kernel_backends import VECTOR
+    from repro.uarch.kernel_backends import INTERPRETED, VECTOR
 
     kernel_cache.clear_kernels()
     core, programs = _fresh_programs(batch, instructions)
-    # Untimed warm-up: compiles the batch and vector kernels, builds the
-    # shared warm state and its frozen flat-array image.
-    kernel_batch.run_many(core, programs(0), instructions)
-    VECTOR.run_many(core, programs(0), instructions)
-    fresh_batches = [programs(batch), programs(2 * batch)]
+    VECTOR.run_many(core, programs(0), instructions)  # untimed warm-up batch
+    fresh_batches = [programs(k * batch) for k in (1, 2, 3)]
 
-    vector_seconds, vector_results = _time_batches(
-        lambda fresh: VECTOR.run_many(core, fresh, instructions), fresh_batches
-    )
-    batch_seconds, batch_results = _time_batches(
-        lambda fresh: kernel_batch.run_many(core, fresh, instructions), fresh_batches
+    (vector_seconds, vector_results), (interpreted_seconds, interpreted_results) = (
+        _time_interleaved(
+            [
+                lambda fresh: VECTOR.run_many(core, fresh, instructions),
+                lambda fresh: INTERPRETED.run_many(core, fresh, instructions),
+            ],
+            fresh_batches,
+        )
     )
     return {
         "batch": batch,
         "instructions": instructions,
         "vector_seconds": vector_seconds,
-        "batch_seconds": batch_seconds,
+        "interpreted_seconds": interpreted_seconds,
         "vector_ms_per_genome": 1000.0 * vector_seconds / batch,
-        "batch_ms_per_genome": 1000.0 * batch_seconds / batch,
-        "speedup": batch_seconds / vector_seconds if vector_seconds > 0 else 0.0,
-        "deterministic": _identical(vector_results, batch_results),
+        "interpreted_ms_per_genome": 1000.0 * interpreted_seconds / batch,
+        "speedup": interpreted_seconds / vector_seconds if vector_seconds > 0 else 0.0,
+        "deterministic": _identical(vector_results, interpreted_results),
     }
 
 
@@ -493,7 +463,6 @@ def run_benchmarks(
     # The speedup probe always runs multi-worker (default 4) so the recorded
     # number is meaningful even when the GA itself was benchmarked serially.
     speedup_metrics = bench_parallel_speedup(jobs=jobs if jobs > 1 else 4)
-    batch_metrics = bench_batch_speedup()
     vector_metrics = bench_vector_speedup()
     append_entry(pipeline_path, {**pipeline_metrics, "ledger": ledger_metrics})
     append_entry(
@@ -501,7 +470,6 @@ def run_benchmarks(
         {
             "ga": ga_metrics,
             "parallel": speedup_metrics,
-            "kernel_batch": batch_metrics,
             "kernel_vector": vector_metrics,
         },
     )
@@ -510,6 +478,5 @@ def run_benchmarks(
         "ledger": ledger_metrics,
         "ga": ga_metrics,
         "parallel": speedup_metrics,
-        "kernel_batch": batch_metrics,
         "kernel_vector": vector_metrics,
     }

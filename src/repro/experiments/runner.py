@@ -194,16 +194,6 @@ class ExperimentContext:
         # its owner.  Passing a backend historically transferred ownership,
         # so that stays the default.
         self._owns_backend = True if owns_backend is None else bool(owns_backend)
-        self._kernel_store = None
-        if store is not None:
-            # Make generated simulator-kernel source durable alongside the
-            # other artifacts, so sibling processes and later sessions load
-            # source instead of regenerating it (never pickled closures —
-            # see repro/uarch/kernel.py).
-            from repro.uarch.kernel import attach_source_store
-
-            self._kernel_store = store.artifact_store()
-            attach_source_store(self._kernel_store)
         # AVF is independent of the circuit-level fault rates, so workload
         # simulations are cached per configuration and re-reported under each
         # fault-rate model without re-simulating.
@@ -417,11 +407,6 @@ class ExperimentContext:
         """Release the evaluation backend's worker processes, if owned."""
         if self._backend is not None and self._owns_backend:
             self._backend.close()
-        if self._kernel_store is not None:
-            from repro.uarch.kernel import release_source_store
-
-            release_source_store(self._kernel_store)
-            self._kernel_store = None
 
 
 def max_group_ser(reports: Iterable[SerReport], group) -> float:

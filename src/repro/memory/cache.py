@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.vuln.ledger import LifetimeTracker
@@ -291,34 +291,6 @@ class Cache:
                 line.dirty = True
                 if ace:
                     line.dirty_ace = True
-
-    def clone(self, tracker: Optional[LifetimeTracker] = None) -> "Cache":
-        """Independent copy of the cache's resident state and counters.
-
-        ``tracker`` rebinds the clone to a (cloned) ledger's lifetime state
-        machine; without one the private tracker is cloned.  Set dicts are
-        copied preserving insertion order — LRU victim selection breaks ties
-        by first-encountered tag, so ordering is part of the semantics.
-        """
-        dup = Cache(
-            self.config,
-            tracker=tracker if tracker is not None else self.lifetime.clone(),
-        )
-        dup.stats = replace(self.stats)
-        dup._sets = [
-            {
-                tag: _Line(
-                    tag=line.tag,
-                    dirty=line.dirty,
-                    dirty_ace=line.dirty_ace,
-                    last_use=line.last_use,
-                    words_touched=set(line.words_touched),
-                )
-                for tag, line in cache_set.items()
-            }
-            for cache_set in self._sets
-        ]
-        return dup
 
     def writeback(self, address: int, cycle: int, ace: bool = True) -> CacheAccessResult:
         """Install a dirty line arriving from the level above (victim writeback)."""

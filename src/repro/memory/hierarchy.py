@@ -198,43 +198,6 @@ class MemoryHierarchy:
             cycle=0, dirty=dirty, ace=ace, word_fraction=word_fraction,
         )
 
-    def clone(self, ledger: Optional["VulnerabilityLedger"] = None) -> "MemoryHierarchy":
-        """Independent copy of the whole hierarchy's warm state.
-
-        ``ledger`` should be a clone of the ledger this hierarchy was built
-        against: each component is rebound to the cloned ledger's tracker of
-        the same structure (``word_tracker``/``residency_tracker`` return the
-        existing clone).  The batch evaluation plane uses this to materialize
-        one functionally-warmed hierarchy per genome from a shared master.
-        """
-        dup = MemoryHierarchy.__new__(MemoryHierarchy)
-        dup.memory_latency = self.memory_latency
-        dup.tlb_miss_penalty = self.tlb_miss_penalty
-        dup.l2_tlb_hit_latency = self.l2_tlb_hit_latency
-        dup._dl1_hit_latency = self._dl1_hit_latency
-        dup._l2_hit_latency = self._l2_hit_latency
-        if ledger is None:
-            dup.dl1 = self.dl1.clone()
-            dup.l2 = self.l2.clone()
-            dup.dtlb = self.dtlb.clone()
-            dup.l2_tlb = self.l2_tlb.clone() if self.l2_tlb is not None else None
-        else:
-            dup.dl1 = self.dl1.clone(
-                tracker=ledger.word_tracker("dl1", self.dl1.config.word_bytes * 8)
-            )
-            dup.l2 = self.l2.clone(
-                tracker=ledger.word_tracker("l2", self.l2.config.word_bytes * 8)
-            )
-            dup.dtlb = self.dtlb.clone(
-                tracker=ledger.residency_tracker("dtlb", self.dtlb.config.entry_bits)
-            )
-            dup.l2_tlb = None
-            if self.l2_tlb is not None:
-                dup.l2_tlb = self.l2_tlb.clone(
-                    tracker=ledger.residency_tracker("l2_tlb", self.l2_tlb.config.entry_bits)
-                )
-        return dup
-
     def finalize(self, cycle: int) -> None:
         """Close all lifetime intervals at the end of simulation."""
         self.dl1.finalize(cycle)

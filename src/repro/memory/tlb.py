@@ -8,7 +8,7 @@ un-ACE ("read to evict is un-ACE" in the paper's code-generator discussion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.vuln.ledger import ResidencyTracker
@@ -168,32 +168,6 @@ class Tlb:
         if ace and entry.first_ace_use is None:
             entry.first_ace_use = cycle
             entry.last_ace_use = cycle
-
-    def clone(self, tracker: Optional[ResidencyTracker] = None) -> "Tlb":
-        """Independent copy of the TLB's resident state and counters.
-
-        ``tracker`` rebinds the clone to a (cloned) ledger's residency
-        accumulator; without one the private tracker is cloned.  Entry-dict
-        insertion order is preserved — LRU victim selection breaks ties by
-        first-encountered page.
-        """
-        dup = Tlb(
-            self.config,
-            tracker=tracker if tracker is not None else self._residency.clone(),
-        )
-        dup.stats = replace(self.stats)
-        dup._entries = {
-            page: _TlbEntry(
-                page=entry.page,
-                fill_cycle=entry.fill_cycle,
-                first_ace_use=entry.first_ace_use,
-                last_ace_use=entry.last_ace_use,
-                last_use=entry.last_use,
-                recurrent=entry.recurrent,
-            )
-            for page, entry in self._entries.items()
-        }
-        return dup
 
     def finalize(self, cycle: int) -> None:
         """Close residency intervals of all still-resident entries."""

@@ -14,9 +14,8 @@ environment (``REPRO_KERNEL_BACKEND``):
   (:mod:`repro.uarch.kernel_vector`).  Programs the column lowering cannot
   express — explicit setup sections, bodies over
   :data:`~repro.uarch.kernel_vector.MAX_KERNEL_BODY`, runs over
-  :data:`~repro.uarch.kernel_vector.VECTOR_MAX_OPS` — fall back per program
-  to the batch kernel of :mod:`repro.uarch.kernel_batch`, which is not a
-  selectable plane of its own.
+  :data:`~repro.uarch.kernel_vector.VECTOR_MAX_OPS`, address streams past
+  the int64 window — run the interpreted reference per program.
 * ``interpreted`` — the reference loop, the semantics oracle every fast
   path is differentially tested against.
 
@@ -46,7 +45,8 @@ BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 # Routing by measurement (2-core x86_64, Python 3.11, numpy 2.4.6; one
 # process per plane, Session.run cold / warm):
-# ga_search_spec(1, 0..1) populations -> vector 2.2 / 1.4 s, batch kernel 5.2 / 4.4 s
+# ga_search_spec(1, 0..1) populations -> vector 2.2 / 1.4 s, the since-deleted
+#   batch kernel 5.2 / 4.4 s
 # workload_suite_spec(1, 0..1) single programs -> interpreter 4.6 / 7.1 s at
 #   105 MB, per-program source kernels 10.4 / 13.5 s at 175 MB (~200 ms compile
 #   per ~70 ms proxy) — so OutOfOrderCore.run stays on the interpreter.
@@ -59,9 +59,9 @@ class KernelBackend:
     """One way of executing a simulation (and batches of them).
 
     ``run_one`` simulates a single program; ``run_many`` a batch sharing
-    whatever the backend can share (compiled code, warm state, operand
-    plans).  Every backend must be bit-identical to the interpreted
-    reference — the differential suite and the batch-smoke gate enforce it.
+    whatever the backend can share (compiled code, warm state).  Every
+    backend must be bit-identical to the interpreted reference — the
+    differential suite and the batch-smoke gate enforce it.
     """
 
     name = "base"
@@ -90,8 +90,9 @@ class VectorKernelBackend(KernelBackend):
     """Population plane over numpy-precomputed operand columns.
 
     ``run_many`` lowers every vectorizable genome through the config's
-    vector kernel; genomes the column lowering cannot express fall back to
-    the batch kernel per program.  Single programs never reach this plane.
+    vector kernel; genomes the column lowering cannot express run the
+    interpreted reference per program.  Single programs never reach this
+    plane.
     """
 
     name = "vector"

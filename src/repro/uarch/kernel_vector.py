@@ -1,10 +1,10 @@
 """The ``vector`` kernel backend: population evaluation over operand columns.
 
-The batch plane (PR 8, :mod:`repro.uarch.kernel_batch`) made a whole GA
-population share one config-specialized kernel, one functional warm-up and
-one operand plan.  This module removes the remaining per-op Python dispatch
-from that kernel's hot loop by *lowering* each genome's dynamic instruction
-stream to precomputed columns before the timing loop runs:
+A GA generation evaluates a whole population of genomes against one machine
+configuration.  This plane shares one config-specialized compiled kernel and
+one functional warm-up across that population, and removes per-op Python
+dispatch from the kernel's hot loop by *lowering* each genome's dynamic
+instruction stream to precomputed columns before the timing loop runs:
 
 * **front-end column** — one stall penalty (0 or the miss penalty) per
   dynamic op, drawn from the frontend RNG stream in reference order;
@@ -23,9 +23,12 @@ The timing loop itself (emitted by
 :func:`repro.uarch.kernelgen.generate_vector_kernel_source`) then runs
 against a :class:`VectorHierarchy` — the memory hierarchy's replacement,
 lifetime and residency state flattened to per-slot integer columns with one
-inlined ``access`` method — frozen once per (config, warm footprint) from
-the batch plane's shared warm state and rematerialized per genome by cheap
-list copies instead of deep object clones.
+inlined ``access`` method.  Warm-up is deterministic, draws no RNG and runs
+entirely at cycle 0, so one *warm master* per (config, warm footprint) — a
+real :class:`~repro.memory.hierarchy.MemoryHierarchy` warmed against a fresh
+ledger exactly as the interpreter warms it — is built, frozen into a
+:class:`VectorWarmState` and dropped; each genome rematerializes the frozen
+image by cheap list copies.
 
 Everything on the AVF path stays integer-exact: word lifetime state packs
 ``cycle * 8 + event_code * 2 + write_ace`` into one int, residency credits
@@ -38,7 +41,8 @@ byte-compares).
 
 Programs the lowering cannot express (explicit setup sections, bodies over
 :data:`MAX_KERNEL_BODY`, runs over :data:`VECTOR_MAX_OPS`, address columns
-that overflow the int64 window) fall back to the batch kernel per item.
+that overflow the int64 window) run the interpreted reference instead, one
+program at a time, counted in ``STATS.fallbacks``.
 """
 
 from __future__ import annotations
@@ -53,33 +57,43 @@ from repro.isa.memoryref import (
     PointerChasePattern,
     StridedPattern,
 )
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.uarch import kernel as _kernel
-from repro.uarch import kernel_batch
+from repro.vuln.ledger import VulnerabilityLedger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.isa.program import Program
     from repro.uarch.config import MachineConfig
 
 #: Dynamic-op ceiling for column materialization (memory bound, not a
-#: correctness bound — larger runs fall back to the batch kernel).
+#: correctness bound — larger runs take the interpreter).
+#
+# Long programs (reference stressmark on ``baseline``, one fresh process per
+# run, shared 2-core x86_64, Python 3.11.7, numpy 2.4.6; medians of
+# alternating pairs, interpreter vs the deleted batch kernel):
+#   600k ops: 3.09 vs 2.94 s (5 pairs), 4.03 vs 3.22 s (3 pairs); 75 vs 99 MB
+#   1M ops:   5.53 vs 5.18 s (3 pairs), 7.00 vs 7.86 s (3 pairs)
+# No benchmark program comes near this ceiling, so the interpreter is this
+# plane's only fallback until windowed replay lifts it.
 VECTOR_MAX_OPS = 500_000
 
-#: Programs with more static body instructions than this fall back to the
-#: batch kernel — bodies this large are not worth lowering to columns.
+#: Programs with more static body instructions than this take the
+#: interpreter — bodies this large are not worth lowering to columns.
 MAX_KERNEL_BODY = 4096
 
 #: Column values must stay well inside int64 under the decomposition
 #: arithmetic; anything near the edge takes the (unbounded-int) fallback.
 _INT64_GUARD = 1 << 60
 
-#: Frozen warm-state LRU (see :data:`kernel_batch.WARM_CACHE_LIMIT`).
+#: Frozen warm states kept per process.  A GA search touches at most two
+#: footprints (the knob space only toggles the L2-miss region's presence).
 VECTOR_WARM_CACHE_LIMIT = 8
 
 _MISSING = object()
 
 
 class Unvectorizable(Exception):
-    """This program cannot be lowered to columns; use the batch plane."""
+    """This program cannot be lowered to columns; use the interpreter."""
 
 
 class VectorStats:
@@ -113,9 +127,9 @@ def clear_vector_caches() -> None:
 def supports_vector(program: "Program") -> bool:
     """Whether the column lowering can express this program at all.
 
-    Same gate as the batch plane's warm sharing plus the body-size bound:
-    explicit setup sections replay stateful warm-up the columns cannot
-    model, oversize bodies are not worth specializing.
+    Explicit setup sections replay stateful warm-up (and draw the setup RNG
+    stream) that the shared warm state does not capture; oversize bodies
+    are not worth specializing.
     """
     return not program.setup and len(program.body) <= MAX_KERNEL_BODY
 
@@ -320,7 +334,7 @@ def _memory_columns(
             if values and not (0 <= min(values) and max(values) < _INT64_GUARD):
                 if min(values) < 0:
                     # The reference raises on the first negative address; the
-                    # batch fallback reproduces that exact error.
+                    # interpreter fallback reproduces that exact error.
                     raise Unvectorizable("negative address stream")
                 raise Unvectorizable("address stream exceeds the int64 window")
             address_arrays[index] = _np.asarray(values, dtype=_np.int64)
@@ -363,7 +377,7 @@ def build_columns(
 
     Raises :class:`Unvectorizable` before any caller-visible state is
     touched — the generated kernel calls this before materializing warm
-    state, so a failed lowering falls back to the batch plane cleanly.
+    state, so a failed lowering falls back to the interpreter cleanly.
     All three RNG streams are independent spawns, so draining each in its
     own pre-pass preserves every stream's reference draw sequence.
     """
@@ -739,7 +753,7 @@ def _freeze_cache(cache) -> Optional[tuple]:
     The flat replica relies on the invariant "word touched <=> word state
     live in the tracker"; the freeze *checks* it (count and membership)
     rather than assuming it, so any warm-up path that breaks it degrades to
-    the batch plane instead of silently diverging.
+    the interpreter instead of silently diverging.
     """
     num_sets = cache._num_sets
     associativity = cache._associativity
@@ -831,10 +845,9 @@ class VectorWarmState:
 
     @classmethod
     def freeze(
-        cls, config: "MachineConfig", master: "kernel_batch.WarmState"
+        cls, config: "MachineConfig", hierarchy: MemoryHierarchy
     ) -> Optional["VectorWarmState"]:
-        """Flatten the batch plane's warm master (read-only; None = fall back)."""
-        hierarchy = master._hierarchy
+        """Flatten a warmed hierarchy (read-only; None = fall back)."""
         dl1 = _freeze_cache(hierarchy.dl1)
         l2 = _freeze_cache(hierarchy.l2)
         dtlb = _freeze_tlb(hierarchy.dtlb)
@@ -928,22 +941,59 @@ class VectorWarmState:
         return vh
 
 
+def warm_signature(program: "Program") -> tuple:
+    """The warm-up footprint of a program as a hashable cache key."""
+    return tuple(
+        (region.base, region.size_bytes, region.dirty, region.ace,
+         region.word_fraction, region.recurrent)
+        for region in program.warmup_regions
+    )
+
+
+def _warm_master(config: "MachineConfig", signature: tuple) -> MemoryHierarchy:
+    """A hierarchy warmed exactly as the interpreter warms one.
+
+    The same ``MemoryHierarchy`` construction against a fresh ledger, then
+    one ``warm_region`` call per declared footprint region, in order.
+    """
+    hierarchy = MemoryHierarchy(
+        dl1_config=config.dl1,
+        l2_config=config.l2,
+        dtlb_config=config.dtlb,
+        memory_latency=config.memory_latency,
+        tlb_miss_penalty=config.tlb_miss_penalty,
+        ledger=VulnerabilityLedger(config),
+        l2_tlb_config=config.l2_tlb,
+        l2_tlb_hit_latency=config.l2_tlb_hit_latency,
+    )
+    for base, size_bytes, dirty, ace, word_fraction, recurrent in signature:
+        hierarchy.warm_region(
+            base=base,
+            size_bytes=size_bytes,
+            dirty=dirty,
+            ace=ace,
+            word_fraction=word_fraction,
+            recurrent=recurrent,
+        )
+    return hierarchy
+
+
 def _frozen_warm_for(
     config: "MachineConfig", program: "Program"
 ) -> Optional[VectorWarmState]:
     """The frozen warm state for this (config, footprint), LRU-memoized.
 
-    Failed freezes are cached too (as None) so an unfreezable footprint is
-    probed once, not per genome.
+    The warm master is built, frozen and dropped here; only the frozen flat
+    image is kept.  Failed freezes are cached too (as None) so an
+    unfreezable footprint is probed once, not per genome.
     """
-    key = (_kernel.config_digest(config), kernel_batch.warm_signature(program))
+    key = (_kernel.config_digest(config), warm_signature(program))
     cached = _frozen_warm.get(key, _MISSING)
     if cached is not _MISSING:
         del _frozen_warm[key]
         _frozen_warm[key] = cached  # refresh LRU recency
         return cached
-    master = kernel_batch.warm_state_for(config, program)
-    state = VectorWarmState.freeze(config, master)
+    state = VectorWarmState.freeze(config, _warm_master(config, key[1]))
     STATS.warm_freezes += 1
     while len(_frozen_warm) >= VECTOR_WARM_CACHE_LIMIT:
         del _frozen_warm[next(iter(_frozen_warm))]
@@ -958,19 +1008,16 @@ def run_many(core, programs, max_instructions: int = 50_000):
     """Evaluate ``programs`` through the vector plane, aligned with the input.
 
     Programs the lowering cannot express — or every program, should the
-    config's vector kernel fail to generate — fall back to the batch kernel
-    per item, counted in ``STATS.fallbacks``; empty bodies run the
-    interpreted reference inline.
+    config's vector kernel fail to generate — run the interpreted reference
+    instead, counted in ``STATS.fallbacks``; empty bodies run it inline
+    without counting.
     """
     if not programs:
         return []
     config = core.config
     kernel = _kernel.vector_kernel_for(config)
-    config_dig = _kernel.config_digest(config)
-    program_digests = [_kernel.program_digest(program) for program in programs]
-    plans = kernel_batch._plan_for(core, config_dig, programs, program_digests)
     results = []
-    for program, digest in zip(programs, program_digests):
+    for program in programs:
         if not program.body:
             results.append(core.run_interpreted(program, max_instructions, True))
             continue
@@ -978,7 +1025,8 @@ def run_many(core, programs, max_instructions: int = 50_000):
             warm = _frozen_warm_for(config, program)
             if warm is not None:
                 try:
-                    result = kernel(core, program, max_instructions, plans[digest], warm)
+                    # The kernel builds the interpreter's per-op info rows.
+                    result = kernel(core, program, max_instructions, warm=warm)
                 except Unvectorizable:
                     result = None
                 if result is not None:
@@ -986,5 +1034,5 @@ def run_many(core, programs, max_instructions: int = 50_000):
                     results.append(result)
                     continue
         STATS.fallbacks += 1
-        results.append(kernel_batch.run_program(core, program, max_instructions, plans[digest]))
+        results.append(core.run_interpreted(program, max_instructions, True))
     return results

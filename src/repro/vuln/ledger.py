@@ -29,7 +29,7 @@ accounts at the end of a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as _np
@@ -337,20 +337,6 @@ class LifetimeTracker:
     # ``flush`` is the ledger-event name for end-of-run closure.
     flush = finalize
 
-    def clone(self) -> "LifetimeTracker":
-        """Independent copy of this tracker's full lifetime state.
-
-        Word states are immutable tuples, so a shallow dict copy suffices
-        (and preserves insertion order, which downstream eviction-victim
-        selection depends on).  Used by the batch evaluation plane to share
-        one functional warm-up across a whole population.
-        """
-        dup = LifetimeTracker(word_bits=self.word_bits)
-        dup._live = dict(self._live)
-        dup.ace_word_cycles = self.ace_word_cycles
-        dup.total_events = self.total_events
-        return dup
-
     def live_words(self) -> int:
         """Number of words with an open lifetime interval (used by tests)."""
         return len(self._live)
@@ -382,13 +368,6 @@ class ResidencyTracker:
     def ace_bit_cycles(self) -> float:
         """Total ACE bit-cycles accumulated so far."""
         return float(self.ace_entry_cycles) * self.entry_bits
-
-    def clone(self) -> "ResidencyTracker":
-        """Independent copy of this tracker's residency totals."""
-        dup = ResidencyTracker(entry_bits=self.entry_bits)
-        dup.ace_entry_cycles = self.ace_entry_cycles
-        dup.total_events = self.total_events
-        return dup
 
 
 # -------------------------------------------------------------------- ledger
@@ -570,26 +549,3 @@ class VulnerabilityLedger:
         return sum(t.total_events for t in self._word_trackers.values()) + sum(
             t.total_events for t in self._residency_trackers.values()
         )
-
-    # ------------------------------------------------------------- cloning
-
-    def clone(self) -> "VulnerabilityLedger":
-        """Independent copy of the ledger: accounts plus tracker state.
-
-        The batch evaluation plane warms one master ledger per (config,
-        warm-up footprint) and clones it per genome; the clone's subsequent
-        event/credit sequence is then exactly the sequence a freshly warmed
-        ledger would see, so results stay bit-identical to the per-run path.
-        """
-        dup = VulnerabilityLedger.__new__(VulnerabilityLedger)
-        dup.config = self.config
-        dup.accounts = {name: replace(account) for name, account in self.accounts.items()}
-        dup._descriptors = dict(self._descriptors)
-        dup._word_trackers = {
-            name: tracker.clone() for name, tracker in self._word_trackers.items()
-        }
-        dup._residency_trackers = {
-            name: tracker.clone() for name, tracker in self._residency_trackers.items()
-        }
-        dup._collected = self._collected
-        return dup

@@ -8,11 +8,13 @@ synthetic workload proxies, and seeded randomized programs over the whole
 ISA; configurations cover the paper baseline, a constrained derivative
 (small queues, fewer architected registers than the ISA — exercising the
 kernels' non-resident register path), and the ``extended`` config (store
-buffer + L2 TLB).  The ``vector`` plane is diffed directly; the batch kernel
-is diffed as the vector plane's per-program fallback.
+buffer + L2 TLB).  The ``vector`` plane is diffed directly, and every
+reason it hands a program to the interpreter is exercised once.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -36,7 +38,7 @@ from repro.isa.memoryref import (
 )
 from repro.isa.program import BranchBehavior, Program, WarmupRegion
 from repro.stressmark.generator import StressmarkGenerator, reference_knobs
-from repro.uarch import kernel, kernel_batch, kernel_vector
+from repro.uarch import kernel, kernel_vector
 from repro.uarch.config import MachineConfig, baseline_config, config_a, extended_config
 from repro.uarch.kernel_backends import BACKEND_ENV_VAR, KERNEL_BACKENDS, VECTOR, resolve
 from repro.uarch.pipeline import OutOfOrderCore
@@ -229,132 +231,24 @@ class TestKernelDifferential:
         assert_identical(reference, via_run, "setup-fallback")
 
 
-class TestBatchKernelDifferential:
-    """The batch kernel — the vector plane's per-program fallback — vs the interpreter.
-
-    Every program of a batch must be bit-identical under the config batch
-    kernel with shared warm state and under the interpreted loop.
-    """
-
-    def _assert_matches_interpreter(self, config, programs, budget, label):
-        core = OutOfOrderCore(config, seed=3)
-        via_batch = kernel_batch.run_many(core, programs, budget)
-        assert len(via_batch) == len(programs)
-        for index, (program, candidate) in enumerate(zip(programs, via_batch)):
-            reference = core.run_interpreted(program, max_instructions=budget)
-            assert_identical(reference, candidate, f"{label}[{index}] batch-vs-interp")
-
-    @pytest.mark.parametrize(
-        "config_factory", [baseline_config, config_a, extended_config, constrained_config]
-    )
-    def test_stressmark_population(self, config_factory):
-        """A GA-generation-shaped batch of derived stressmarks, per config."""
-        config = config_factory()
-        generator = StressmarkGenerator(config=config, max_instructions=2_500)
-        knobs = reference_knobs(config)
-        programs = [
-            generator.codegen.generate(knobs.derive(random_seed=seed))
-            for seed in range(1, 5)
-        ]
-        self._assert_matches_interpreter(config, programs, 2_500, f"batch-stressmark/{config.name}")
-
-    def test_mixed_program_lengths_in_one_batch(self):
-        """One batch mixing random programs and stressmarks of varying size."""
-        config = baseline_config()
-        generator = StressmarkGenerator(config=config, max_instructions=2_000)
-        programs = [
-            random_program(41, "mixed-a"),
-            generator.codegen.generate(reference_knobs(config)),
-            random_program(43, "mixed-b"),
-            generator.codegen.generate(reference_knobs(config).derive(random_seed=9)),
-            random_program(47, "mixed-c"),
-        ]
-        assert len({len(program.body) for program in programs}) > 1
-        self._assert_matches_interpreter(config, programs, 2_000, "batch-mixed-lengths")
-
-    @pytest.mark.parametrize("budget", [1, 17, 81, 1_999, 2_001])
-    def test_partial_final_iteration_budgets(self, budget):
-        """Budgets ending mid-iteration exercise the batch kernel's tail."""
-        config = baseline_config()
-        programs = [random_program(97, "batch-tail-a"), random_program(99, "batch-tail-b")]
-        self._assert_matches_interpreter(config, programs, budget, f"batch-budget-{budget}")
-
-    def test_duplicate_programs_share_one_plan_entry(self):
-        """The same digest appearing twice is planned once, simulated twice."""
-        kernel_batch.clear_batch_caches()
-        config = baseline_config()
-        program = random_program(51, "batch-dup")
-        self._assert_matches_interpreter(config, [program, program, program], 1_500, "batch-dup")
-        assert kernel_batch.STATS.plans_built == 1
-
-    def test_setup_program_skips_warm_sharing(self):
-        """Explicit setup instructions force the unshared warm-up path."""
-        kernel_batch.clear_batch_caches()
-        config = baseline_config()
-        with_setup = random_program(53, "batch-setup")
-        with_setup.setup = [make_alu(1, [0]), make_store(FixedPattern(address=64), srcs=[1])]
-        plain = random_program(54, "batch-plain")
-        assert not kernel_batch.supports_warm_sharing(with_setup)
-        assert kernel_batch.supports_warm_sharing(plain)
-        self._assert_matches_interpreter(config, [with_setup, plain], 1_500, "batch-setup-mix")
-        assert kernel_batch.STATS.warm_builds == 1  # only the plain program shares
-
-    def test_warm_state_reused_across_batches(self):
-        """A second batch with the same footprint rebuilds nothing."""
-        kernel_batch.clear_batch_caches()
-        config = baseline_config()
-        generator = StressmarkGenerator(config=config, max_instructions=1_500)
-        knobs = reference_knobs(config)
-        first = [generator.codegen.generate(knobs.derive(random_seed=s)) for s in (1, 2)]
-        second = [generator.codegen.generate(knobs.derive(random_seed=s)) for s in (3, 4)]
-        core = OutOfOrderCore(config, seed=3)
-        kernel_batch.run_many(core, first, 1_500)
-        builds_after_first = kernel_batch.STATS.warm_builds
-        kernel_batch.run_many(core, second, 1_500)
-        assert kernel_batch.STATS.warm_hits > 0
-        assert kernel_batch.STATS.warm_builds == builds_after_first
-
-    def test_empty_body_program_runs_interpreted_inline(self):
-        """The batch runner's empty-body guard routes to the interpreter."""
-        config = baseline_config()
-        empty = random_program(57, "batch-emptied")
-        empty.body = []  # not constructible directly; emptied post-validation
-        plain = random_program(58, "batch-nonempty")
-        core = OutOfOrderCore(config, seed=3)
-        results = kernel_batch.run_many(core, [empty, plain], 1_000)
-        assert len(results) == 2
-        assert_identical(
-            core.run_interpreted(empty, max_instructions=1_000),
-            results[0],
-            "batch-empty-body[0]",
-        )
-        assert_identical(
-            core.run_interpreted(plain, max_instructions=1_000),
-            results[1],
-            "batch-empty-body[1]",
-        )
-
-
 class TestVectorKernelDifferential:
-    """Vector plane vs the batch kernel vs the interpreter.
+    """Vector plane vs the interpreter.
 
-    Every program of a batch must be bit-identical under all three
-    execution paths; the vector path additionally asserts it actually
-    engaged (``kernel_vector.STATS.vector_runs``) rather than silently
-    falling back — a fallback-everything implementation would pass the
-    equality checks while vectorizing nothing.
+    Every program of a batch must be bit-identical under both execution
+    paths; the vector path additionally asserts it actually engaged
+    (``kernel_vector.STATS.vector_runs``) rather than silently falling back
+    — a fallback-everything implementation would pass the equality checks
+    while vectorizing nothing.
     """
 
-    def _assert_three_way(self, config, programs, budget, label, expect_vectorized=None):
+    def _assert_matches_interpreter(self, config, programs, budget, label, expect_vectorized=None):
         kernel_vector.STATS.reset()
         core = OutOfOrderCore(config, seed=3)
         via_vector = kernel_vector.run_many(core, programs, budget)
         assert len(via_vector) == len(programs)
-        via_batch = kernel_batch.run_many(core, programs, budget)
         for index, (program, candidate) in enumerate(zip(programs, via_vector)):
             reference = core.run_interpreted(program, max_instructions=budget)
             assert_identical(reference, candidate, f"{label}[{index}] vector-vs-interp")
-            assert_identical(via_batch[index], candidate, f"{label}[{index}] vector-vs-batch")
         if expect_vectorized is None:
             expect_vectorized = len(programs)
         assert kernel_vector.STATS.vector_runs == expect_vectorized, (
@@ -375,7 +269,7 @@ class TestVectorKernelDifferential:
             generator.codegen.generate(knobs.derive(random_seed=seed))
             for seed in range(1, 5)
         ]
-        self._assert_three_way(config, programs, 2_500, f"vector-stressmark/{config.name}")
+        self._assert_matches_interpreter(config, programs, 2_500, f"vector-stressmark/{config.name}")
 
     def test_mixed_program_lengths_in_one_batch(self):
         """One batch mixing random programs and stressmarks of varying size."""
@@ -389,27 +283,59 @@ class TestVectorKernelDifferential:
             random_program(47, "vmixed-c"),
         ]
         assert len({len(program.body) for program in programs}) > 1
-        self._assert_three_way(config, programs, 2_000, "vector-mixed-lengths")
+        self._assert_matches_interpreter(config, programs, 2_000, "vector-mixed-lengths")
 
     @pytest.mark.parametrize("budget", [1, 17, 81, 1_999, 2_001])
     def test_partial_final_iteration_budgets(self, budget):
         """Budgets ending mid-iteration exercise the vector kernel's tail."""
         config = baseline_config()
         programs = [random_program(97, "vtail-a"), random_program(99, "vtail-b")]
-        self._assert_three_way(config, programs, budget, f"vector-budget-{budget}")
+        self._assert_matches_interpreter(config, programs, budget, f"vector-budget-{budget}")
 
-    def test_setup_program_falls_back_to_batch(self):
-        """Explicit setup sections are out of vector scope; results still match."""
+    @pytest.mark.parametrize(
+        "reason", ["setup", "oversize_body", "over_budget", "int64_address"]
+    )
+    def test_fallback_reason(self, reason, monkeypatch):
+        """Each reason the lowering refuses a program runs the interpreter."""
         config = baseline_config()
-        with_setup = random_program(53, "vsetup")
-        with_setup.setup = [make_alu(1, [0]), make_store(FixedPattern(address=64), srcs=[1])]
-        plain = random_program(54, "vplain")
-        assert not kernel_vector.supports_vector(with_setup)
-        assert kernel_vector.supports_vector(plain)
-        self._assert_three_way(
-            config, [with_setup, plain], 1_500, "vector-setup-mix", expect_vectorized=1
+        budget = 1_500
+        program = random_program(53, f"vfallback-{reason}")
+        if reason == "setup":
+            program.setup = [make_alu(1, [0]), make_store(FixedPattern(address=64), srcs=[1])]
+            assert not kernel_vector.supports_vector(program)
+        elif reason == "oversize_body":
+            program.body = [
+                make_alu(index % 32, [(index + 1) % 32])
+                for index in range(kernel_vector.MAX_KERNEL_BODY + 1)
+            ]
+            program.branch_behaviors = {}
+            assert not kernel_vector.supports_vector(program)
+        elif reason == "over_budget":
+            run_length = min(budget, len(program.body) * program.iterations)
+            monkeypatch.setattr(kernel_vector, "VECTOR_MAX_OPS", run_length - 1)
+        else:
+            program.body = [
+                make_load(1, FixedPattern(address=1 << 62)),
+                make_alu(2, [1]),
+                make_store(FixedPattern(address=1 << 62), srcs=[2]),
+            ]
+            program.branch_behaviors = {}
+        self._assert_matches_interpreter(
+            config, [program], budget, f"vector-fallback-{reason}", expect_vectorized=0
         )
         assert kernel_vector.STATS.fallbacks == 1
+
+    def test_negative_address_error(self):
+        """A negative address raises exactly what the interpreter raises."""
+        core = OutOfOrderCore(baseline_config(), seed=3)
+        program = random_program(53, "vnegative")
+        program.body = [make_load(1, FixedPattern(address=-64)), make_alu(2, [1])]
+        program.branch_behaviors = {}
+        with pytest.raises(ValueError) as expected:
+            core.run_interpreted(program, max_instructions=500)
+        assert str(expected.value) == "addresses must be non-negative"
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            VECTOR.run_many(core, [program], 500)
 
     def test_empty_body_program_runs_interpreted_inline(self):
         """The vector runner's empty-body guard routes to the interpreter."""
@@ -446,37 +372,7 @@ class TestVectorKernelDifferential:
 
 
 class TestKernelCache:
-    """The shared config-kernel routine behind batch_kernel_for / vector_kernel_for."""
-
-    def test_source_store_round_trip(self, tmp_path):
-        from repro.store.artifacts import ArtifactStore
-
-        kernel.clear_kernels()
-        config = baseline_config()
-        program = random_program(11, "store-check")
-        store = ArtifactStore(tmp_path / "kernels.sqlite")
-        try:
-            kernel.configure_source_store(store)
-            first = kernel.batch_kernel_for(config)
-            assert first is not None and kernel.STATS.generated == 1
-            key = kernel.batch_source_key(kernel.config_digest(config))
-            assert isinstance(store.get(key), str)
-
-            # A fresh process (simulated by clearing the in-process memo)
-            # loads source from the store instead of regenerating.
-            kernel.clear_kernels()
-            core = OutOfOrderCore(config, seed=3)
-            (result,) = kernel_batch.run_many(core, [program], 400)
-            assert kernel.STATS.generated == 0
-            assert kernel.STATS.source_store_hits == 1
-            assert kernel_batch.STATS.batch_runs == 1
-            assert_identical(
-                core.run_interpreted(program, max_instructions=400), result, "store-kernel"
-            )
-        finally:
-            kernel.configure_source_store(None)
-            store.close()
-            kernel.clear_kernels()
+    """The in-process config-kernel memo behind vector_kernel_for."""
 
     def test_failure_remembered_not_retried(self, monkeypatch):
         kernel.clear_kernels()
@@ -489,15 +385,14 @@ class TestKernelCache:
             raise RuntimeError("codegen exploded")
 
         monkeypatch.setattr(kernel, "generate_vector_kernel_source", boom)
-        monkeypatch.setattr(kernel, "generate_batch_kernel_source", boom)
         assert kernel.vector_kernel_for(config) is None
         assert kernel.vector_kernel_for(config) is None
         assert calls["n"] == 1 and kernel.STATS.failures == 1
-        # The population plane degrades transparently: vector → batch →
-        # the interpreter, each failure generated once.
+        # The population plane degrades transparently to the interpreter,
+        # without generating again.
         core = OutOfOrderCore(config, seed=3)
         results = VECTOR.run_many(core, [program, program], 300)
-        assert calls["n"] == 2 and kernel.STATS.failures == 2
+        assert calls["n"] == 1 and kernel.STATS.failures == 1
         assert kernel_vector.STATS.fallbacks == 2
         for result in results:
             assert_identical(
@@ -505,89 +400,12 @@ class TestKernelCache:
             )
         kernel.clear_kernels()
 
-    def test_closed_source_store_detaches_instead_of_failing(self, tmp_path):
-        """A source store outliving its session must not poison generation.
-
-        Regression test: sessions attach their result store's artifact
-        database as the kernel source cache; after the session closes the
-        sqlite handle, kernel generation must detach the dead store and
-        keep compiling locally (not record a failure).
-        """
-        from repro.store.artifacts import ArtifactStore
-
-        kernel.clear_kernels()
-        store = ArtifactStore(tmp_path / "kernels.sqlite")
-        kernel.configure_source_store(store)
-        store.close()  # the owner went away without detaching
-
-        assert kernel.batch_kernel_for(baseline_config()) is not None
-        assert kernel.STATS.failures == 0
-        kernel.clear_kernels()
-
-    def test_context_detaches_kernel_store_on_close(self, tmp_path):
-        from repro.experiments.runner import ExperimentContext, ExperimentScale
-        from repro.store.result_store import open_store
-
-        kernel.clear_kernels()
-        store = open_store(tmp_path / "store")
-        context = ExperimentContext(ExperimentScale.quick(), store=store)
-        context.close()
-        store.close()
-        assert kernel.batch_kernel_for(baseline_config()) is not None
-        assert kernel.STATS.failures == 0
-        kernel.clear_kernels()
-
-    def test_shared_store_survives_sibling_context_close(self, tmp_path):
-        """Closing one of two contexts on a store must not detach the cache."""
-        from repro.experiments.runner import ExperimentContext, ExperimentScale
-        from repro.store.result_store import open_store
-
-        kernel.clear_kernels()
-        store = open_store(tmp_path / "store")
-        try:
-            first = ExperimentContext(ExperimentScale.quick(), store=store)
-            second = ExperimentContext(ExperimentScale.quick(), store=store)
-            first.close()
-            assert kernel._active_source_store() is not None, (
-                "source store detached while a sibling context still owns it"
-            )
-            second.close()
-            assert kernel._active_source_store() is None
-        finally:
-            store.close()
-            kernel.clear_kernels()
-
-    def test_failed_store_pruned_from_attach_stack(self, tmp_path):
-        """A store that raises is evicted everywhere; the survivor takes over."""
-        from repro.store.artifacts import ArtifactStore
-
-        kernel.clear_kernels()
-        healthy = ArtifactStore(tmp_path / "healthy.sqlite")
-        broken = ArtifactStore(tmp_path / "broken.sqlite")
-        try:
-            kernel.attach_source_store(healthy)
-            kernel.attach_source_store(broken)
-            broken.close()  # now every get/put on it raises
-            assert kernel.batch_kernel_for(baseline_config()) is not None
-            assert kernel.STATS.failures == 0
-            # The broken store was pruned and the healthy one restored —
-            # persistence keeps working (source landed in the survivor).
-            assert kernel._active_source_store() is healthy
-            key = kernel.batch_source_key(kernel.config_digest(baseline_config()))
-            assert isinstance(healthy.get(key), str)
-        finally:
-            kernel.release_source_store(healthy)
-            kernel.release_source_store(broken)
-            kernel.configure_source_store(None)
-            healthy.close()
-            kernel.clear_kernels()
-
     def test_memo_is_bounded(self, monkeypatch):
         kernel.clear_kernels()
         monkeypatch.setattr(kernel, "CONFIG_KERNEL_CACHE_LIMIT", 2)
         for config_factory in (baseline_config, extended_config, constrained_config):
-            assert kernel.batch_kernel_for(config_factory()) is not None
-        assert len(kernel._batch_kernels) == 2
+            assert kernel.vector_kernel_for(config_factory()) is not None
+        assert len(kernel._vector_kernels) == 2
         kernel.clear_kernels()
 
     def test_memo_eviction_is_least_recently_used(self, monkeypatch):
@@ -604,38 +422,6 @@ class TestKernelCache:
         assert kernel.vector_kernel_for(configs["c"]) is not None  # evicts b
         assert keys["a"] in kernel._vector_kernels and keys["c"] in kernel._vector_kernels
         assert keys["b"] not in kernel._vector_kernels
-        kernel.clear_kernels()
-
-    def test_memo_eviction_does_not_break_reuse(self, monkeypatch):
-        """Evicted warm/plan entries regenerate transparently, bit-identically.
-
-        Warm states and operand plans are LRU-bounded; with the bounds
-        pinched to one entry, alternating between two footprints evicts the
-        other's state every batch — results must stay identical anyway.
-        """
-        kernel.clear_kernels()
-        monkeypatch.setattr(kernel_batch, "WARM_CACHE_LIMIT", 1)
-        monkeypatch.setattr(kernel_batch, "PLAN_CACHE_LIMIT", 1)
-        config = baseline_config()
-        first = random_program(74, "evict-a")
-        second = random_program(75, "evict-b")
-        second.warmup_regions = [WarmupRegion(base=8192, size_bytes=1 << 14, dirty=False)]
-        assert kernel_batch.warm_signature(first) != kernel_batch.warm_signature(second)
-        core = OutOfOrderCore(config, seed=3)
-        expected = {
-            program.name: core.run_interpreted(program, max_instructions=800)
-            for program in (first, second)
-        }
-        for round_index in range(2):
-            for program in (first, second):  # each batch evicts the other's state
-                results = kernel_batch.run_many(core, [program], 800)
-                assert_identical(
-                    expected[program.name], results[0],
-                    f"evict-round-{round_index}/{program.name}",
-                )
-        assert len(kernel_batch._warm_states) == 1
-        assert len(kernel_batch._plans) == 1
-        assert kernel_batch.STATS.warm_builds >= 4  # rebuilt after each eviction
         kernel.clear_kernels()
 
     def test_vector_frozen_warm_eviction_does_not_break_reuse(self, monkeypatch):
@@ -658,74 +444,10 @@ class TestKernelCache:
         assert len(kernel_vector._frozen_warm) == 1
         kernel.clear_kernels()
 
-    def test_vector_source_store_round_trip(self, tmp_path):
-        """Vector kernel source persists under its own store namespace."""
-        from repro.store.artifacts import ArtifactStore
-
-        kernel.clear_kernels()
-        config = baseline_config()
-        store = ArtifactStore(tmp_path / "kernels.sqlite")
-        try:
-            kernel.configure_source_store(store)
-            first = kernel.vector_kernel_for(config)
-            assert first is not None and kernel.STATS.generated == 1
-            cfg_digest = kernel.config_digest(config)
-            assert isinstance(store.get(kernel.vector_source_key(cfg_digest)), str)
-            kernel.clear_kernels()
-            second = kernel.vector_kernel_for(config)
-            assert second is not None
-            assert kernel.STATS.generated == 0
-            assert kernel.STATS.source_store_hits == 1
-        finally:
-            kernel.configure_source_store(None)
-            store.close()
-            kernel.clear_kernels()
-
-    def test_corrupt_stored_source_falls_back_to_local_generation(self, tmp_path):
-        from repro.store.artifacts import ArtifactStore
-
-        kernel.clear_kernels()
-        config = baseline_config()
-        store = ArtifactStore(tmp_path / "kernels.sqlite")
-        try:
-            key = kernel.batch_source_key(kernel.config_digest(config))
-            store.put(key, "def batch_run(:  # truncated garbage")
-            kernel.configure_source_store(store)
-            assert kernel.batch_kernel_for(config) is not None, (
-                "corrupt stored source must not disable the kernel"
-            )
-            assert kernel.STATS.failures == 0
-            assert kernel.STATS.generated == 1
-            # The repaired source overwrites the corrupt entry.
-            assert "truncated garbage" not in store.get(key)
-        finally:
-            kernel.configure_source_store(None)
-            store.close()
-            kernel.clear_kernels()
-
-    def test_source_store_reopened_after_fork(self, tmp_path):
-        """A child process must not reuse the parent's sqlite connection."""
-        from repro.store.artifacts import ArtifactStore
-
-        kernel.clear_kernels()
-        store = ArtifactStore(tmp_path / "kernels.sqlite")
-        try:
-            kernel.configure_source_store(store)
-            # Simulate being on the other side of a fork().
-            kernel._source_store_pid = -1
-            reopened = kernel._active_source_store()
-            assert reopened is not None and reopened is not store
-            assert reopened.path == store.path
-            reopened.close()
-        finally:
-            kernel.configure_source_store(None)
-            store.close()
-            kernel.clear_kernels()
-
     def test_distinct_configs_get_distinct_kernels(self):
         kernel.clear_kernels()
         assert kernel.config_digest(baseline_config()) != kernel.config_digest(extended_config())
-        assert kernel.batch_kernel_for(baseline_config()) is not kernel.batch_kernel_for(
+        assert kernel.vector_kernel_for(baseline_config()) is not kernel.vector_kernel_for(
             extended_config()
         )
         assert kernel.STATS.compiled == 2

@@ -65,6 +65,11 @@ class TestRunWithStore:
         spec = stressmark_spec()
         with Session(store=tmp_path / "store") as session:
             first = session.run(spec)
+        with open_store(tmp_path / "store") as store:
+            keys = store.artifact_store().keys()
+        assert keys, "the search result was not persisted"
+        # Kernels are memoized in-process only; nothing of them is persisted.
+        assert not [key for key in keys if key.startswith("kernel-")]
         monkeypatch.setattr(
             "repro.stressmark.generator.StressmarkGenerator.generate",
             lambda *a, **k: (_ for _ in ()).throw(AssertionError("searched again")),
