@@ -38,7 +38,7 @@ from repro.avf.analysis import StructureGroup
 from repro.avf.report import build_report
 from repro.experiments.bench import baseline_entry, bench_vector_speedup
 from repro.stressmark.generator import StressmarkGenerator, reference_knobs
-from repro.uarch import kernel, kernel_vector
+from repro.uarch import kernel_vector
 from repro.uarch.kernel_backends import INTERPRETED, VECTOR
 from repro.uarch.pipeline import OutOfOrderCore
 
@@ -100,7 +100,7 @@ def _assert_identical_to_interpreter(config_name: str, payload: str, plane: str)
 class TestVectorParity:
     @pytest.mark.parametrize("config_name", SMOKE_CONFIGS)
     def test_population_identical_under_vector_plane(self, config_name):
-        kernel.clear_kernels()
+        kernel_vector.clear_vector_caches()
         vector_payload = _population_payload(config_name, VECTOR)
         assert kernel_vector.STATS.vector_runs >= POPULATION, (
             "vector kernel never engaged — the gate compared nothing "

@@ -29,7 +29,7 @@ import pytest
 from _bench_utils import assert_kernel_throughput_floor
 from repro.avf.goldens import avf_smoke_payload, golden_path, render_payload
 from repro.experiments.bench import bench_pipeline
-from repro.uarch import kernel, kernel_vector
+from repro.uarch import kernel_vector
 from repro.uarch.kernel_backends import VECTOR
 
 pytestmark = [pytest.mark.kernel_smoke]
@@ -43,7 +43,7 @@ if not os.environ.get("REPRO_KERNEL_SMOKE"):
 
 class TestKernelParity:
     def test_golden_matrix_identical_under_kernels(self):
-        kernel.clear_kernels()
+        kernel_vector.clear_vector_caches()
         payload = avf_smoke_payload(VECTOR)
         proxies = sum(1 for key in payload if "/" in key)  # "<config>/<proxy>"
         vector_payload = render_payload(payload)

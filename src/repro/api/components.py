@@ -12,7 +12,7 @@ component the repository ships into the registries of
   ``all`` (the 33 proxies),
 * fitness objectives — ``balanced``, ``overall``, ``core_only``,
 * experiment scales — ``quick``, ``default``, ``paper``,
-* evaluation backends — ``serial``, ``process``, ``resilient``.
+* evaluation backends — ``serial``, ``resilient``.
 
 Registration lives here rather than on the defining modules so the core
 packages stay import-cycle-free; user code extends the same registries with
@@ -32,7 +32,7 @@ from repro.api.registry import (
     WORKLOAD_SUITES,
 )
 from repro.experiments.runner import ExperimentScale
-from repro.parallel.backends import ProcessPoolBackend, SerialBackend, resolve_jobs
+from repro.parallel.backends import SerialBackend, resolve_jobs
 from repro.parallel.resilience import FailurePolicy, ResilientPoolBackend
 from repro.stressmark.fitness import FitnessFunction
 from repro.uarch.config import baseline_config, config_a, extended_config
@@ -76,18 +76,12 @@ def install_default_components() -> None:
     SCALES.register("paper", ExperimentScale.paper)
 
     BACKENDS.register("serial", _serial_backend)
-    BACKENDS.register("process", _process_backend)
     BACKENDS.register("resilient", _resilient_backend)
 
 
 def _serial_backend(jobs: Optional[int] = None) -> SerialBackend:
     """In-process evaluation regardless of the requested worker count."""
     return SerialBackend()
-
-
-def _process_backend(jobs: Optional[int] = None) -> ProcessPoolBackend:
-    """Process-pool evaluation with ``jobs`` workers (``REPRO_JOBS`` fallback)."""
-    return ProcessPoolBackend(resolve_jobs(jobs))
 
 
 def _resilient_backend(jobs: Optional[int] = None) -> ResilientPoolBackend:

@@ -137,7 +137,7 @@ class Session:
         self._owned: list[ExperimentContext] = []
         # One warm worker pool per jobs count, shared by every context the
         # session creates (sweep points at different scales included): the
-        # versioned task registry inside ProcessPoolBackend lets one pool
+        # versioned task registry inside ResilientPoolBackend lets one pool
         # serve any number of distinct evaluators without recycling workers.
         self._backends: dict[tuple[int, FailurePolicy], "EvaluationBackend"] = {}
         if context is not None:
@@ -237,9 +237,11 @@ class Session:
 
         Empty string means "no pin": the registry's own resolution
         (``REPRO_KERNEL_BACKEND`` environment, then the ``vector`` default)
-        applies when a GA population is evaluated.  Purely an execution
-        choice — every backend is bit-identical — so it never enters store
-        keys.
+        applies when a GA population is evaluated.  Every backend is
+        bit-identical, so the choice never changes results.  A session
+        (or CLI ``--kernel-backend``) pin never enters store keys; the
+        spec's own ``kernel_backend`` field does, because a set field is
+        part of the spec digest.
         """
         if self._pinned_kernel_backend:
             return self._pinned_kernel_backend

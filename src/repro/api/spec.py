@@ -75,7 +75,11 @@ class RunSpec:
     KERNEL_BACKENDS` name — ``vector`` or ``interpreted``); unset means the
     ``REPRO_KERNEL_BACKEND`` environment (or the ``vector`` default)
     applies.  Single-program simulations always run the interpreter.  Both
-    backends are bit-identical, so this never changes results or digests.
+    backends are bit-identical, so a pin never changes results; but the
+    field is part of the spec's JSON when set, so a spec that names a
+    kernel backend has a different digest (and store key) than one that
+    does not.  Pinning through the CLI or a :class:`~repro.api.session.
+    Session` instead leaves the digest alone.
     Sweep-only fields: ``base``, ``axes``, ``runs``.
     """
 

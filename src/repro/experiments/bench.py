@@ -78,13 +78,8 @@ def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
     warm-up run; ``vector_speedup`` (interpreter over vector) is the
     same-run ratio the kernel-smoke and bench-smoke floors hold, and
     ``vector_identical`` asserts both results agree bit for bit.
-    ``kernel_build_seconds`` is the one-time codegen + compile cost of the
-    config's vector kernel (paid once per config per process, amortised by
-    the in-process memo).
     """
-    from repro.uarch.kernel import compile_vector_kernel
     from repro.uarch.kernel_backends import VECTOR
-    from repro.uarch.kernelgen import generate_vector_kernel_source
 
     config = baseline_config()
     generator = StressmarkGenerator(config=config, max_instructions=instructions)
@@ -94,11 +89,6 @@ def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
     result = core.run(program, max_instructions=instructions)
     seconds = _best_of(lambda: core.run(program, max_instructions=instructions), repeats)
 
-    # Direct codegen + compile cost, independent of the memo state (the
-    # throwaway code object is not installed in the kernel cache).
-    build_start = time.perf_counter()
-    compile_vector_kernel(generate_vector_kernel_source(config), "bench-probe")
-    build_seconds = time.perf_counter() - build_start
     vector_result = VECTOR.run_many(core, [program], instructions)[0]  # warm-up
     vector_seconds = _best_of(lambda: VECTOR.run_many(core, [program], instructions), repeats)
     return {
@@ -110,7 +100,6 @@ def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
         "vector_seconds": vector_seconds,
         "vector_speedup": seconds / vector_seconds if vector_seconds > 0 else 0.0,
         "vector_identical": _signature(vector_result) == _signature(result),
-        "kernel_build_seconds": build_seconds,
     }
 
 
@@ -215,7 +204,7 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
     The pool is the one production ``jobs > 1`` runs use:
     :func:`~repro.parallel.backends.create_backend` (the fault-tolerant
     ``ResilientPoolBackend``).  Entries recorded before that switch timed
-    the chunked ``ProcessPoolBackend`` and are not comparable.
+    the since-deleted chunked ``ProcessPoolBackend`` and are not comparable.
 
     The batch mirrors one GA generation: ``batch`` independent fitness
     evaluations of distinct genomes.  Fitness values must be identical under
@@ -358,11 +347,10 @@ def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
     """The vector plane vs the per-genome interpreter on fresh GA batches.
 
     One GA-generation-shaped batch of ``batch`` *fresh* genomes (never seen
-    by any memo) runs through the ``vector`` backend's ``run_many`` — one
-    config-specialized kernel, operand columns precomputed with numpy, one
-    frozen flat-array warm state — and, back to back, through the
-    interpreter genome by genome.  An untimed warm-up batch first compiles
-    the config kernel and freezes the shared warm state, so
+    by any memo) runs through the ``vector`` backend's ``run_many`` —
+    operand columns precomputed with numpy, one frozen flat-array warm
+    state — and, back to back, through the interpreter genome by genome.
+    An untimed warm-up batch first freezes the shared warm state, so
     ``vector_seconds`` measures the steady state a GA search lives in;
     fresh batches still pay their own column builds inside the timed
     region.  The interpreter has no cross-genome state to warm — that
@@ -374,10 +362,10 @@ def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
     (``deterministic``).  The recorded ``speedup`` is the number the
     ``batch-smoke`` tier-2 gate holds future changes to.
     """
-    from repro.uarch import kernel as kernel_cache
+    from repro.uarch import kernel_vector
     from repro.uarch.kernel_backends import INTERPRETED, VECTOR
 
-    kernel_cache.clear_kernels()
+    kernel_vector.clear_vector_caches()
     core, programs = _fresh_programs(batch, instructions)
     VECTOR.run_many(core, programs(0), instructions)  # untimed warm-up batch
     fresh_batches = [programs(k * batch) for k in (1, 2, 3)]

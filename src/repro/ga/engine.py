@@ -114,8 +114,8 @@ class GeneticAlgorithm:
 
     ``backend`` decides where fitness evaluations run: the default
     :class:`SerialBackend` evaluates in-process, while a
-    :class:`~repro.parallel.backends.ProcessPoolBackend` fans a generation out
-    across worker processes.  Results are applied in population order, so a
+    :class:`~repro.parallel.resilience.ResilientPoolBackend` fans a
+    generation out across worker processes.  Results are applied in population order, so a
     run is bit-identical for any worker count.
 
     ``fitness_cache`` memoizes evaluations by genome content (see

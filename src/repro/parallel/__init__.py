@@ -7,7 +7,6 @@ See PERFORMANCE.md for how the backends, the fitness cache and the
 from repro.parallel.backends import (
     JOBS_ENV_VAR,
     EvaluationBackend,
-    ProcessPoolBackend,
     SerialBackend,
     create_backend,
     resolve_jobs,
@@ -31,7 +30,6 @@ __all__ = [
     "JOBS_ENV_VAR",
     "EvaluationBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "ResilientPoolBackend",
     "RetryPolicy",
     "FailurePolicy",

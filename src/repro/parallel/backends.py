@@ -1,4 +1,4 @@
-"""Evaluation backends: serial and process-pool fan-out.
+"""Evaluation backends: the serial reference and the shared worker plumbing.
 
 The GA engine, the stressmark generator and the experiment context all push
 batches of independent work (fitness evaluations, workload simulations)
@@ -7,15 +7,15 @@ through an :class:`EvaluationBackend`.  The contract every backend honours:
 * **Ordered results** — ``map(fn, items)`` returns results in the order of
   ``items`` regardless of which worker finished first, so GA runs are
   bit-identical no matter the worker count.
-* **Per-worker state reuse** — :class:`ProcessPoolBackend` workers keep every
-  task callable they have ever seen in a version-keyed registry, so expensive
-  per-task state (code generator, machine configuration, compiled simulator
-  kernels, fitness function) is built once per worker per task *version*
-  instead of once per item — and the pool itself is **never recycled** when
-  the mapped callable changes (sweeps alternating evaluators reuse the same
-  warm workers).
-* **Chunked dispatch** — items are shipped to workers in chunks to amortise
-  IPC overhead over many small tasks.
+* **Per-worker state reuse** — process-pool workers
+  (:class:`~repro.parallel.resilience.ResilientPoolBackend`) keep every task
+  callable they have ever seen in a version-keyed registry
+  (:class:`_TaskVersionTable` on the parent side, :func:`_run_task` in the
+  worker), so expensive per-task state (code generator, machine
+  configuration, warm simulator state, fitness function) is built once per
+  worker per task *version* instead of once per item — and the pool itself
+  is **never recycled** when the mapped callable changes (sweeps alternating
+  evaluators reuse the same warm workers).
 
 Worker count resolution: an explicit ``jobs`` argument wins, then the
 ``REPRO_JOBS`` environment variable, then 1 (serial).
@@ -23,7 +23,6 @@ Worker count resolution: an explicit ``jobs`` argument wins, then the
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TypeVar
@@ -44,10 +43,9 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 TASK_REGISTRY_LIMIT = 64
 
 # Worker-side task registry: version -> installed callable.  Task messages
-# are ``(version, fn, item)``; ``fn`` pickles once per *chunk* (pickle memoises
-# the repeated reference inside a chunk list), and a worker that has already
-# installed ``version`` keeps using its registered instance, preserving any
-# lazily built per-task state across chunks, map calls and evaluator changes.
+# are ``(version, fn, item)``; a worker that has already installed
+# ``version`` keeps using its registered instance, preserving any lazily
+# built per-task state across items, map calls and evaluator changes.
 _worker_tasks: dict[int, Callable] = {}
 
 
@@ -282,99 +280,15 @@ class SerialBackend(EvaluationBackend):
         return [fn(item) for item in items]
 
 
-class ProcessPoolBackend(EvaluationBackend):
-    """Multiprocessing pool backend with chunked, order-preserving dispatch.
-
-    The pool is created lazily on the first :meth:`map` call and stays alive
-    for the backend's whole lifetime: mapped callables are assigned monotone
-    *task versions* and installed into a worker-side registry on first sight,
-    so changing the callable (a sweep moving to the next evaluator, the GA
-    finishing one search and starting another) never tears workers down.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        chunk_size: Optional[int] = None,
-        mp_context: Optional[str] = None,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        self.jobs = int(jobs)
-        self.chunk_size = chunk_size
-        self._mp_context = mp_context
-        self._pool = None
-        self._versions = _TaskVersionTable()
-
-    # ------------------------------------------------------------------ map
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        items = list(items)
-        if not items:
-            return []
-        pool = self._ensure_pool()
-        version = self._versions.version_for(fn)
-        chunk = self.chunk_size or max(1, len(items) // (self.jobs * 4))
-        payloads = [(version, fn, item) for item in items]
-        return pool.map(_run_task, payloads, chunksize=chunk)
-
-    # ------------------------------------------------------------- plumbing
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            context = multiprocessing.get_context(self._mp_context)
-            self._pool = context.Pool(self.jobs, initializer=_init_worker)
-        return self._pool
-
-    def close(self) -> None:
-        """Graceful shutdown: let workers finish before joining.
-
-        ``terminate()`` here could kill a worker mid-write (a persistent
-        fitness cache flushing sqlite, for example); it is reserved for the
-        error path (:meth:`__exit__` with an exception) and :meth:`__del__`.
-        """
-        self._shutdown(graceful=True)
-
-    def terminate(self) -> None:
-        """Forceful shutdown for error paths: kill workers immediately."""
-        self._shutdown(graceful=False)
-
-    def _shutdown(self, graceful: bool) -> None:
-        if self._pool is None:
-            return
-        if graceful:
-            self._pool.close()
-        else:
-            self._pool.terminate()
-        self._pool.join()
-        self._pool = None
-
-    def __exit__(self, *exc_info: object) -> None:
-        if exc_info and exc_info[0] is not None:
-            self.terminate()
-        else:
-            self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter shutdown path
-        try:
-            self._shutdown(graceful=False)
-        except Exception:
-            pass
-
-
 def create_backend(
     jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     policy: Optional["FailurePolicy"] = None,
 ) -> EvaluationBackend:
     """Backend for ``jobs`` workers (resolving ``None`` via ``REPRO_JOBS``).
 
     ``jobs > 1`` returns the fault-tolerant
     :class:`~repro.parallel.resilience.ResilientPoolBackend` (``policy``
-    defaults to the ``REPRO_RETRY_*`` environment); the chunked
-    :class:`ProcessPoolBackend` stays available via the ``process`` entry of
-    the BACKENDS registry.  ``chunk_size`` only applies to the latter and is
-    ignored here.
+    defaults to the ``REPRO_RETRY_*`` environment); one job runs serially.
     """
     resolved = resolve_jobs(jobs)
     if resolved <= 1:

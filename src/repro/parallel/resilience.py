@@ -1,9 +1,10 @@
 """Fault-tolerant evaluation: the resilient worker pool and its policies.
 
-:class:`ProcessPoolBackend` (PR 5) made the evaluation fabric *warm*; this
-module makes it *durable*.  A single segfaulting worker, an OOM-killed
-child, a hung simulation or a transiently failing evaluator must not
-deadlock ``map`` or abort a multi-hour GA search, so
+The worker pool keeps its workers *warm* (a versioned task registry per
+worker, see :mod:`repro.parallel.backends`); this module makes it
+*durable*.  A single segfaulting worker, an OOM-killed child, a hung
+simulation or a transiently failing evaluator must not deadlock ``map`` or
+abort a multi-hour GA search, so
 :class:`ResilientPoolBackend` dispatches items individually over per-worker
 pipes and supervises every attempt:
 
@@ -276,9 +277,9 @@ class ResilientPoolBackend(EvaluationBackend):
 
     Registered as ``resilient`` in the BACKENDS registry and the default for
     ``jobs > 1`` (see :func:`~repro.parallel.backends.create_backend`).
-    Mapped callables keep the warm-task-registry contract of
-    :class:`~repro.parallel.backends.ProcessPoolBackend`: versioned install
-    on first sight, per-worker reuse across map calls and evaluator changes.
+    Mapped callables follow the warm-task-registry contract of
+    :mod:`repro.parallel.backends`: versioned install on first sight,
+    per-worker reuse across map calls and evaluator changes.
     """
 
     def __init__(

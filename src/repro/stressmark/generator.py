@@ -61,7 +61,7 @@ class StressmarkEvaluator:
     """Picklable fitness evaluator: genome -> codegen -> simulate -> score.
 
     Instances are shipped to worker processes by
-    :class:`~repro.parallel.backends.ProcessPoolBackend`; the code generator
+    :class:`~repro.parallel.resilience.ResilientPoolBackend`; the code generator
     is excluded from pickling and rebuilt lazily, once per worker, so each
     worker pays construction cost a single time for the whole GA run.
     """
@@ -130,8 +130,8 @@ class StressmarkEvaluator:
         Bit-identical to calling the evaluator per individual — one
         ``OutOfOrderCore`` per simulation with the same seed, the same
         codegen, the same fitness — but the backend's ``run_many`` (``vector``
-        unless pinned) shares the compiled config kernel, warm cache/TLB
-        state and operand plans across the whole slice.
+        unless pinned) shares one frozen warm cache/TLB state across the
+        whole slice.
         """
         decoded = [self.knob_space.decode(individual.genome) for individual in individuals]
         programs = [self.codegen.generate(knobs) for knobs in decoded]

@@ -1,4 +1,4 @@
-"""Kernel backends: how a population of simulations becomes machine code.
+"""Kernel backends: which timing loop a population of simulations runs.
 
 Experiment components (configs, fault rates, suites, objectives, scales,
 evaluation backends, vulnerable structures) are named registry entries; so
@@ -8,10 +8,10 @@ population evaluation (:meth:`StressmarkEvaluator.evaluate_batch
 ``run_many``) per spec (``kernel_backend``), CLI (``--kernel-backend``) or
 environment (``REPRO_KERNEL_BACKEND``):
 
-* ``vector`` (default) — one config-specialized compiled kernel per
-  machine configuration, operand columns precomputed by numpy array
-  arithmetic, and a flat-array hierarchy replica warmed once per footprint
-  (:mod:`repro.uarch.kernel_vector`).  Programs the column lowering cannot
+* ``vector`` (default) — the reference loop transcribed onto operand
+  columns precomputed by numpy array arithmetic, against a flat-array
+  hierarchy replica warmed once per footprint
+  (:func:`repro.uarch.kernel_vector.vector_run`).  Programs the column lowering cannot
   express — explicit setup sections, bodies over
   :data:`~repro.uarch.kernel_vector.MAX_KERNEL_BODY`, runs over
   :data:`~repro.uarch.kernel_vector.VECTOR_MAX_OPS`, address streams past
@@ -59,7 +59,7 @@ class KernelBackend:
     """One way of executing a simulation (and batches of them).
 
     ``run_one`` simulates a single program; ``run_many`` a batch sharing
-    whatever the backend can share (compiled code, warm state).  Every
+    whatever the backend can share (warm state).  Every
     backend must be bit-identical to the interpreted reference — the
     differential suite and the batch-smoke gate enforce it.
     """
@@ -78,7 +78,7 @@ class KernelBackend:
 
 
 class InterpretedBackend(KernelBackend):
-    """The reference loop — the oracle the compiled planes diff against."""
+    """The reference loop — the oracle the vector plane diffs against."""
 
     name = "interpreted"
 
@@ -89,9 +89,9 @@ class InterpretedBackend(KernelBackend):
 class VectorKernelBackend(KernelBackend):
     """Population plane over numpy-precomputed operand columns.
 
-    ``run_many`` lowers every vectorizable genome through the config's
-    vector kernel; genomes the column lowering cannot express run the
-    interpreted reference per program.  Single programs never reach this
+    ``run_many`` lowers every vectorizable genome to operand columns and
+    runs :func:`~repro.uarch.kernel_vector.vector_run`; genomes the column
+    lowering cannot express run the interpreted reference per program.  Single programs never reach this
     plane.
     """
 

@@ -1,10 +1,10 @@
 """The ``vector`` kernel backend: population evaluation over operand columns.
 
 A GA generation evaluates a whole population of genomes against one machine
-configuration.  This plane shares one config-specialized compiled kernel and
-one functional warm-up across that population, and removes per-op Python
-dispatch from the kernel's hot loop by *lowering* each genome's dynamic
-instruction stream to precomputed columns before the timing loop runs:
+configuration.  This plane shares one functional warm-up across that
+population, and removes per-op Python dispatch from the timing loop by
+*lowering* each genome's dynamic instruction stream to precomputed columns
+before the loop runs:
 
 * **front-end column** — one stall penalty (0 or the miss penalty) per
   dynamic op, drawn from the frontend RNG stream in reference order;
@@ -19,9 +19,9 @@ instruction stream to precomputed columns before the timing loop runs:
   stream is separate from the branch/front-end streams, so pre-resolving it
   wholesale cannot perturb any other stream).
 
-The timing loop itself (emitted by
-:func:`repro.uarch.kernelgen.generate_vector_kernel_source`) then runs
-against a :class:`VectorHierarchy` — the memory hierarchy's replacement,
+The timing loop itself (:func:`vector_run`, a statement-for-statement
+transcription of the interpreted reference loop) then runs against a
+:class:`VectorHierarchy` — the memory hierarchy's replacement,
 lifetime and residency state flattened to per-slot integer columns with one
 inlined ``access`` method.  Warm-up is deterministic, draws no RNG and runs
 entirely at cycle 0, so one *warm master* per (config, warm footprint) — a
@@ -47,10 +47,12 @@ program at a time, counted in ``STATS.fallbacks``.
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING, Optional
 
 import numpy as _np
 
+from repro.isa.instructions import ARCH_REG_COUNT
 from repro.isa.memoryref import (
     FixedPattern,
     LineCoverPattern,
@@ -58,7 +60,9 @@ from repro.isa.memoryref import (
     StridedPattern,
 )
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.uarch import kernel as _kernel
+from repro.uarch.pipeline import OutOfOrderCore, SimulationResult, SimulationStats
+from repro.uarch.structures import StructureName
+from repro.utils.rng import DeterministicRng
 from repro.vuln.ledger import VulnerabilityLedger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,7 +114,7 @@ class VectorStats:
 
 STATS = VectorStats()
 
-#: (config digest, warm signature) -> frozen VectorWarmState or None.
+#: (config, warm signature) -> frozen VectorWarmState or None.
 _frozen_warm: dict[tuple, Optional["VectorWarmState"]] = {}
 
 #: (global_entries, local_entries, choice_entries) -> predictor template.
@@ -118,7 +122,7 @@ _predictor_templates: dict[tuple, tuple] = {}
 
 
 def clear_vector_caches() -> None:
-    """Drop the vector plane's in-process caches (tests, ``clear_kernels``)."""
+    """Drop the vector plane's in-process caches and reset its counters."""
     _frozen_warm.clear()
     _predictor_templates.clear()
     STATS.reset()
@@ -376,7 +380,7 @@ def build_columns(
     """The whole pre-pass: (frontend, mispredict, memory) columns.
 
     Raises :class:`Unvectorizable` before any caller-visible state is
-    touched — the generated kernel calls this before materializing warm
+    touched — :func:`vector_run` calls this before materializing warm
     state, so a failed lowering falls back to the interpreter cleanly.
     All three RNG streams are independent spawns, so draining each in its
     own pre-pass preserves every stream's reference draw sequence.
@@ -987,7 +991,7 @@ def _frozen_warm_for(
     image is kept.  Failed freezes are cached too (as None) so an
     unfreezable footprint is probed once, not per genome.
     """
-    key = (_kernel.config_digest(config), warm_signature(program))
+    key = (config, warm_signature(program))
     cached = _frozen_warm.get(key, _MISSING)
     if cached is not _MISSING:
         del _frozen_warm[key]
@@ -1004,32 +1008,454 @@ def _frozen_warm_for(
 # ------------------------------------------------------------------ running
 
 
+def vector_run(core, program: "Program", max_instructions: int, warm: VectorWarmState):
+    """Simulate one program on operand columns against a frozen warm state.
+
+    The reference loop of :meth:`OutOfOrderCore.run_interpreted
+    <repro.uarch.pipeline.OutOfOrderCore.run_interpreted>` statement for
+    statement, except that every per-op stochastic or object-dispatched input
+    is a column read from :func:`build_columns` — front-end stall, branch
+    outcome, resolved address parts — and the memory hierarchy is the flat
+    :class:`VectorHierarchy` rematerialized from ``warm``.
+
+    Bit-identity contract: identical float addition order, RNG draw order
+    and probe cycles as the interpreted reference; every ACE product stays
+    left-associated exactly as the reference writes it.  The structural
+    queues are replaced by append-only commit columns with drain cursors —
+    valid because commit cycles are monotone non-decreasing (each op's commit
+    is clamped to ``last_commit_cycle``), so the reference's rename heap pops
+    in exactly append order; the IQ keeps a real heap (issue cycles are not
+    monotone).  Raises :class:`Unvectorizable` for programs the column
+    lowering cannot express; :func:`run_many` then runs the interpreter.
+    """
+    if max_instructions <= 0:
+        raise ValueError("max_instructions must be positive")
+    config = core.config
+    rng = DeterministicRng(core.seed).spawn("sim", program.name)
+    stats = SimulationStats()
+    frontend_miss_rate = float(program.metadata.get("frontend_miss_rate", 0.0))
+    frontend_miss_penalty = int(program.metadata.get("frontend_miss_penalty", 10))
+    has_frontend = frontend_miss_rate > 0.0
+    memory_rng = rng.spawn("memory")
+    branch_rng = rng.spawn("branch")
+    frontend_rng = rng.spawn("frontend")
+
+    body_infos = [
+        core._instruction_info(instruction, index, False, program)
+        for index, instruction in enumerate(program.body)
+    ]
+    body_len = len(body_infos)
+
+    max_override = 0
+    ace_total = 0
+    branch_total = 0
+    ace_prefix = [0]
+    branch_prefix = [0]
+    for info in body_infos:
+        if info[14] is not None and info[14] > max_override:
+            max_override = info[14]
+        if info[11]:
+            ace_total += 1
+        if info[5]:
+            branch_total += 1
+        ace_prefix.append(ace_total)
+        branch_prefix.append(branch_total)
+
+    latency_bound = max(config.multiply_latency, config.divide_latency, config.alu_latency)
+    if max_override > latency_bound:
+        latency_bound = max_override
+    per_op_latency_bound = (
+        config.memory_latency + config.tlb_miss_penalty + latency_bound + 2
+    )
+    window_bound = config.rob_entries * per_op_latency_bound + 1024
+    ring_size = 1 << (min(max(window_bound, 1024), 1 << 17) - 1).bit_length()
+    ring_mask = ring_size - 1
+    ring_tag = [-1] * ring_size
+    ring_issue = [0] * ring_size
+    ring_mem = [0] * ring_size
+    ring_alu = [0] * ring_size
+    ring_mul = [0] * ring_size
+
+    iterations_total = program.iterations
+    last_iteration = iterations_total - 1
+    full_iters = max_instructions // body_len
+    if full_iters >= iterations_total:
+        full_iters = iterations_total
+        tail_ops = 0
+    else:
+        tail_ops = max_instructions - full_iters * body_len
+
+    # Column pre-pass before any per-run state exists: an Unvectorizable
+    # program falls back to the interpreter with nothing to unwind.
+    frontend_col, mispredict_col, memory_cols = build_columns(
+        config, body_infos, full_iters, tail_ops, last_iteration,
+        memory_rng, branch_rng, frontend_rng,
+        frontend_miss_rate, frontend_miss_penalty,
+    )
+    hierarchy = warm.materialize()
+
+    ledger = VulnerabilityLedger(config)
+    accounts = ledger.accounts
+    rob_bits = accounts[StructureName.ROB].bits_per_entry
+    iq_bits = accounts[StructureName.IQ].bits_per_entry
+    lqt_bits = accounts[StructureName.LQ_TAG].bits_per_entry
+    lqd_bits = accounts[StructureName.LQ_DATA].bits_per_entry
+    sqt_bits = accounts[StructureName.SQ_TAG].bits_per_entry
+    sqd_bits = accounts[StructureName.SQ_DATA].bits_per_entry
+    rf_bits = accounts[StructureName.RF].bits_per_entry
+    fu_bits = accounts[StructureName.FU].bits_per_entry
+    sb_account = accounts.get(StructureName.SB)
+    track_sb = sb_account is not None
+    sb_bits = sb_account.bits_per_entry if track_sb else 0
+    sb_drain = float(config.store_buffer_drain_cycles)
+
+    dispatch_width = config.dispatch_width
+    issue_width = config.issue_width
+    commit_width = config.commit_width
+    memory_issue_width = config.memory_issue_width
+    int_alus = config.int_alus
+    int_multipliers = config.int_multipliers
+    rob_entries = config.rob_entries
+    iq_entries = config.iq_entries
+    lq_entries = config.lq_entries
+    sq_entries = config.sq_entries
+    free_rename = config.free_rename_registers
+    mispredict_penalty = config.branch_misprediction_penalty
+
+    # Append-only commit columns + drain cursors replace the reference
+    # deques/rename-heap (commit cycles are monotone); the IQ issue heap
+    # stays a real heap.
+    commit_col = []
+    commit_append = commit_col.append
+    lq_commit_col = []
+    lq_commit_append = lq_commit_col.append
+    sq_commit_col = []
+    sq_commit_append = sq_commit_col.append
+    write_commit_col = []
+    write_commit_append = write_commit_col.append
+    iq_issue_heap = []
+    op_index = 0
+    lq_count = 0
+    sq_count = 0
+    write_count = 0
+    rename_drained = 0
+    iq_len = 0
+    branch_index = 0
+
+    architected = config.architected_registers
+    num_regs = max(ARCH_REG_COUNT, architected)
+    reg_present = [True] * architected + [False] * (num_regs - architected)
+    reg_complete = [0] * num_regs
+    reg_width = [1.0] * num_regs
+    reg_ace = [True] * num_regs
+    reg_last_read = [-1] * num_regs
+    reg_ready = [0] * num_regs
+    extra_regs = []
+
+    rob_occ = rob_ace = 0.0
+    iq_occ = iq_ace = 0.0
+    lqt_occ = lqt_ace = 0.0
+    lqd_occ = lqd_ace = 0.0
+    sqt_occ = sqt_ace = 0.0
+    sqd_occ = sqd_ace = 0.0
+    rf_occ = rf_ace = 0.0
+    fu_occ = fu_ace = 0.0
+    sb_occ = sb_ace = 0.0
+
+    hierarchy_access = hierarchy.access
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+
+    branch_mispredictions = 0
+    min_dispatch_cycle = 1
+    fetch_resume_cycle = 0
+    last_commit_cycle = 0
+    final_cycle = 1
+    disp_cycle = -1
+    disp_count = 0
+    commit_count = 0
+
+    # Full iterations run the whole body; a budget ending mid-iteration adds
+    # one last iteration of ``tail_ops`` ops.
+    for iteration in range(full_iters + (1 if tail_ops else 0)):
+        for body_index in range(body_len if iteration < full_iters else tail_ops):
+            (_, is_memory, is_nop, is_lq, is_store, is_branch, is_mul,
+             is_arith, writes_reg, dest, srcs, ace, data_frac, width_frac,
+             fixed_latency, pattern, taken_probability, loop_closing,
+             pc) = body_infos[body_index]
+            dispatch = min_dispatch_cycle
+            if fetch_resume_cycle > dispatch:
+                dispatch = fetch_resume_cycle
+            if has_frontend:
+                dispatch += frontend_col[op_index]
+            if op_index >= rob_entries and commit_col[op_index - rob_entries] > dispatch:
+                dispatch = commit_col[op_index - rob_entries]
+            if is_lq:
+                if lq_count >= lq_entries and lq_commit_col[lq_count - lq_entries] > dispatch:
+                    dispatch = lq_commit_col[lq_count - lq_entries]
+            elif is_store:
+                if sq_count >= sq_entries and sq_commit_col[sq_count - sq_entries] > dispatch:
+                    dispatch = sq_commit_col[sq_count - sq_entries]
+            if writes_reg:
+                while (rename_drained < write_count
+                       and write_commit_col[rename_drained] <= dispatch):
+                    rename_drained += 1
+                if write_count - rename_drained >= free_rename:
+                    if write_commit_col[rename_drained] > dispatch:
+                        dispatch = write_commit_col[rename_drained]
+                    while (rename_drained < write_count
+                           and write_commit_col[rename_drained] <= dispatch):
+                        rename_drained += 1
+            if not is_nop:
+                while iq_len and iq_issue_heap[0] <= dispatch:
+                    heappop(iq_issue_heap)
+                    iq_len -= 1
+                if iq_len >= iq_entries:
+                    if iq_issue_heap[0] > dispatch:
+                        dispatch = iq_issue_heap[0]
+                    while iq_len and iq_issue_heap[0] <= dispatch:
+                        heappop(iq_issue_heap)
+                        iq_len -= 1
+            if dispatch == disp_cycle:
+                if disp_count >= dispatch_width:
+                    dispatch += 1
+                    disp_cycle = dispatch
+                    disp_count = 1
+                else:
+                    disp_count += 1
+            else:
+                disp_cycle = dispatch
+                disp_count = 1
+            min_dispatch_cycle = dispatch
+            if is_nop:
+                issue = dispatch
+                complete = dispatch
+                latency = 0
+            else:
+                issue = dispatch + 1
+                for src in srcs:
+                    ready = reg_ready[src]
+                    if ready > issue:
+                        issue = ready
+                while True:
+                    slot = issue & ring_mask
+                    if ring_tag[slot] == issue:
+                        if ring_issue[slot] >= issue_width:
+                            issue += 1
+                            continue
+                        if is_memory:
+                            if ring_mem[slot] >= memory_issue_width:
+                                issue += 1
+                                continue
+                        elif is_mul:
+                            if ring_mul[slot] >= int_multipliers:
+                                issue += 1
+                                continue
+                        elif ring_alu[slot] >= int_alus:
+                            issue += 1
+                            continue
+                    break
+                if issue - dispatch >= ring_size:
+                    ring_size, ring_mask, ring_tag, ring_issue, ring_mem, ring_alu, \
+                        ring_mul = OutOfOrderCore._grow_rings(
+                            issue - dispatch, dispatch, ring_size,
+                            ring_tag, ring_issue, ring_mem, ring_alu, ring_mul,
+                        )
+                    slot = issue & ring_mask
+                if ring_tag[slot] == issue:
+                    ring_issue[slot] += 1
+                else:
+                    ring_tag[slot] = issue
+                    ring_issue[slot] = 1
+                    ring_mem[slot] = 0
+                    ring_alu[slot] = 0
+                    ring_mul[slot] = 0
+                if is_memory:
+                    ring_mem[slot] += 1
+                elif is_mul:
+                    ring_mul[slot] += 1
+                else:
+                    ring_alu[slot] += 1
+                if fixed_latency is not None:
+                    latency = fixed_latency
+                else:
+                    latency = hierarchy_access(
+                        memory_cols[body_index][iteration], False, issue, ace
+                    )
+                complete = issue + latency
+            commit = complete + 1
+            if last_commit_cycle > commit:
+                commit = last_commit_cycle
+            if commit == last_commit_cycle and commit_count >= commit_width:
+                commit += 1
+            if commit == last_commit_cycle:
+                commit_count += 1
+            else:
+                commit_count = 1
+            last_commit_cycle = commit
+            if commit > final_cycle:
+                final_cycle = commit
+            if is_store and pattern is not None:
+                hierarchy_access(memory_cols[body_index][iteration], True, commit, ace)
+            if is_branch:
+                if mispredict_col[branch_index]:
+                    branch_mispredictions += 1
+                    resume = complete + mispredict_penalty
+                    if resume > fetch_resume_cycle:
+                        fetch_resume_cycle = resume
+                branch_index += 1
+            commit_append(commit)
+            if is_lq:
+                lq_commit_append(commit)
+                lq_count += 1
+            elif is_store:
+                sq_commit_append(commit)
+                sq_count += 1
+            if not is_nop:
+                heappush(iq_issue_heap, issue)
+                iq_len += 1
+            if writes_reg:
+                write_commit_append(commit)
+                write_count += 1
+            op_index += 1
+            duration = float(commit - dispatch)
+            rob_occ += duration
+            if ace:
+                rob_ace += duration * rob_bits
+            if not is_nop:
+                duration = float(issue - dispatch)
+                iq_occ += duration
+                if ace:
+                    iq_ace += duration * iq_bits
+            if is_lq:
+                lqt_occ += float(issue - dispatch)
+                duration = float(commit - issue)
+                lqt_occ += duration
+                if ace:
+                    lqt_ace += duration * lqt_bits
+                lqd_occ += float(complete - dispatch)
+                duration = float(commit - complete)
+                lqd_occ += duration
+                if data_frac:
+                    lqd_ace += duration * lqd_bits * data_frac
+            elif is_store:
+                sqt_occ += float(issue - dispatch)
+                duration = float(commit - issue)
+                sqt_occ += duration
+                if ace:
+                    sqt_ace += duration * sqt_bits
+                sqd_occ += float(issue - dispatch)
+                if data_frac:
+                    sqd_ace += duration * sqd_bits * data_frac
+                sqd_occ += duration
+                if track_sb:
+                    sb_occ += sb_drain
+                    if data_frac:
+                        sb_ace += sb_drain * sb_bits * data_frac
+            if is_arith:
+                duration = float(latency if latency > 1 else 1)
+                fu_occ += duration
+                if ace:
+                    fu_ace += duration * fu_bits
+            if ace:
+                for src in srcs:
+                    if reg_present[src] and issue > reg_last_read[src]:
+                        reg_last_read[src] = issue
+            if writes_reg:
+                if reg_present[dest]:
+                    if reg_ace[dest]:
+                        last_read = reg_last_read[dest]
+                        if last_read > reg_complete[dest]:
+                            duration = float(last_read - reg_complete[dest])
+                            rf_occ += duration
+                            rf_ace += duration * rf_bits * reg_width[dest]
+                else:
+                    reg_present[dest] = True
+                    extra_regs.append(dest)
+                reg_complete[dest] = complete
+                reg_width[dest] = width_frac
+                reg_ace[dest] = ace
+                reg_last_read[dest] = -1
+                reg_ready[dest] = complete
+
+    # Open register lifetimes: architected registers in index order, then
+    # late-allocated ones in first-write order, as the reference does.
+    for reg in range(architected):
+        if reg_ace[reg]:
+            last_read = reg_last_read[reg]
+            if last_read > reg_complete[reg]:
+                duration = float(last_read - reg_complete[reg])
+                rf_occ += duration
+                rf_ace += duration * rf_bits * reg_width[reg]
+    for reg in extra_regs:
+        if reg_ace[reg]:
+            last_read = reg_last_read[reg]
+            if last_read > reg_complete[reg]:
+                duration = float(last_read - reg_complete[reg])
+                rf_occ += duration
+                rf_ace += duration * rf_bits * reg_width[reg]
+
+    credit = ledger.credit
+    credit(StructureName.ROB, rob_occ, rob_ace)
+    credit(StructureName.IQ, iq_occ, iq_ace)
+    credit(StructureName.LQ_TAG, lqt_occ, lqt_ace)
+    credit(StructureName.LQ_DATA, lqd_occ, lqd_ace)
+    credit(StructureName.SQ_TAG, sqt_occ, sqt_ace)
+    credit(StructureName.SQ_DATA, sqd_occ, sqd_ace)
+    credit(StructureName.RF, rf_occ, rf_ace)
+    credit(StructureName.FU, fu_occ, fu_ace)
+    if track_sb:
+        credit(StructureName.SB, sb_occ, sb_ace)
+
+    hierarchy.finalize(final_cycle)
+    install_trackers(ledger, hierarchy)
+
+    stats.committed_instructions = full_iters * body_len + tail_ops
+    stats.committed_ace_instructions = full_iters * ace_total + ace_prefix[tail_ops]
+    stats.branch_count = full_iters * branch_total + branch_prefix[tail_ops]
+    stats.branch_mispredictions = branch_mispredictions
+    stats.l2_misses = hierarchy.load_l2_misses
+    stats.total_cycles = final_cycle
+    stats.dl1_miss_rate = (
+        hierarchy.dl1_misses / hierarchy.dl1_accesses if hierarchy.dl1_accesses else 0.0
+    )
+    stats.l2_miss_rate = (
+        hierarchy.l2_misses / hierarchy.l2_accesses if hierarchy.l2_accesses else 0.0
+    )
+    stats.dtlb_miss_rate = (
+        hierarchy.dtlb_misses / hierarchy.dtlb_accesses if hierarchy.dtlb_accesses else 0.0
+    )
+
+    return SimulationResult(
+        program_name=program.name,
+        config=config,
+        accumulators=dict(ledger.collect()),
+        stats=stats,
+        metadata=dict(program.metadata),
+    )
+
+
 def run_many(core, programs, max_instructions: int = 50_000):
     """Evaluate ``programs`` through the vector plane, aligned with the input.
 
-    Programs the lowering cannot express — or every program, should the
-    config's vector kernel fail to generate — run the interpreted reference
+    Programs the lowering cannot express run the interpreted reference
     instead, counted in ``STATS.fallbacks``; empty bodies run it inline
     without counting.
     """
-    if not programs:
-        return []
     config = core.config
-    kernel = _kernel.vector_kernel_for(config)
     results = []
     for program in programs:
         if not program.body:
             results.append(core.run_interpreted(program, max_instructions, True))
             continue
-        if kernel is not None and supports_vector(program):
+        if supports_vector(program):
             warm = _frozen_warm_for(config, program)
             if warm is not None:
                 try:
-                    # The kernel builds the interpreter's per-op info rows.
-                    result = kernel(core, program, max_instructions, warm=warm)
+                    result = vector_run(core, program, max_instructions, warm)
                 except Unvectorizable:
-                    result = None
-                if result is not None:
+                    pass
+                else:
                     STATS.vector_runs += 1
                     results.append(result)
                     continue

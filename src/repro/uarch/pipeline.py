@@ -35,10 +35,11 @@ inefficiencies) is modelled statistically: programs may carry
 Implementation notes (hot loop)
 -------------------------------
 ``run_interpreted`` is the reference implementation: ``run`` executes it for
-every single-program simulation, and the population planes of
-:mod:`repro.uarch.kernel_backends` (GA fitness evaluation) are generated
-from it and differentially tested against it (ARCHITECTURE.md, "Kernel
-lifecycle").  Its inner loop avoids per-dynamic-op Python overhead:
+every single-program simulation, and the ``vector`` population plane of
+:mod:`repro.uarch.kernel_backends` (GA fitness evaluation) transcribes it
+onto precomputed operand columns (:func:`repro.uarch.kernel_vector.
+vector_run`) and is differentially tested against it (ARCHITECTURE.md,
+"Kernel lifecycle").  Its inner loop avoids per-dynamic-op Python overhead:
 
 * Static per-instruction facts (class flags, latencies, ACE fractions,
   branch behaviour) are precomputed once per run into flat tuples instead of
@@ -171,8 +172,8 @@ class OutOfOrderCore:
         A single program runs the interpreted reference loop through
         :meth:`InterpretedBackend.run_one
         <repro.uarch.kernel_backends.InterpretedBackend.run_one>`: for the
-        short programs of the workload suite it beats compiling a kernel per
-        program.  Populations go through a kernel backend's ``run_many``
+        short programs of the workload suite it beats running each as a
+        vector batch of one.  Populations go through a kernel backend's ``run_many``
         instead (see :mod:`repro.uarch.kernel_backends`).
         """
         if functional_setup:
@@ -189,10 +190,10 @@ class OutOfOrderCore:
     ) -> SimulationResult:
         """The interpreted reference implementation of :meth:`run`.
 
-        Kept as the semantics oracle for the generated kernels: the
-        differential suite and the ``kernel-smoke`` gate compare the
-        population planes against it cycle-for-cycle and
-        ledger-credit-for-credit.
+        Kept as the semantics oracle for the vector plane: the
+        differential suite and the ``kernel-smoke`` gate compare
+        :func:`repro.uarch.kernel_vector.vector_run` against it
+        cycle-for-cycle and ledger-credit-for-credit.
         """
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")

@@ -87,7 +87,7 @@ class TestDefaultComponents:
         assert WORKLOAD_SUITES.names() == ["spec_int", "spec_fp", "mibench", "all"]
         assert FITNESS_OBJECTIVES.names() == ["balanced", "overall", "core_only"]
         assert SCALES.names() == ["quick", "default", "paper"]
-        assert BACKENDS.names() == ["serial", "process", "resilient"]
+        assert BACKENDS.names() == ["serial", "resilient"]
 
     def test_factories_build_the_canonical_objects(self):
         assert CONFIGS.create("config_a").rob_entries == 96
@@ -122,7 +122,7 @@ class TestDefaultComponents:
     def test_backend_factories(self):
         serial = BACKENDS.create("serial", 4)
         assert serial.jobs == 1
-        pool = BACKENDS.create("process", 2)
+        pool = BACKENDS.create("resilient", 2)
         try:
             assert pool.jobs == 2
         finally:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.api.spec import RUN_KINDS, RunResult, RunSpec, SpecError
+from repro.registry import RegistryError
 
 
 def tiny_stressmark_spec(**overrides) -> RunSpec:
@@ -73,6 +74,9 @@ class TestRunSpecValidation:
     def test_unknown_component_name_propagates_registry_error(self):
         with pytest.raises(KeyError, match="did you mean 'rhc'"):
             RunSpec(kind="stressmark", fault_rates="rch").validate()
+        # The removed ``process`` backend is an unknown name like any other.
+        with pytest.raises(RegistryError, match=r"\(registered: serial, resilient\)"):
+            RunSpec(kind="simulate", backend="process").validate()
 
     def test_unknown_spec_field_suggestion(self):
         with pytest.raises(SpecError, match="unknown spec field 'fault_rate'"):
@@ -164,12 +168,12 @@ class TestSweeps:
             backend="serial",
             base=RunSpec(kind="stressmark"),
             axes={"fault_rates": ("unit",)},
-            runs=(RunSpec(kind="simulate", jobs=2, backend="process"),),
+            runs=(RunSpec(kind="simulate", jobs=2, backend="resilient"),),
         )
         axis_child, explicit_child = sweep.expand()
         assert axis_child.jobs == 3 and axis_child.backend == "serial"
         # Children with their own settings keep them.
-        assert explicit_child.jobs == 2 and explicit_child.backend == "process"
+        assert explicit_child.jobs == 2 and explicit_child.backend == "resilient"
 
 
 class TestRunResult:

@@ -79,7 +79,7 @@ class TestCheapCommands:
         assert "fault-rate models" in output and "edr" in output
         assert "workload suites" in output and "mibench" in output
         assert "experiment scales" in output and "paper" in output
-        assert "evaluation backends" in output and "process" in output
+        assert "evaluation backends" in output and "resilient" in output
 
     def test_list_shows_tracked_structures(self, capsys):
         assert main(["list"]) == 0

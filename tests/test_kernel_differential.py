@@ -38,7 +38,7 @@ from repro.isa.memoryref import (
 )
 from repro.isa.program import BranchBehavior, Program, WarmupRegion
 from repro.stressmark.generator import StressmarkGenerator, reference_knobs
-from repro.uarch import kernel, kernel_vector
+from repro.uarch import kernel_vector
 from repro.uarch.config import MachineConfig, baseline_config, config_a, extended_config
 from repro.uarch.kernel_backends import BACKEND_ENV_VAR, KERNEL_BACKENDS, VECTOR, resolve
 from repro.uarch.pipeline import OutOfOrderCore
@@ -75,6 +75,10 @@ def constrained_config() -> MachineConfig:
         dispatch_width=2,
         commit_width=2,
     )
+
+
+#: The four configurations every tail-iteration case runs on.
+CONFIG_FACTORIES = (baseline_config, config_a, extended_config, constrained_config)
 
 
 def assert_identical(reference, candidate, label: str) -> None:
@@ -192,42 +196,45 @@ class TestKernelDifferential:
 
     @pytest.mark.parametrize("budget", [1, 17, 81, 82, 1000, 2_047])
     def test_partial_iteration_budgets(self, budget):
-        """Budgets that end mid-iteration exercise the kernel's tail path."""
-        config = baseline_config()
+        """Budgets that end mid-iteration exercise the loop's last, partial iteration.
+
+        Every config runs: ``extended`` covers the store buffer and
+        ``constrained`` a 12-entry ROB in that iteration.
+        """
         program = random_program(99, "tail-program")
-        reference, candidate = run_both(config, program, budget)
-        assert_identical(reference, candidate, f"budget-{budget}")
-        assert candidate.stats.committed_instructions == min(
-            budget, len(program.body) * program.iterations
-        )
+        for config_factory in CONFIG_FACTORIES:
+            config = config_factory()
+            reference, candidate = run_both(config, program, budget)
+            assert_identical(reference, candidate, f"budget-{budget}/{config.name}")
+            assert candidate.stats.committed_instructions == min(
+                budget, len(program.body) * program.iterations
+            )
 
     def test_dispatcher_uses_kernel_by_default(self, monkeypatch):
-        """Populations default to the vector kernel; single runs compile nothing."""
+        """Populations default to the vector plane; single runs never reach it."""
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        kernel.clear_kernels()
+        kernel_vector.clear_vector_caches()
         config = baseline_config()
         program = random_program(5, "dispatch-check")
         core = OutOfOrderCore(config, seed=3)
         single = core.run(program, max_instructions=500)
-        assert kernel.STATS.compiled == 0
+        assert kernel_vector.STATS.vector_runs == 0
         backend = resolve(None)
         assert backend is VECTOR
         (population,) = backend.run_many(core, [program], 500)
-        assert kernel.STATS.compiled == 1 and kernel_vector.STATS.vector_runs == 1
-        backend.run_many(core, [program], 500)
-        assert kernel.STATS.memo_hits >= 1
+        assert kernel_vector.STATS.vector_runs == 1
         assert_identical(single, population, "dispatch")
 
     def test_explicit_setup_section_falls_back_to_interpreter(self):
-        """functional_setup=False is out of kernel scope — results still match."""
-        kernel.clear_kernels()
+        """functional_setup=False is out of the vector plane's scope — results still match."""
+        kernel_vector.clear_vector_caches()
         config = baseline_config()
         program = random_program(7, "setup-check")
         program.setup = [make_alu(1, [0]), make_store(FixedPattern(address=64), srcs=[1])]
         core = OutOfOrderCore(config, seed=3)
         via_run = core.run(program, max_instructions=500, functional_setup=False)
         reference = core.run_interpreted(program, max_instructions=500, functional_setup=False)
-        assert kernel.STATS.compiled == 0
+        assert kernel_vector.STATS.vector_runs == 0
         assert_identical(reference, via_run, "setup-fallback")
 
 
@@ -287,10 +294,13 @@ class TestVectorKernelDifferential:
 
     @pytest.mark.parametrize("budget", [1, 17, 81, 1_999, 2_001])
     def test_partial_final_iteration_budgets(self, budget):
-        """Budgets ending mid-iteration exercise the vector kernel's tail."""
-        config = baseline_config()
+        """Budgets ending mid-iteration exercise the last, partial iteration on every config."""
         programs = [random_program(97, "vtail-a"), random_program(99, "vtail-b")]
-        self._assert_matches_interpreter(config, programs, budget, f"vector-budget-{budget}")
+        for config_factory in CONFIG_FACTORIES:
+            config = config_factory()
+            self._assert_matches_interpreter(
+                config, programs, budget, f"vector-budget-{budget}/{config.name}"
+            )
 
     @pytest.mark.parametrize(
         "reason", ["setup", "oversize_body", "over_budget", "int64_address"]
@@ -353,6 +363,26 @@ class TestVectorKernelDifferential:
                 f"vector-empty-body[{index}]",
             )
 
+    def test_vector_frozen_warm_eviction_does_not_break_reuse(self, monkeypatch):
+        """A frozen-warm memo of one still serves alternating footprints."""
+        kernel_vector.clear_vector_caches()
+        monkeypatch.setattr(kernel_vector, "VECTOR_WARM_CACHE_LIMIT", 1)
+        config = baseline_config()
+        first = random_program(76, "vevict-a")
+        second = random_program(77, "vevict-b")
+        second.warmup_regions = [WarmupRegion(base=8192, size_bytes=1 << 14, dirty=False)]
+        core = OutOfOrderCore(config, seed=3)
+        for round_index in range(2):
+            for program in (first, second):
+                results = kernel_vector.run_many(core, [program], 800)
+                assert_identical(
+                    core.run_interpreted(program, max_instructions=800),
+                    results[0],
+                    f"vevict-round-{round_index}/{program.name}",
+                )
+        assert len(kernel_vector._frozen_warm) == 1
+        kernel_vector.clear_vector_caches()
+
     def test_backend_run_many_routes_through_vector_plane(self):
         """The registered backend engages the vector plane for batches."""
         kernel_vector.STATS.reset()
@@ -369,86 +399,3 @@ class TestVectorKernelDifferential:
                 results[index],
                 f"vector-backend[{index}]",
             )
-
-
-class TestKernelCache:
-    """The in-process config-kernel memo behind vector_kernel_for."""
-
-    def test_failure_remembered_not_retried(self, monkeypatch):
-        kernel.clear_kernels()
-        config = baseline_config()
-        program = random_program(13, "failure-check")
-        calls = {"n": 0}
-
-        def boom(*args, **kwargs):
-            calls["n"] += 1
-            raise RuntimeError("codegen exploded")
-
-        monkeypatch.setattr(kernel, "generate_vector_kernel_source", boom)
-        assert kernel.vector_kernel_for(config) is None
-        assert kernel.vector_kernel_for(config) is None
-        assert calls["n"] == 1 and kernel.STATS.failures == 1
-        # The population plane degrades transparently to the interpreter,
-        # without generating again.
-        core = OutOfOrderCore(config, seed=3)
-        results = VECTOR.run_many(core, [program, program], 300)
-        assert calls["n"] == 1 and kernel.STATS.failures == 1
-        assert kernel_vector.STATS.fallbacks == 2
-        for result in results:
-            assert_identical(
-                core.run_interpreted(program, max_instructions=300), result, "failed-codegen"
-            )
-        kernel.clear_kernels()
-
-    def test_memo_is_bounded(self, monkeypatch):
-        kernel.clear_kernels()
-        monkeypatch.setattr(kernel, "CONFIG_KERNEL_CACHE_LIMIT", 2)
-        for config_factory in (baseline_config, extended_config, constrained_config):
-            assert kernel.vector_kernel_for(config_factory()) is not None
-        assert len(kernel._vector_kernels) == 2
-        kernel.clear_kernels()
-
-    def test_memo_eviction_is_least_recently_used(self, monkeypatch):
-        """A hit refreshes recency, so eviction drops the coldest entry."""
-        kernel.clear_kernels()
-        monkeypatch.setattr(kernel, "CONFIG_KERNEL_CACHE_LIMIT", 2)
-        configs = {
-            "a": baseline_config(), "b": extended_config(), "c": constrained_config(),
-        }
-        keys = {label: kernel.config_digest(config) for label, config in configs.items()}
-        assert kernel.vector_kernel_for(configs["a"]) is not None
-        assert kernel.vector_kernel_for(configs["b"]) is not None
-        assert kernel.vector_kernel_for(configs["a"]) is not None  # refresh a
-        assert kernel.vector_kernel_for(configs["c"]) is not None  # evicts b
-        assert keys["a"] in kernel._vector_kernels and keys["c"] in kernel._vector_kernels
-        assert keys["b"] not in kernel._vector_kernels
-        kernel.clear_kernels()
-
-    def test_vector_frozen_warm_eviction_does_not_break_reuse(self, monkeypatch):
-        """Same pinch for the vector plane's frozen-warm LRU."""
-        kernel.clear_kernels()
-        monkeypatch.setattr(kernel_vector, "VECTOR_WARM_CACHE_LIMIT", 1)
-        config = baseline_config()
-        first = random_program(76, "vevict-a")
-        second = random_program(77, "vevict-b")
-        second.warmup_regions = [WarmupRegion(base=8192, size_bytes=1 << 14, dirty=False)]
-        core = OutOfOrderCore(config, seed=3)
-        for round_index in range(2):
-            for program in (first, second):
-                results = kernel_vector.run_many(core, [program], 800)
-                assert_identical(
-                    core.run_interpreted(program, max_instructions=800),
-                    results[0],
-                    f"vevict-round-{round_index}/{program.name}",
-                )
-        assert len(kernel_vector._frozen_warm) == 1
-        kernel.clear_kernels()
-
-    def test_distinct_configs_get_distinct_kernels(self):
-        kernel.clear_kernels()
-        assert kernel.config_digest(baseline_config()) != kernel.config_digest(extended_config())
-        assert kernel.vector_kernel_for(baseline_config()) is not kernel.vector_kernel_for(
-            extended_config()
-        )
-        assert kernel.STATS.compiled == 2
-        kernel.clear_kernels()

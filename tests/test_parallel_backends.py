@@ -9,11 +9,11 @@ from repro.ga.genes import FloatGene, GeneSpace, IntGene
 from repro.ga.individual import Individual
 from repro.parallel.backends import (
     JOBS_ENV_VAR,
-    ProcessPoolBackend,
     SerialBackend,
     create_backend,
     resolve_jobs,
 )
+from repro.parallel.resilience import ResilientPoolBackend
 
 SPACE = GeneSpace([IntGene("a", 0, 50), IntGene("b", 0, 50), FloatGene("c", 0.0, 1.0)])
 
@@ -52,8 +52,6 @@ class TestResolveJobs:
         assert resolve_jobs(-4) == 1
 
     def test_create_backend_kinds(self, monkeypatch):
-        from repro.parallel.resilience import ResilientPoolBackend
-
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
         assert isinstance(create_backend(), SerialBackend)
         backend = create_backend(2)
@@ -77,8 +75,10 @@ class TestSerialBackend:
 
 
 class TestProcessPoolBackend:
+    """The process pool every ``jobs > 1`` run uses: ``ResilientPoolBackend``."""
+
     def test_map_preserves_order(self):
-        with ProcessPoolBackend(jobs=2) as backend:
+        with ResilientPoolBackend(jobs=2) as backend:
             assert backend.map(_square, list(range(10))) == [n * n for n in range(10)]
 
     def test_evaluate_matches_serial(self):
@@ -88,22 +88,22 @@ class TestProcessPoolBackend:
         serial = SerialBackend().evaluate_individuals(
             sphere_fitness, [ind.copy() for ind in individuals]
         )
-        with ProcessPoolBackend(jobs=2) as backend:
+        with ResilientPoolBackend(jobs=2) as backend:
             parallel = backend.evaluate_individuals(
                 sphere_fitness, [ind.copy() for ind in individuals]
             )
         assert serial == parallel
 
     def test_pool_reused_across_calls(self):
-        with ProcessPoolBackend(jobs=2) as backend:
+        with ResilientPoolBackend(jobs=2) as backend:
             backend.map(_square, [1, 2])
-            pool = backend._pool
+            pids = [worker.process.pid for worker in backend._workers]
             backend.map(_square, [3, 4])
-            assert backend._pool is pool
+            assert [worker.process.pid for worker in backend._workers] == pids
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
-            ProcessPoolBackend(jobs=0)
+            ResilientPoolBackend(jobs=0)
 
 
 class TestSeedStability:
@@ -114,7 +114,7 @@ class TestSeedStability:
         serial_result = GeneticAlgorithm(
             SPACE, sphere_fitness, params, backend=SerialBackend()
         ).run()
-        with ProcessPoolBackend(jobs=4) as backend:
+        with ResilientPoolBackend(jobs=4) as backend:
             parallel_result = GeneticAlgorithm(
                 SPACE, sphere_fitness, params, backend=backend
             ).run()

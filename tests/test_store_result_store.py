@@ -53,11 +53,16 @@ class TestBackends:
 
     def test_persists_across_reopen(self, tmp_path, backend):
         root = tmp_path / "store"
+        # A result stored while the ``process`` evaluation backend existed:
+        # loading validates no registry names, so it still reads back.
+        legacy = RunResult(spec=RunSpec(kind="simulate", name="legacy", backend="process"))
         with ResultStore(root, backend=backend) as store:
             digest = store.put(make_result())
+            legacy_digest = store.put(legacy)
         with open_store(root) as reopened:
             assert reopened.backend_name == backend
             assert reopened.get(digest).rows == make_result().rows
+            assert reopened.get(legacy_digest).spec.backend == "process"
 
     def test_missing_digest_is_none(self, tmp_path, backend):
         with ResultStore(tmp_path / "store", backend=backend) as store:
