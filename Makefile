@@ -28,18 +28,21 @@ specs-smoke:
 store-smoke:
 	REPRO_STORE_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_store_smoke.py -m store_smoke -q
 
-# Tier-2 accounting gate: rerun the small-scale workload matrix and
-# byte-compare per-structure AVF / group SER against the checked-in golden
+# Tier-2 accounting gate: rerun the small-scale workload matrix on the
+# default single-program path (the vector plane) and byte-compare
+# per-structure AVF / group SER against the checked-in golden
 # (benchmarks/golden_avf.json; see ARCHITECTURE.md).
 avf-smoke:
 	REPRO_AVF_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_avf_smoke.py -m avf_smoke -q
 
-# Regenerate the AVF golden — only for INTENTIONAL accounting changes.
+# Regenerate the AVF golden from the interpreted oracle — only for INTENTIONAL
+# accounting changes.
 avf-golden:
 	$(PYTHON) -c "from repro.avf.goldens import write_golden; write_golden()"
 
-# Tier-2 kernel gate: vector-plane vs interpreter parity on the golden
-# workload matrix, plus a same-run vector-over-interpreter speedup floor vs
+# Tier-2 kernel gate: the golden workload matrix as vector-plane populations
+# vs the interpreted loop (named explicitly), byte for byte and against the
+# golden, plus a same-run vector-over-interpreter speedup floor vs
 # BENCH_pipeline.json (see PERFORMANCE.md and ARCHITECTURE.md, "Kernel lifecycle").
 kernel-smoke:
 	REPRO_KERNEL_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_kernel_smoke.py -m kernel_smoke -q

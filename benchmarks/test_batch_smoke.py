@@ -17,8 +17,9 @@ Two checks on the plane GA populations run through (ARCHITECTURE.md,
   regression allowance)``.
 
 The routing of each fallback reason (setup sections, oversize bodies, runs
-over ``VECTOR_MAX_OPS``, address streams past the int64 window) is pinned in
-tier-1 by ``tests/test_kernel_differential.py``.
+over ``VECTOR_MAX_OPS``, several warm-up regions, address streams or a
+region past the int64 window) is pinned in tier-1 by
+``tests/test_kernel_differential.py``.
 
 Run via ``make batch-smoke`` or ``REPRO_BATCH_SMOKE=1``; skipped in plain
 test runs (the parity matrix takes tens of seconds).

@@ -6,10 +6,12 @@ Two checks on the population plane every GA fitness evaluation takes
 * **Parity** — the full ``avf-smoke`` workload matrix (mibench ×
   ``baseline``/``extended``) is simulated twice, once as one population per
   config through the ``vector`` plane and once through the interpreted
-  reference loop, and the canonical AVF/SER payloads are compared byte for
-  byte; the vector payload must also still match the checked-in
-  ``benchmarks/golden_avf.json``.  Every proxy must actually vectorize, so a
-  silent fallback cannot turn the gate into interpreter vs interpreter.
+  reference loop (``INTERPRETED``, named explicitly: the default
+  single-program path is the vector plane too), and the canonical AVF/SER
+  payloads are compared byte for byte; the vector payload must also still
+  match the checked-in ``benchmarks/golden_avf.json``.  Every proxy must
+  actually vectorize, so a silent fallback cannot turn the gate into
+  interpreter vs interpreter.
 * **Throughput floor** — on the 50k-op reference simulation the vector
   plane's same-run speedup over the interpreter must not fall more than 30%
   below the baseline recorded in ``BENCH_pipeline.json``, and never below
@@ -30,7 +32,7 @@ from _bench_utils import assert_kernel_throughput_floor
 from repro.avf.goldens import avf_smoke_payload, golden_path, render_payload
 from repro.experiments.bench import bench_pipeline
 from repro.uarch import kernel_vector
-from repro.uarch.kernel_backends import VECTOR
+from repro.uarch.kernel_backends import INTERPRETED, VECTOR
 
 pytestmark = [pytest.mark.kernel_smoke]
 if not os.environ.get("REPRO_KERNEL_SMOKE"):
@@ -54,7 +56,7 @@ class TestKernelParity:
             "vector plane did not simulate the whole matrix — the gate compared nothing"
         )
 
-        interpreted_payload = render_payload(avf_smoke_payload())
+        interpreted_payload = render_payload(avf_smoke_payload(INTERPRETED))
         if vector_payload != interpreted_payload:
             diff = "\n".join(
                 difflib.unified_diff(

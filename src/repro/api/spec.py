@@ -74,7 +74,7 @@ class RunSpec:
     GA populations execute (a :data:`~repro.uarch.kernel_backends.
     KERNEL_BACKENDS` name — ``vector`` or ``interpreted``); unset means the
     ``REPRO_KERNEL_BACKEND`` environment (or the ``vector`` default)
-    applies.  Single-program simulations always run the interpreter.  Both
+    applies.  Single-program simulations always run the vector plane.  Both
     backends are bit-identical, so a pin never changes results; but the
     field is part of the spec's JSON when set, so a spec that names a
     kernel backend has a different digest (and store key) than one that

@@ -34,11 +34,13 @@ SMOKE_CONFIGS = ("baseline", "extended")
 def avf_smoke_payload(backend=None) -> dict:
     """Simulate the smoke matrix and return the canonical payload dict.
 
-    By default every proxy runs through the Session's single-program path
-    (the interpreter).  ``backend`` — a kernel backend such as
-    :data:`~repro.uarch.kernel_backends.VECTOR` — instead simulates each
-    config's proxies as one population through its ``run_many``; the
-    payload must not change (the ``kernel-smoke`` gate).
+    By default every proxy runs through the Session's single-program path,
+    which is the vector plane: ``make avf-smoke`` pins that default path
+    against the golden.  ``backend`` — a kernel backend such as
+    :data:`~repro.uarch.kernel_backends.INTERPRETED` or ``VECTOR`` —
+    instead simulates each config's proxies as one population through its
+    ``run_many``; the payload must not change (the ``kernel-smoke`` gate
+    compares the interpreter's with the vector plane's).
     """
     from repro.api.session import Session
     from repro.api.spec import RunSpec
@@ -102,9 +104,15 @@ def golden_path(base: "Path | str | None" = None) -> Path:
 
 
 def write_golden(path: "Path | str | None" = None) -> Path:
-    """Regenerate the golden file (``make avf-golden``); returns its path."""
+    """Regenerate the golden file (``make avf-golden``); returns its path.
+
+    The golden is written from the interpreted oracle, not the default
+    single-program path (the vector plane) that ``make avf-smoke`` checks.
+    """
+    from repro.uarch.kernel_backends import INTERPRETED
+
     destination = golden_path(path)
     destination.parent.mkdir(parents=True, exist_ok=True)
-    destination.write_text(render_payload(avf_smoke_payload()))
+    destination.write_text(render_payload(avf_smoke_payload(INTERPRETED)))
     print(f"AVF golden written to {destination}")
     return destination

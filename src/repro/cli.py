@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="how GA populations execute: "
                              f"{' or '.join(repr(name) for name in KERNEL_BACKENDS.names())}; "
                              "both are bit-identical, single programs always run "
-                             "the interpreter (default: $REPRO_KERNEL_BACKEND, then vector)")
+                             "vector (default: $REPRO_KERNEL_BACKEND, then vector)")
     parser.add_argument("--repair", action="store_true",
                         help="fsck command only: repair salvageable damage in place "
                              "(truncate torn JSONL tails, drop unloadable checkpoints, "

@@ -70,11 +70,11 @@ def _signature(result) -> tuple:
 def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
     """Time a single detailed simulation of the reference stressmark.
 
-    ``seconds`` / ``instructions_per_second`` describe
-    :meth:`OutOfOrderCore.run` — the single-program path, which is the
-    interpreted reference loop.  ``vector_seconds`` times the same program
-    as a population of one through the vector plane (the path GA fitness
-    evaluation takes), back to back in the same process after one untimed
+    ``seconds`` / ``instructions_per_second`` describe the interpreted
+    reference loop (:meth:`OutOfOrderCore.run_interpreted`).
+    ``vector_seconds`` times the same program as a population of one through
+    the vector plane (the path :meth:`OutOfOrderCore.run` and GA fitness
+    evaluation take), back to back in the same process after one untimed
     warm-up run; ``vector_speedup`` (interpreter over vector) is the
     same-run ratio the kernel-smoke and bench-smoke floors hold, and
     ``vector_identical`` asserts both results agree bit for bit.
@@ -86,8 +86,8 @@ def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
     program = generator.codegen.generate(reference_knobs(config))
     core = OutOfOrderCore(config, seed=1)
 
-    result = core.run(program, max_instructions=instructions)
-    seconds = _best_of(lambda: core.run(program, max_instructions=instructions), repeats)
+    result = core.run_interpreted(program, instructions, True)
+    seconds = _best_of(lambda: core.run_interpreted(program, instructions, True), repeats)
 
     vector_result = VECTOR.run_many(core, [program], instructions)[0]  # warm-up
     vector_seconds = _best_of(lambda: VECTOR.run_many(core, [program], instructions), repeats)
@@ -348,9 +348,9 @@ def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
 
     One GA-generation-shaped batch of ``batch`` *fresh* genomes (never seen
     by any memo) runs through the ``vector`` backend's ``run_many`` —
-    operand columns precomputed with numpy, one frozen flat-array warm
-    state — and, back to back, through the interpreter genome by genome.
-    An untimed warm-up batch first freezes the shared warm state, so
+    operand columns precomputed with numpy, one flat-array warm state per
+    footprint — and, back to back, through the interpreter genome by genome.
+    An untimed warm-up batch first builds the shared warm states, so
     ``vector_seconds`` measures the steady state a GA search lives in;
     fresh batches still pay their own column builds inside the timed
     region.  The interpreter has no cross-genome state to warm — that

@@ -186,26 +186,6 @@ class Cache:
 
         return hit, evicted_dirty, evicted_address, evicted_ace
 
-    def access_many(
-        self, addresses, is_write: bool, cycles, ace: bool = True
-    ) -> list[tuple[bool, bool, Optional[int], bool]]:
-        """Bulk :meth:`access_parts` over an address column.
-
-        ``addresses`` is any integer sequence (list or numpy array) and
-        ``cycles`` is a matching sequence or one scalar cycle.  LRU and
-        lifetime state mutate between elements, so the in-order loop *is*
-        the semantics — the bulk form removes per-call overhead for array
-        producers, it never reorders.  Integer-exact: results are the same
-        tuples ``access_parts`` returns, element for element.
-        """
-        access = self.access_parts
-        if isinstance(cycles, int):
-            return [access(int(address), is_write, cycles, ace) for address in addresses]
-        return [
-            access(int(address), is_write, int(cycle), ace)
-            for address, cycle in zip(addresses, cycles)
-        ]
-
     def warm_line(
         self,
         address: int,

@@ -132,25 +132,6 @@ class MemoryHierarchy:
 
         return latency, dl1_hit, l2_hit, tlb_hit
 
-    def access_many(
-        self, addresses, is_write: bool, cycles, ace: bool = True
-    ) -> list[tuple[int, bool, bool, bool]]:
-        """Bulk :meth:`access_parts` over an address column.
-
-        ``addresses`` is any integer sequence (list or numpy array) and
-        ``cycles`` a matching sequence or one scalar cycle.  Replacement and
-        lifetime state mutate between elements, so the in-order loop is the
-        semantics — bulk only removes per-call overhead for array producers,
-        it never reorders accesses.  Integer-exact.
-        """
-        access = self.access_parts
-        if isinstance(cycles, int):
-            return [access(int(address), is_write, cycles, ace) for address in addresses]
-        return [
-            access(int(address), is_write, int(cycle), ace)
-            for address, cycle in zip(addresses, cycles)
-        ]
-
     def warm_region(
         self,
         base: int,

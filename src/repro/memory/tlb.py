@@ -122,22 +122,6 @@ class Tlb:
             entry.last_ace_use = cycle
         return True
 
-    def access_many(self, addresses, cycles, ace: bool = True) -> list[bool]:
-        """Bulk :meth:`access` over an address column (one bool per element).
-
-        ``cycles`` is a matching sequence or one scalar cycle.  Residency
-        state mutates between elements, so the in-order loop is the
-        semantics; the bulk form only removes per-call overhead for array
-        producers (it accepts numpy integer columns directly).
-        """
-        access = self.access
-        if isinstance(cycles, int):
-            return [access(int(address), cycles, ace) for address in addresses]
-        return [
-            access(int(address), int(cycle), ace)
-            for address, cycle in zip(addresses, cycles)
-        ]
-
     def warm_page(self, address: int, cycle: int = 0, ace: bool = True, recurrent: bool = False) -> None:
         """Pre-install the translation for ``address`` as part of warm-up.
 

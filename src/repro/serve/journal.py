@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -95,12 +96,15 @@ class JobJournal:
     One daemon owns one journal; the advisory flock merely protects against
     a misconfigured second daemon sharing the file.  All methods are safe to
     call from the server's connection and evaluation threads — appends are
-    single atomic writes and replay happens before the threads start.
+    single atomic writes, replay happens before the threads start, and
+    appends and compaction take one lock, so a drain's compaction cannot
+    drop a terminal the evaluation thread journals meanwhile.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
 
     # ---------------------------------------------------------------- append
 
@@ -127,13 +131,14 @@ class JobJournal:
         # Chaos site "serve-journal": the truncate kind tears this append in
         # half, exactly like a daemon killed mid-write (no-op outside tests).
         line = chaos_mangle("serve-journal", line)
-        fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-        with os.fdopen(fd, "r+b") as handle:
-            with _exclusive_lock(handle):
-                self._truncate_torn_tail(handle)
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
+        with self._lock:
+            fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
+            with os.fdopen(fd, "r+b") as handle:
+                with _exclusive_lock(handle):
+                    self._truncate_torn_tail(handle)
+                    handle.write(line)
+                    handle.flush()
+                    os.fsync(handle.fileno())
 
     @staticmethod
     def _truncate_torn_tail(handle) -> None:
@@ -245,17 +250,16 @@ class JobJournal:
         daemon re-enqueues).  ``start`` markers are dropped: a recovered job
         goes back to ``queued``.  Returns the number of entries kept.
         """
-        if entries is None:
-            entries = self.outstanding()
-        kept = list(entries)
-        lines = []
-        for entry in kept:
-            lines.append(json.dumps({
-                "schema_version": JOURNAL_SCHEMA_VERSION,
-                "event": SUBMIT,
-                "digest": entry.digest,
-                "spec": entry.spec,
-                "client": entry.client,
-            }, separators=(",", ":")))
-        atomic_write_text(self.path, "".join(line + "\n" for line in lines))
+        with self._lock:
+            kept = list(self.outstanding() if entries is None else entries)
+            lines = []
+            for entry in kept:
+                lines.append(json.dumps({
+                    "schema_version": JOURNAL_SCHEMA_VERSION,
+                    "event": SUBMIT,
+                    "digest": entry.digest,
+                    "spec": entry.spec,
+                    "client": entry.client,
+                }, separators=(",", ":")))
+            atomic_write_text(self.path, "".join(line + "\n" for line in lines))
         return len(kept)

@@ -130,8 +130,8 @@ class StressmarkEvaluator:
         Bit-identical to calling the evaluator per individual — one
         ``OutOfOrderCore`` per simulation with the same seed, the same
         codegen, the same fitness — but the backend's ``run_many`` (``vector``
-        unless pinned) shares one frozen warm cache/TLB state across the
-        whole slice.
+        unless pinned) shares one warm cache/TLB state per footprint across
+        the whole slice.
         """
         decoded = [self.knob_space.decode(individual.genome) for individual in individuals]
         programs = [self.codegen.generate(knobs) for knobs in decoded]

@@ -14,14 +14,16 @@ environment (``REPRO_KERNEL_BACKEND``):
   (:func:`repro.uarch.kernel_vector.vector_run`).  Programs the column lowering cannot
   express — explicit setup sections, bodies over
   :data:`~repro.uarch.kernel_vector.MAX_KERNEL_BODY`, runs over
-  :data:`~repro.uarch.kernel_vector.VECTOR_MAX_OPS`, address streams past
-  the int64 window — run the interpreted reference per program.
+  :data:`~repro.uarch.kernel_vector.VECTOR_MAX_OPS`, more than one warm-up
+  region, address streams or a region past the int64 window — run the
+  interpreted reference per program.
 * ``interpreted`` — the reference loop, the semantics oracle every fast
   path is differentially tested against.
 
 Single-program runs (:meth:`OutOfOrderCore.run
-<repro.uarch.pipeline.OutOfOrderCore.run>`) always execute through
-:meth:`InterpretedBackend.run_one`; no pin applies to them.
+<repro.uarch.pipeline.OutOfOrderCore.run>`) execute on the ``vector`` plane
+as a population of one, through :meth:`VectorKernelBackend.run_many` and
+whatever the pin; what that plane cannot lower runs the interpreter there.
 
 Both planes are bit-identical by construction; selection is purely about
 speed, which is why evaluation/fitness-cache digests deliberately do *not*
@@ -43,13 +45,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Environment selector for population evaluation.
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-# Routing by measurement (2-core x86_64, Python 3.11, numpy 2.4.6; one
-# process per plane, Session.run cold / warm):
+# Routing by measurement (2-core x86_64, Python 3.11.7, numpy 2.4.6):
 # ga_search_spec(1, 0..1) populations -> vector 2.2 / 1.4 s, the since-deleted
-#   batch kernel 5.2 / 4.4 s
-# workload_suite_spec(1, 0..1) single programs -> interpreter 4.6 / 7.1 s at
-#   105 MB, per-program source kernels 10.4 / 13.5 s at 175 MB (~200 ms compile
-#   per ~70 ms proxy) — so OutOfOrderCore.run stays on the interpreter.
+#   batch kernel 5.2 / 4.4 s (Session.run cold / warm, one process per plane)
+# workload_suite single programs -> vector 1.15 / 1.22 s at 70 MB, the
+#   interpreter 4.32 / 6.64 s at 105 MB (perfbench seed 1, cold / warm,
+#   medians of 10 alternating pairs); serve_mixed 49 vs 17 req/s — so
+#   OutOfOrderCore.run sends single programs to VECTOR.run_many too.
 DEFAULT_BACKEND = "vector"
 
 KERNEL_BACKENDS = Registry("kernel backend")
@@ -91,8 +93,9 @@ class VectorKernelBackend(KernelBackend):
 
     ``run_many`` lowers every vectorizable genome to operand columns and
     runs :func:`~repro.uarch.kernel_vector.vector_run`; genomes the column
-    lowering cannot express run the interpreted reference per program.  Single programs never reach this
-    plane.
+    lowering cannot express run the interpreted reference per program.
+    :meth:`OutOfOrderCore.run <repro.uarch.pipeline.OutOfOrderCore.run>`
+    sends single programs here as populations of one.
     """
 
     name = "vector"

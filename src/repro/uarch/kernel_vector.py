@@ -1,10 +1,11 @@
-"""The ``vector`` kernel backend: population evaluation over operand columns.
+"""The ``vector`` kernel backend: simulation over operand columns.
 
 A GA generation evaluates a whole population of genomes against one machine
-configuration.  This plane shares one functional warm-up across that
-population, and removes per-op Python dispatch from the timing loop by
-*lowering* each genome's dynamic instruction stream to precomputed columns
-before the loop runs:
+configuration; a single program (``OutOfOrderCore.run``) is a population of
+one.  This plane shares one functional warm-up across a population, and
+removes per-op Python dispatch from the timing loop by *lowering* each
+genome's dynamic instruction stream to precomputed columns before the loop
+runs:
 
 * **front-end column** — one stall penalty (0 or the miss penalty) per
   dynamic op, drawn from the frontend RNG stream in reference order;
@@ -24,11 +25,11 @@ transcription of the interpreted reference loop) then runs against a
 :class:`VectorHierarchy` — the memory hierarchy's replacement,
 lifetime and residency state flattened to per-slot integer columns with one
 inlined ``access`` method.  Warm-up is deterministic, draws no RNG and runs
-entirely at cycle 0, so one *warm master* per (config, warm footprint) — a
-real :class:`~repro.memory.hierarchy.MemoryHierarchy` warmed against a fresh
-ledger exactly as the interpreter warms it — is built, frozen into a
-:class:`VectorWarmState` and dropped; each genome rematerializes the frozen
-image by cheap list copies.
+entirely at cycle 0, so the state ``MemoryHierarchy.warm_region`` leaves
+behind for a program's one ``WarmupRegion`` is a closed-form function of
+it: :meth:`VectorWarmState.build` writes those flat arrays straight from
+the footprint (no object hierarchy is built), once per (config, footprint),
+and each genome rematerializes them by cheap list copies.
 
 Everything on the AVF path stays integer-exact: word lifetime state packs
 ``cycle * 8 + event_code * 2 + write_ace`` into one int, residency credits
@@ -40,9 +41,10 @@ incrementally — so results are bit-identical to the interpreted reference
 byte-compares).
 
 Programs the lowering cannot express (explicit setup sections, bodies over
-:data:`MAX_KERNEL_BODY`, runs over :data:`VECTOR_MAX_OPS`, address columns
-that overflow the int64 window) run the interpreted reference instead, one
-program at a time, counted in ``STATS.fallbacks``.
+:data:`MAX_KERNEL_BODY`, runs over :data:`VECTOR_MAX_OPS`, more than one
+warm-up region, address columns or a region that overflow the int64 window)
+run the interpreted reference instead, one program at a time, counted in
+``STATS.fallbacks``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from repro.isa.memoryref import (
     PointerChasePattern,
     StridedPattern,
 )
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.uarch.pipeline import OutOfOrderCore, SimulationResult, SimulationStats
 from repro.uarch.structures import StructureName
 from repro.utils.rng import DeterministicRng
@@ -67,6 +68,8 @@ from repro.vuln.ledger import VulnerabilityLedger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.isa.program import Program
+    from repro.memory.cache import CacheConfig
+    from repro.memory.tlb import TlbConfig
     from repro.uarch.config import MachineConfig
 
 #: Dynamic-op ceiling for column materialization (memory bound, not a
@@ -89,11 +92,20 @@ MAX_KERNEL_BODY = 4096
 #: arithmetic; anything near the edge takes the (unbounded-int) fallback.
 _INT64_GUARD = 1 << 60
 
-#: Frozen warm states kept per process.  A GA search touches at most two
+#: Warm states kept per process.  A GA search touches at most two
 #: footprints (the knob space only toggles the L2-miss region's presence).
-VECTOR_WARM_CACHE_LIMIT = 8
-
-_MISSING = object()
+#
+# A build costs 2.7x (baseline) and 3.6x (config_a) the materialize a hit
+# pays (medians over the 33 proxies at 2k ops, PERFORMANCE.md), so the memo
+# stays.  Sizing runs: perfbench seed 1 at 1 / 2 / 8 entries, medians of 3
+# rotations (2 for the suite), in parentheses the freeze-based warm-up this
+# replaced (shared 2-core x86_64, Python 3.11.7, numpy 2.4.6):
+#   ga_search       cold 1.56 / 1.42 / 1.45 s (1.91), RSS 58 / 61 / 61 MB (80)
+#   serve_mixed     warm 0.106 / 0.082 / 0.083 s (0.076), RSS 60 / 67 / 99 MB (78.5)
+#   workload_suite  cold 1.45 / 1.53 / 1.71 s (5.04), RSS 62 / 73 / 115 MB (105)
+# One entry rebuilds at every footprint switch of a GA population; eight
+# hold enough states to outgrow the memory of the plane this replaced.
+VECTOR_WARM_CACHE_LIMIT = 2
 
 
 class Unvectorizable(Exception):
@@ -109,13 +121,13 @@ class VectorStats:
     def reset(self) -> None:
         self.vector_runs = 0
         self.fallbacks = 0
-        self.warm_freezes = 0
+        self.warm_builds = 0
 
 
 STATS = VectorStats()
 
-#: (config, warm signature) -> frozen VectorWarmState or None.
-_frozen_warm: dict[tuple, Optional["VectorWarmState"]] = {}
+#: (config, warm signature) -> VectorWarmState, least recently used first.
+_frozen_warm: dict[tuple, "VectorWarmState"] = {}
 
 #: (global_entries, local_entries, choice_entries) -> predictor template.
 _predictor_templates: dict[tuple, tuple] = {}
@@ -133,9 +145,17 @@ def supports_vector(program: "Program") -> bool:
 
     Explicit setup sections replay stateful warm-up (and draw the setup RNG
     stream) that the shared warm state does not capture; oversize bodies
-    are not worth specializing.
+    are not worth specializing.  The warm state has a closed form for one
+    warm-up region inside the int64 window, and every generated program
+    declares exactly one.
     """
-    return not program.setup and len(program.body) <= MAX_KERNEL_BODY
+    regions = program.warmup_regions
+    return (
+        not program.setup
+        and len(program.body) <= MAX_KERNEL_BODY
+        and len(regions) <= 1
+        and all(abs(region.base) + region.size_bytes < _INT64_GUARD for region in regions)
+    )
 
 
 # --------------------------------------------------------------- predictor
@@ -405,17 +425,11 @@ def build_columns(
 
 # --------------------------------------------------------- flat hierarchy
 
-#: Word lifetime events packed into the low three state bits
-#: (``cycle * 8 + code``): FILL=0, READ=2, WRITE=4, +1 when the recorded
-#: write was ACE.  ``state & 7 == 5`` is therefore "ACE write still live" —
-#: the only terminal state that earns credit on eviction or finalize.
-_EVENT_CODES = {"fill": 0, "read": 2, "write": 4}
-
 
 class VectorHierarchy:
     """DL1 + L2 + DTLB (+ L2 TLB) flattened to integer columns.
 
-    One object per genome run, rematerialized from a frozen
+    One object per genome run, rematerialized from a
     :class:`VectorWarmState` by shallow list copies.  Semantically a
     statement-for-statement replica of :meth:`MemoryHierarchy.access_parts`
     restricted to what the simulation result can observe: latencies, access
@@ -423,6 +437,11 @@ class VectorHierarchy:
     totals per structure.  LRU victims are found by a first-minimum scan in
     dict insertion order — identical to the reference ``min()`` because
     neither implementation ever reorders entries in place.
+
+    A word's lifetime state packs ``cycle * 8 + code`` (-1 = untouched):
+    FILL=0, READ=2, WRITE=4, +1 when the recorded write was ACE.
+    ``state & 7 == 5`` is therefore "ACE write still live" — the only
+    terminal state that earns credit on eviction or finalize.
     """
 
     __slots__ = (
@@ -748,95 +767,96 @@ def install_trackers(ledger, hierarchy: VectorHierarchy) -> None:
         )
 
 
-# ------------------------------------------------------------- warm freezing
+# ------------------------------------------------------------- warm building
 
 
-def _freeze_cache(cache) -> Optional[tuple]:
-    """Flatten one warm Cache to column template state (None if unprovable).
+def _warm_cache(cache: "CacheConfig", step_bytes: int, region) -> tuple:
+    """``(sets, line_no, dirty, dirty_ace, word_state, free, wa_count)`` of
+    one cache after warming ``region`` (``None``: nothing) into it.
 
-    The flat replica relies on the invariant "word touched <=> word state
-    live in the tracker"; the freeze *checks* it (count and membership)
-    rather than assuming it, so any warm-up path that breaks it degrades to
-    the interpreter instead of silently diverging.
+    ``MemoryHierarchy.warm_region`` walks only the tail of the region the
+    cache can hold, counting its lines in the DL1's ``step_bytes`` whatever
+    the cache's own line size, and writes the ``words`` leading words of
+    each line in packed word state ``state`` at cycle 0: 5 for dirty ACE
+    data, 4 for dirty un-ACE data, 0 for clean fills.  Consecutive lines
+    deal round-robin over the sets.  Every warmed line has last use 0, so a
+    set dealt more lines than it has ways keeps the last ``associativity``
+    of them, in arrival order; way ``w`` of set ``s`` is slot
+    ``s * associativity + w``.
     """
-    num_sets = cache._num_sets
-    associativity = cache._associativity
-    words_per_line = cache._words_per_line
-    num_lines = num_sets * associativity
-    sets: list[dict] = []
-    line_no = [0] * num_lines
-    dirty = [False] * num_lines
-    dirty_ace = [False] * num_lines
-    last_use = [0] * num_lines
-    word_state = [-1] * (num_lines * words_per_line)
-    live = cache.lifetime._live
-    wa_count = 0
-    wa_sum = 0
-    slot = 0
-    installed = 0
-    for set_index, cache_set in enumerate(cache._sets):
-        flat_set: dict = {}
-        for tag, line in cache_set.items():
-            line_number = tag * num_sets + set_index
-            flat_set[tag] = slot
-            line_no[slot] = line_number
-            dirty[slot] = line.dirty
-            dirty_ace[slot] = line.dirty_ace
-            last_use[slot] = line.last_use
-            base = slot * words_per_line
-            for word in line.words_touched:
-                state = live.get((line_number, word))
-                if state is None:
-                    return None
-                packed = state[1] * 8 + _EVENT_CODES[state[0].value] + (1 if state[2] else 0)
-                word_state[base + word] = packed
-                if packed & 7 == 5:
-                    wa_count += 1
-                    wa_sum += state[1]
-                installed += 1
-            slot += 1
-        sets.append(flat_set)
-    if installed != len(live):
-        return None  # live word state outside any resident line
-    free = list(range(num_lines - 1, slot - 1, -1))
-    stats = cache.stats
+    first_line = count = words = state = 0
+    if region is not None:
+        base, size_bytes, dirty, ace, word_fraction, _ = region
+        span = min(size_bytes, cache.size_bytes)
+        count = len(range(size_bytes - span, size_bytes, step_bytes))
+        first_line = (base + size_bytes - span) // cache.line_bytes
+        words = int(round(word_fraction * cache.words_per_line))
+        state = (5 if ace else 4) if dirty else 0
+    num_sets = cache.num_sets
+    ways = cache.associativity
+    set_ids = _np.arange(num_sets, dtype=_np.int64)
+    offset = (set_ids - first_line) % num_sets  # region index of the set's first line
+    dealt = _np.where(offset < count, (count - 1 - offset) // num_sets + 1, 0)
+    kept = _np.minimum(dealt, ways)
+    used = _np.arange(ways) < kept[:, None]
+    tags = ((first_line + offset) // num_sets + dealt - kept)[:, None] + _np.arange(ways)
+    slots = _np.flatnonzero(used)
+    sets: list[dict] = [{} for _ in range(num_sets)]
+    for set_index, tag, slot in zip(
+        (slots // ways).tolist(), tags.ravel()[slots].tolist(), slots.tolist()
+    ):
+        sets[set_index][tag] = slot
+    # Sets hold at most two line counts, in at most three runs of sets: one
+    # list repeat per run is several times cheaper than a numpy ``tolist``.
+    wpl = cache.words_per_line
+    line_words = [state] * words + [-1] * (wpl - words)
+    word_state: list = []
+    bounds = [0, *(_np.flatnonzero(_np.diff(kept)) + 1).tolist(), num_sets]
+    for start, stop in zip(bounds, bounds[1:]):
+        lines = int(kept[start])
+        word_state += (line_words * lines + [-1] * (wpl * (ways - lines))) * (stop - start)
+    written = used.ravel() & (words > 0)
     return (
-        sets, line_no, dirty, dirty_ace, last_use, word_state, free,
-        stats.accesses, stats.misses,
-        cache.lifetime.ace_word_cycles, wa_count, wa_sum,
+        sets,
+        _np.where(used, tags * num_sets + set_ids[:, None], 0).ravel().tolist(),
+        (written & (state >= 4)).tolist(),
+        (written & (state == 5)).tolist(),
+        word_state,
+        _np.flatnonzero(~used.ravel())[::-1].tolist(),  # lowest free slot pops first
+        len(slots) * words if state == 5 else 0,
     )
 
 
-def _freeze_tlb(tlb) -> Optional[tuple]:
-    """Flatten one warm Tlb to column template state (None if unprovable)."""
-    capacity = tlb._capacity
-    tlb_map: dict = {}
-    first = [-1] * capacity
-    last = [-1] * capacity
-    last_use = [0] * capacity
-    recurrent = [False] * capacity
-    slot = 0
-    for page, entry in tlb._entries.items():
-        if (entry.first_ace_use is None) != (entry.last_ace_use is None):
-            return None  # the flat replica assumes they are set together
-        tlb_map[page] = slot
-        if entry.first_ace_use is not None:
-            first[slot] = entry.first_ace_use
-            last[slot] = entry.last_ace_use
-        last_use[slot] = entry.last_use
-        recurrent[slot] = entry.recurrent
-        slot += 1
-    free = list(range(capacity - 1, slot - 1, -1))
-    stats = tlb.stats
+def _warm_tlb(tlb: "TlbConfig", region) -> tuple:
+    """``(tlb_map, first, last, recurrent, free)`` of one TLB after warm-up.
+
+    ``Tlb.warm_page`` once per page over the tail of ``region`` the TLB
+    reaches.  Both TLBs share the DTLB's page size, so that tail is at most
+    ``entries`` consecutive pages and nothing is evicted: page ``i`` of it
+    takes slot ``i``, ACE from cycle 0 when the region is.
+    """
+    capacity = tlb.entries
+    count, first_page, ace, recurrent = 0, 0, False, False
+    if region is not None:
+        base, size_bytes, _, ace, _, recurrent = region
+        offsets = range(size_bytes - min(size_bytes, tlb.reach_bytes), size_bytes, tlb.page_bytes)
+        count, first_page = len(offsets), (base + offsets.start) // tlb.page_bytes
+    ace_use = [0 if ace else -1] * count + [-1] * (capacity - count)
     return (
-        tlb_map, first, last, last_use, recurrent, free,
-        stats.accesses, stats.misses,
-        tlb._residency.ace_entry_cycles,
+        dict(zip(range(first_page, first_page + count), range(count))),
+        ace_use,
+        ace_use.copy(),
+        [recurrent] * count + [False] * (capacity - count),
+        list(range(capacity - 1, count - 1, -1)),
     )
 
 
 class VectorWarmState:
-    """Frozen flat warm state, rematerialized per genome by list copies."""
+    """Flat warm state of one (config, footprint), rematerialized per genome.
+
+    Built straight from the footprint by :meth:`build` and never mutated,
+    so one state serves every genome that declares the same footprint.
+    """
 
     __slots__ = ("constants", "dl1", "l2", "dtlb", "l2_tlb")
 
@@ -848,26 +868,22 @@ class VectorWarmState:
         self.l2_tlb = l2_tlb
 
     @classmethod
-    def freeze(
-        cls, config: "MachineConfig", hierarchy: MemoryHierarchy
-    ) -> Optional["VectorWarmState"]:
-        """Flatten a warmed hierarchy (read-only; None = fall back)."""
-        dl1 = _freeze_cache(hierarchy.dl1)
-        l2 = _freeze_cache(hierarchy.l2)
-        dtlb = _freeze_tlb(hierarchy.dtlb)
-        if dl1 is None or l2 is None or dtlb is None:
-            return None
-        l2_tlb = None
-        if hierarchy.l2_tlb is not None:
-            l2_tlb = _freeze_tlb(hierarchy.l2_tlb)
-            if l2_tlb is None:
-                return None
+    def build(cls, config: "MachineConfig", signature: tuple) -> "VectorWarmState":
+        """The state ``warm_region`` leaves for ``signature``'s one region
+        (or none; :func:`supports_vector` admits no more).
+
+        Warm-up runs at cycle 0, so every last use, access and miss counter,
+        ACE total and ``wa_sum`` starts at 0 (:meth:`materialize` sets them).
+        """
+        (region,) = signature or (None,)
+        step_bytes = config.dl1.line_bytes
+        l2_tlb = config.l2_tlb
         constants = {
-            "memory_latency": hierarchy.memory_latency,
-            "tlb_miss_penalty": hierarchy.tlb_miss_penalty,
-            "l2_tlb_hit_latency": hierarchy.l2_tlb_hit_latency,
-            "dl1_hit_latency": hierarchy._dl1_hit_latency,
-            "l2_hit_latency": hierarchy._l2_hit_latency,
+            "memory_latency": config.memory_latency,
+            "tlb_miss_penalty": config.tlb_miss_penalty,
+            "l2_tlb_hit_latency": config.l2_tlb_hit_latency,
+            "dl1_hit_latency": config.dl1.hit_latency,
+            "l2_hit_latency": config.l2.hit_latency,
             "dl1_line_bytes": config.dl1.line_bytes,
             "dl1_assoc": config.dl1.associativity,
             "dl1_wpl": config.dl1.words_per_line,
@@ -876,70 +892,64 @@ class VectorWarmState:
             "l2_word_bytes": config.l2.word_bytes,
             "l2_assoc": config.l2.associativity,
             "l2_wpl": config.l2.words_per_line,
-            "has_l2_tlb": hierarchy.l2_tlb is not None,
-            "l2_tlb_page_bytes": (
-                config.l2_tlb.page_bytes if config.l2_tlb is not None else 0
-            ),
+            "has_l2_tlb": l2_tlb is not None,
+            "l2_tlb_page_bytes": l2_tlb.page_bytes if l2_tlb is not None else 0,
             "dl1_word_bits": config.dl1.word_bytes * 8,
             "l2_word_bits": config.l2.word_bytes * 8,
             "dtlb_entry_bits": config.dtlb.entry_bits,
-            "l2_tlb_entry_bits": (
-                config.l2_tlb.entry_bits if config.l2_tlb is not None else 0
-            ),
+            "l2_tlb_entry_bits": l2_tlb.entry_bits if l2_tlb is not None else 0,
         }
-        return cls(constants, dl1, l2, dtlb, l2_tlb)
+        return cls(
+            constants,
+            _warm_cache(config.dl1, step_bytes, region),
+            _warm_cache(config.l2, step_bytes, region),
+            _warm_tlb(config.dtlb, region),
+            _warm_tlb(l2_tlb, region) if l2_tlb is not None else None,
+        )
 
     def materialize(self) -> VectorHierarchy:
-        """A fresh mutable VectorHierarchy seeded from the frozen template."""
+        """A fresh mutable VectorHierarchy seeded from this state."""
         vh = VectorHierarchy.__new__(VectorHierarchy)
         for name, value in self.constants.items():
             setattr(vh, name, value)
 
-        sets, line_no, dirty, dirty_ace, lu, ws, free, acc, miss, ace, wa_c, wa_s = self.dl1
+        sets, line_no, dirty, dirty_ace, ws, free, wa_count = self.dl1
         vh.dl1_sets = [dict(entry) for entry in sets]
         vh.dl1_line_no = line_no.copy()
         vh.dl1_dirty = dirty.copy()
         vh.dl1_dirty_ace = dirty_ace.copy()
-        vh.dl1_lu = lu.copy()
+        vh.dl1_lu = [0] * len(line_no)
         vh.dl1_ws = ws.copy()
         vh.dl1_free = free.copy()
-        vh.dl1_accesses = acc
-        vh.dl1_misses = miss
-        vh.dl1_ace_cycles = ace
-        vh.dl1_wa_count = wa_c
-        vh.dl1_wa_sum = wa_s
+        vh.dl1_wa_count = wa_count
+        vh.dl1_accesses = vh.dl1_misses = vh.dl1_ace_cycles = vh.dl1_wa_sum = 0
 
-        sets, _, _, _, lu, ws, free, acc, miss, ace, wa_c, wa_s = self.l2
+        sets, line_no, _, _, ws, free, wa_count = self.l2
         vh.l2_sets = [dict(entry) for entry in sets]
-        vh.l2_lu = lu.copy()
+        vh.l2_lu = [0] * len(line_no)
         vh.l2_ws = ws.copy()
         vh.l2_free = free.copy()
-        vh.l2_accesses = acc
-        vh.l2_misses = miss
-        vh.l2_ace_cycles = ace
-        vh.l2_wa_count = wa_c
-        vh.l2_wa_sum = wa_s
+        vh.l2_wa_count = wa_count
+        vh.l2_accesses = vh.l2_misses = vh.l2_ace_cycles = vh.l2_wa_sum = 0
 
-        tlb_map, first, last, lu, rec, free, acc, miss, ace = self.dtlb
+        tlb_map, first, last, rec, free = self.dtlb
         vh.dtlb_map = dict(tlb_map)
         vh.dtlb_first = first.copy()
         vh.dtlb_last = last.copy()
-        vh.dtlb_lu = lu.copy()
+        vh.dtlb_lu = [0] * len(first)
         vh.dtlb_rec = rec.copy()
         vh.dtlb_free = free.copy()
-        vh.dtlb_accesses = acc
-        vh.dtlb_misses = miss
-        vh.dtlb_ace_cycles = ace
+        vh.dtlb_accesses = vh.dtlb_misses = vh.dtlb_ace_cycles = 0
 
         if self.l2_tlb is not None:
-            tlb_map, first, last, lu, rec, free, _, _, ace = self.l2_tlb
+            tlb_map, first, last, rec, free = self.l2_tlb
             vh.l2_tlb_map = dict(tlb_map)
             vh.l2_tlb_first = first.copy()
             vh.l2_tlb_last = last.copy()
-            vh.l2_tlb_lu = lu.copy()
+            vh.l2_tlb_lu = [0] * len(first)
             vh.l2_tlb_rec = rec.copy()
             vh.l2_tlb_free = free.copy()
-            vh.l2_tlb_ace_cycles = ace
+            vh.l2_tlb_ace_cycles = 0
 
         vh.load_l2_misses = 0
         return vh
@@ -954,54 +964,16 @@ def warm_signature(program: "Program") -> tuple:
     )
 
 
-def _warm_master(config: "MachineConfig", signature: tuple) -> MemoryHierarchy:
-    """A hierarchy warmed exactly as the interpreter warms one.
-
-    The same ``MemoryHierarchy`` construction against a fresh ledger, then
-    one ``warm_region`` call per declared footprint region, in order.
-    """
-    hierarchy = MemoryHierarchy(
-        dl1_config=config.dl1,
-        l2_config=config.l2,
-        dtlb_config=config.dtlb,
-        memory_latency=config.memory_latency,
-        tlb_miss_penalty=config.tlb_miss_penalty,
-        ledger=VulnerabilityLedger(config),
-        l2_tlb_config=config.l2_tlb,
-        l2_tlb_hit_latency=config.l2_tlb_hit_latency,
-    )
-    for base, size_bytes, dirty, ace, word_fraction, recurrent in signature:
-        hierarchy.warm_region(
-            base=base,
-            size_bytes=size_bytes,
-            dirty=dirty,
-            ace=ace,
-            word_fraction=word_fraction,
-            recurrent=recurrent,
-        )
-    return hierarchy
-
-
-def _frozen_warm_for(
-    config: "MachineConfig", program: "Program"
-) -> Optional[VectorWarmState]:
-    """The frozen warm state for this (config, footprint), LRU-memoized.
-
-    The warm master is built, frozen and dropped here; only the frozen flat
-    image is kept.  Failed freezes are cached too (as None) so an
-    unfreezable footprint is probed once, not per genome.
-    """
+def _frozen_warm_for(config: "MachineConfig", program: "Program") -> VectorWarmState:
+    """The warm state for this (config, footprint), LRU-memoized."""
     key = (config, warm_signature(program))
-    cached = _frozen_warm.get(key, _MISSING)
-    if cached is not _MISSING:
-        del _frozen_warm[key]
-        _frozen_warm[key] = cached  # refresh LRU recency
-        return cached
-    state = VectorWarmState.freeze(config, _warm_master(config, key[1]))
-    STATS.warm_freezes += 1
-    while len(_frozen_warm) >= VECTOR_WARM_CACHE_LIMIT:
-        del _frozen_warm[next(iter(_frozen_warm))]
-    _frozen_warm[key] = state
+    state = _frozen_warm.pop(key, None)
+    if state is None:
+        state = VectorWarmState.build(config, key[1])
+        STATS.warm_builds += 1
+        while len(_frozen_warm) >= VECTOR_WARM_CACHE_LIMIT:
+            del _frozen_warm[next(iter(_frozen_warm))]
+    _frozen_warm[key] = state  # most recently used last
     return state
 
 
@@ -1009,7 +981,7 @@ def _frozen_warm_for(
 
 
 def vector_run(core, program: "Program", max_instructions: int, warm: VectorWarmState):
-    """Simulate one program on operand columns against a frozen warm state.
+    """Simulate one program on operand columns against a built warm state.
 
     The reference loop of :meth:`OutOfOrderCore.run_interpreted
     <repro.uarch.pipeline.OutOfOrderCore.run_interpreted>` statement for
@@ -1450,15 +1422,14 @@ def run_many(core, programs, max_instructions: int = 50_000):
             continue
         if supports_vector(program):
             warm = _frozen_warm_for(config, program)
-            if warm is not None:
-                try:
-                    result = vector_run(core, program, max_instructions, warm)
-                except Unvectorizable:
-                    pass
-                else:
-                    STATS.vector_runs += 1
-                    results.append(result)
-                    continue
+            try:
+                result = vector_run(core, program, max_instructions, warm)
+            except Unvectorizable:
+                pass
+            else:
+                STATS.vector_runs += 1
+                results.append(result)
+                continue
         STATS.fallbacks += 1
         results.append(core.run_interpreted(program, max_instructions, True))
     return results

@@ -34,12 +34,13 @@ inefficiencies) is modelled statistically: programs may carry
 
 Implementation notes (hot loop)
 -------------------------------
-``run_interpreted`` is the reference implementation: ``run`` executes it for
-every single-program simulation, and the ``vector`` population plane of
-:mod:`repro.uarch.kernel_backends` (GA fitness evaluation) transcribes it
-onto precomputed operand columns (:func:`repro.uarch.kernel_vector.
-vector_run`) and is differentially tested against it (ARCHITECTURE.md,
-"Kernel lifecycle").  Its inner loop avoids per-dynamic-op Python overhead:
+``run_interpreted`` is the reference implementation.  The ``vector`` plane
+of :mod:`repro.uarch.kernel_backends` transcribes it onto precomputed
+operand columns (:func:`repro.uarch.kernel_vector.vector_run`) and is
+differentially tested against it (ARCHITECTURE.md, "Kernel lifecycle");
+``run`` sends single programs there and GA fitness evaluation sends whole
+populations, and the interpreter runs whatever the plane cannot lower.  Its
+inner loop avoids per-dynamic-op Python overhead:
 
 * Static per-instruction facts (class flags, latencies, ACE fractions,
   branch behaviour) are precomputed once per run into flat tuples instead of
@@ -69,8 +70,8 @@ from typing import Mapping, Optional
 
 from repro.branch.predictors import HybridPredictor
 from repro.isa.instructions import ARCH_REG_COUNT, Instruction, InstructionClass
-from repro.isa.program import BranchBehavior, DynamicOp, Program
-from repro.memory.hierarchy import MemoryAccessOutcome, MemoryHierarchy
+from repro.isa.program import BranchBehavior, Program
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.uarch.config import MachineConfig
 from repro.uarch.structures import AceAccumulator, StructureName
 from repro.utils.rng import DeterministicRng
@@ -169,17 +170,21 @@ class OutOfOrderCore:
         occupying core structures, mirroring the common practice of functional
         cache warm-up before a detailed simulation window.
 
-        A single program runs the interpreted reference loop through
-        :meth:`InterpretedBackend.run_one
-        <repro.uarch.kernel_backends.InterpretedBackend.run_one>`: for the
-        short programs of the workload suite it beats running each as a
-        vector batch of one.  Populations go through a kernel backend's ``run_many``
-        instead (see :mod:`repro.uarch.kernel_backends`).
+        A single program runs on the vector plane as a population of one,
+        through :meth:`VectorKernelBackend.run_many
+        <repro.uarch.kernel_backends.VectorKernelBackend.run_many>`: its warm
+        state is built flat from the footprint, which beats warming the
+        interpreter's object hierarchy (~3.7x on the workload suite).  Programs
+        the plane cannot lower (setup sections, oversize bodies, runs over
+        ``VECTOR_MAX_OPS``, several warm-up regions, addresses past the int64
+        window) run the interpreter there; so does
+        ``functional_setup=False``, which replays the setup section through
+        the core.
         """
         if functional_setup:
-            from repro.uarch.kernel_backends import INTERPRETED
+            from repro.uarch.kernel_backends import VECTOR
 
-            return INTERPRETED.run_one(self, program, max_instructions)
+            return VECTOR.run_many(self, [program], max_instructions)[0]
         return self.run_interpreted(program, max_instructions, functional_setup)
 
     def run_interpreted(
@@ -806,38 +811,3 @@ class OutOfOrderCore:
                 cycle=0,
                 ace=instruction.ace,
             )
-
-    def _execution_latency(
-        self,
-        instruction: Instruction,
-        op: DynamicOp,
-        issue: int,
-        hierarchy: MemoryHierarchy,
-        rng: DeterministicRng,
-    ) -> tuple[int, Optional[MemoryAccessOutcome]]:
-        """Latency of an issued instruction; memory ops access the hierarchy.
-
-        Kept as the reference (unbatched) formulation of the latency model
-        used by the run loop's precomputed ``fixed_latency`` fast path; unit
-        tests may exercise it directly.
-        """
-        config = self.config
-        if instruction.latency_override is not None:
-            return instruction.latency_override, None
-        opclass = instruction.opclass
-        if opclass is InstructionClass.INT_ALU or opclass is InstructionClass.BRANCH:
-            return config.alu_latency, None
-        if opclass is InstructionClass.INT_MUL:
-            return config.multiply_latency, None
-        if opclass is InstructionClass.INT_DIV:
-            return config.divide_latency, None
-        if opclass in (InstructionClass.LOAD, InstructionClass.PREFETCH):
-            address = instruction.address_pattern.resolve(max(op.iteration, 0), rng)
-            outcome = hierarchy.access(
-                address, is_write=False, cycle=issue, ace=instruction.ace
-            )
-            return outcome.latency, outcome
-        if opclass is InstructionClass.STORE:
-            # Address generation only; the data-cache write happens at commit.
-            return config.alu_latency, None
-        return 0, None

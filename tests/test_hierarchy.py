@@ -122,29 +122,3 @@ class TestFinalize:
         hierarchy.finalize(cycle=50)
         assert hierarchy.dl1.avf(50) > 0.0
         assert hierarchy.dtlb.resident_entry_count() == 0
-
-
-class TestAccessMany:
-    """Bulk access must equal the per-element loop through every level."""
-
-    def test_bulk_equals_loop(self):
-        addresses = [index * 72 % (1 << 15) for index in range(150)]
-        cycles = [20 + 3 * index for index in range(len(addresses))]
-        bulk = small_hierarchy()
-        loop = small_hierarchy()
-        got = bulk.access_many(addresses, False, cycles)
-        want = [loop.access_parts(a, False, c) for a, c in zip(addresses, cycles)]
-        assert got == want
-        bulk.finalize(2000)
-        loop.finalize(2000)
-        assert bulk.dl1.lifetime.ace_bit_cycles() == loop.dl1.lifetime.ace_bit_cycles()
-        assert bulk.l2.lifetime.ace_bit_cycles() == loop.l2.lifetime.ace_bit_cycles()
-        assert bulk.dtlb.ace_entry_cycles == loop.dtlb.ace_entry_cycles
-
-    def test_bulk_scalar_cycle_write_path(self):
-        addresses = [index * 64 for index in range(40)]
-        bulk = small_hierarchy()
-        loop = small_hierarchy()
-        got = bulk.access_many(addresses, True, 9)
-        want = [loop.access_parts(a, True, 9) for a in addresses]
-        assert got == want

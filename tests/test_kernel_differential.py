@@ -8,8 +8,11 @@ synthetic workload proxies, and seeded randomized programs over the whole
 ISA; configurations cover the paper baseline, a constrained derivative
 (small queues, fewer architected registers than the ISA — exercising the
 kernels' non-resident register path), and the ``extended`` config (store
-buffer + L2 TLB).  The ``vector`` plane is diffed directly, and every
-reason it hands a program to the interpreter is exercised once.
+buffer + L2 TLB).  The ``vector`` plane is diffed directly, one program per
+warm-up shape included, and every reason it hands a program to the
+interpreter is exercised once.  Its warm state, built flat from the
+footprint, is also compared with the interpreter's warmed object hierarchy
+set by set (``TestVectorWarmState``).
 """
 
 from __future__ import annotations
@@ -37,12 +40,16 @@ from repro.isa.memoryref import (
     StridedPattern,
 )
 from repro.isa.program import BranchBehavior, Program, WarmupRegion
+from repro.memory.cache import CacheConfig
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.tlb import TlbConfig
 from repro.stressmark.generator import StressmarkGenerator, reference_knobs
 from repro.uarch import kernel_vector
 from repro.uarch.config import MachineConfig, baseline_config, config_a, extended_config
 from repro.uarch.kernel_backends import BACKEND_ENV_VAR, KERNEL_BACKENDS, VECTOR, resolve
 from repro.uarch.pipeline import OutOfOrderCore
 from repro.utils.rng import DeterministicRng
+from repro.vuln.ledger import AceEvent, VulnerabilityLedger
 from repro.workloads.suite import all_profiles
 from repro.workloads.synthetic import build_workload
 
@@ -160,6 +167,26 @@ def random_program(seed: int, name: str) -> Program:
     )
 
 
+def _region(base, size_bytes, dirty=True, ace=True, word_fraction=1.0, recurrent=False):
+    return WarmupRegion(base=base, size_bytes=size_bytes, dirty=dirty, ace=ace,
+                        word_fraction=word_fraction, recurrent=recurrent)
+
+
+#: Warm-up footprints by shape.  Sizes straddle the DL1 (64 KB), the L2
+#: (1-2 MB) and the DTLB / L2 TLB reach (2-4 MB) of every config.
+WARM_SHAPES = {
+    "below_dl1": [_region(4096, 16 << 10)],
+    "between_dl1_and_l2": [_region(4096, 256 << 10)],
+    "beyond_l2_and_tlb_reach": [_region(0, 8 << 20, word_fraction=0.6)],
+    "misaligned_base": [_region(4096 + 3000, (100 << 10) + 3000, word_fraction=0.5)],
+    "no_live_words": [_region(4096, 64 << 10, word_fraction=0.0)],
+    "partial_words": [_region(4096, 512 << 10, word_fraction=0.3)],
+    "clean": [_region(4096, 128 << 10, dirty=False)],
+    "un_ace": [_region(4096, 128 << 10, ace=False)],
+    "recurrent": [_region(4096, 512 << 10, recurrent=True)],
+}
+
+
 class TestKernelDifferential:
     @pytest.mark.parametrize("config_factory", [baseline_config, config_a, extended_config, constrained_config])
     def test_reference_stressmark(self, config_factory):
@@ -211,19 +238,20 @@ class TestKernelDifferential:
             )
 
     def test_dispatcher_uses_kernel_by_default(self, monkeypatch):
-        """Populations default to the vector plane; single runs never reach it."""
+        """Single runs and populations both default to the vector plane."""
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         kernel_vector.clear_vector_caches()
         config = baseline_config()
         program = random_program(5, "dispatch-check")
         core = OutOfOrderCore(config, seed=3)
         single = core.run(program, max_instructions=500)
-        assert kernel_vector.STATS.vector_runs == 0
+        assert kernel_vector.STATS.vector_runs == 1
         backend = resolve(None)
         assert backend is VECTOR
         (population,) = backend.run_many(core, [program], 500)
-        assert kernel_vector.STATS.vector_runs == 1
+        assert kernel_vector.STATS.vector_runs == 2
         assert_identical(single, population, "dispatch")
+        assert_identical(core.run_interpreted(program, 500), single, "dispatch-oracle")
 
     def test_explicit_setup_section_falls_back_to_interpreter(self):
         """functional_setup=False is out of the vector plane's scope — results still match."""
@@ -302,15 +330,43 @@ class TestVectorKernelDifferential:
                 config, programs, budget, f"vector-budget-{budget}/{config.name}"
             )
 
+    @pytest.mark.parametrize("shape", sorted(WARM_SHAPES))
+    def test_warm_shapes(self, shape):
+        """Each warm-up shape on every config; short budgets leave most
+        warmed lines untouched, so their end-of-run credit and untouched
+        sets' LRU order must be right too."""
+        program = random_program(71, f"vwarm-{shape}")
+        program.warmup_regions = WARM_SHAPES[shape]
+        for config_factory in CONFIG_FACTORIES:
+            config = config_factory()
+            for budget in (40, 700):
+                self._assert_matches_interpreter(
+                    config, [program], budget, f"vector-warm-{shape}-{budget}/{config.name}"
+                )
+
     @pytest.mark.parametrize(
-        "reason", ["setup", "oversize_body", "over_budget", "int64_address"]
+        "reason",
+        ["setup", "oversize_body", "over_budget", "int64_address",
+         "several_warm_regions", "int64_warm_region"],
     )
     def test_fallback_reason(self, reason, monkeypatch):
         """Each reason the lowering refuses a program runs the interpreter."""
         config = baseline_config()
         budget = 1_500
         program = random_program(53, f"vfallback-{reason}")
-        if reason == "setup":
+        if reason == "several_warm_regions":
+            # 2 MB apart, so they share DL1 and L2 sets and overflow them;
+            # the last re-warms, clean, part of a dirty ACE region.
+            program.warmup_regions = [
+                _region(index * (2 << 20), 8 << 10, dirty=index % 3 != 1, ace=index % 4 != 2,
+                        word_fraction=(0.25, 0.5, 1.0)[index % 3], recurrent=index % 2 == 1)
+                for index in range(10)
+            ] + [_region(9 * (2 << 20), 4 << 10, dirty=False, word_fraction=0.75)]
+            assert not kernel_vector.supports_vector(program)
+        elif reason == "int64_warm_region":
+            program.warmup_regions = [_region(1 << 62, 64 << 10)]
+            assert not kernel_vector.supports_vector(program)
+        elif reason == "setup":
             program.setup = [make_alu(1, [0]), make_store(FixedPattern(address=64), srcs=[1])]
             assert not kernel_vector.supports_vector(program)
         elif reason == "oversize_body":
@@ -364,23 +420,26 @@ class TestVectorKernelDifferential:
             )
 
     def test_vector_frozen_warm_eviction_does_not_break_reuse(self, monkeypatch):
-        """A frozen-warm memo of one still serves alternating footprints."""
-        kernel_vector.clear_vector_caches()
-        monkeypatch.setattr(kernel_vector, "VECTOR_WARM_CACHE_LIMIT", 1)
+        """A one-entry warm-state memo rebuilds alternating footprints, and
+        serves them correctly; the default memo holds both."""
         config = baseline_config()
         first = random_program(76, "vevict-a")
         second = random_program(77, "vevict-b")
         second.warmup_regions = [WarmupRegion(base=8192, size_bytes=1 << 14, dirty=False)]
         core = OutOfOrderCore(config, seed=3)
-        for round_index in range(2):
-            for program in (first, second):
-                results = kernel_vector.run_many(core, [program], 800)
-                assert_identical(
-                    core.run_interpreted(program, max_instructions=800),
-                    results[0],
-                    f"vevict-round-{round_index}/{program.name}",
-                )
-        assert len(kernel_vector._frozen_warm) == 1
+        for limit, builds in ((1, 4), (kernel_vector.VECTOR_WARM_CACHE_LIMIT, 2)):
+            kernel_vector.clear_vector_caches()
+            monkeypatch.setattr(kernel_vector, "VECTOR_WARM_CACHE_LIMIT", limit)
+            for round_index in range(2):
+                for program in (first, second):
+                    results = kernel_vector.run_many(core, [program], 800)
+                    assert_identical(
+                        core.run_interpreted(program, max_instructions=800),
+                        results[0],
+                        f"vevict-{limit}-round-{round_index}/{program.name}",
+                    )
+            assert kernel_vector.STATS.warm_builds == builds
+            assert len(kernel_vector._frozen_warm) == min(limit, 2)
         kernel_vector.clear_vector_caches()
 
     def test_backend_run_many_routes_through_vector_plane(self):
@@ -399,3 +458,127 @@ class TestVectorKernelDifferential:
                 results[index],
                 f"vector-backend[{index}]",
             )
+
+
+def wide_l2_line_config() -> MachineConfig:
+    """L2 lines twice the DL1's: warm-up still counts L2 lines in DL1 line
+    steps, so one large region overflows the L2 sets on its own."""
+    return extended_config().derive(
+        name="wide_l2_lines",
+        l2=CacheConfig(name="l2", size_bytes=256 << 10, associativity=2, line_bytes=128,
+                       hit_latency=7),
+        dtlb=TlbConfig(entries=16, page_bytes=4096),
+    )
+
+
+def _packed(state: tuple) -> int:
+    """A lifetime tracker's (event, cycle, ace) as the flat plane packs it."""
+    event, cycle, ace = state
+    code = 4 if event is AceEvent.WRITE else 2 if event is AceEvent.READ else 0
+    return cycle * 8 + code + (1 if ace else 0)
+
+
+def _object_cache(cache) -> list:
+    """Per set, in insertion order: (tag, line, dirty, dirty-ACE, words)."""
+    assert (cache.stats.accesses, cache.stats.misses, cache.lifetime.ace_word_cycles) == (0, 0, 0)
+    live = cache.lifetime._live
+    num_sets = cache.config.num_sets
+    canonical = []
+    resident_words = 0
+    for set_index, cache_set in enumerate(cache._sets):
+        rows = []
+        for tag, line in cache_set.items():
+            assert line.last_use == 0
+            line_number = tag * num_sets + set_index
+            words = tuple(
+                (word, _packed(live[line_number, word])) for word in sorted(line.words_touched)
+            )
+            resident_words += len(words)
+            rows.append((tag, line_number, line.dirty, line.dirty_ace, words))
+        canonical.append(rows)
+    assert resident_words == len(live), "live word state outside any resident line"
+    return canonical
+
+
+def _flat_cache(state, cache_config) -> list:
+    """The same canonical form from a built ``VectorWarmState`` cache."""
+    sets, line_no, dirty, dirty_ace, word_state, free, wa_count = state
+    wpl = cache_config.words_per_line
+    canonical = []
+    for cache_set in sets:
+        rows = []
+        for tag, slot in cache_set.items():
+            words = word_state[slot * wpl:(slot + 1) * wpl]
+            rows.append((tag, line_no[slot], dirty[slot], dirty_ace[slot],
+                         tuple((word, value) for word, value in enumerate(words) if value >= 0)))
+        canonical.append(rows)
+    resident = [slot for cache_set in sets for slot in cache_set.values()]
+    assert sorted(resident + free) == list(range(cache_config.num_lines)), "slot bookkeeping"
+    assert all(word_state[slot * wpl:(slot + 1) * wpl] == [-1] * wpl for slot in free)
+    assert wa_count == word_state.count(5)
+    return canonical
+
+
+def _object_tlb(tlb) -> list:
+    """Per entry, in insertion order: (page, first ACE use, last ACE use, recurrent)."""
+    assert (tlb.stats.accesses, tlb.stats.misses, tlb.ace_entry_cycles) == (0, 0, 0)
+    assert all(entry.last_use == 0 for entry in tlb._entries.values())
+    return [
+        (page,
+         -1 if entry.first_ace_use is None else entry.first_ace_use,
+         -1 if entry.last_ace_use is None else entry.last_ace_use,
+         entry.recurrent)
+        for page, entry in tlb._entries.items()
+    ]
+
+
+def _flat_tlb(state, tlb_config) -> list:
+    tlb_map, first, last, recurrent, free = state
+    assert sorted([*tlb_map.values(), *free]) == list(range(tlb_config.entries))
+    return [(page, first[slot], last[slot], recurrent[slot]) for page, slot in tlb_map.items()]
+
+
+class TestVectorWarmState:
+    """The built flat warm state equals the object hierarchy after ``warm_region``.
+
+    Compared per set in insertion order (tag, line, dirty, dirty-ACE, word
+    states) and per TLB entry (page, first and last ACE use, recurrent), so
+    a divergence no short run observes — the LRU order of an untouched set,
+    a dirty bit of a line never evicted — still fails.
+    """
+
+    @pytest.mark.parametrize("shape", sorted(WARM_SHAPES) + ["stressmark_hit", "stressmark_miss"])
+    def test_built_state_matches_warmed_objects(self, shape):
+        for config_factory in (*CONFIG_FACTORIES, wide_l2_line_config):
+            config = config_factory()
+            if shape.startswith("stressmark"):
+                knobs = reference_knobs(config).derive(use_l2_miss=shape.endswith("miss"))
+                generator = StressmarkGenerator(config=config, max_instructions=1_000)
+                program = generator.codegen.generate(knobs)
+            else:
+                program = random_program(71, "footprint")
+                program.warmup_regions = WARM_SHAPES[shape]
+            hierarchy = MemoryHierarchy(
+                dl1_config=config.dl1,
+                l2_config=config.l2,
+                dtlb_config=config.dtlb,
+                ledger=VulnerabilityLedger(config),
+                l2_tlb_config=config.l2_tlb,
+            )
+            for region in program.warmup_regions:
+                hierarchy.warm_region(
+                    base=region.base, size_bytes=region.size_bytes, dirty=region.dirty,
+                    ace=region.ace, word_fraction=region.word_fraction,
+                    recurrent=region.recurrent,
+                )
+            state = kernel_vector.VectorWarmState.build(
+                config, kernel_vector.warm_signature(program)
+            )
+            label = f"{shape}/{config.name}"
+            assert _flat_cache(state.dl1, config.dl1) == _object_cache(hierarchy.dl1), label
+            assert _flat_cache(state.l2, config.l2) == _object_cache(hierarchy.l2), label
+            assert _flat_tlb(state.dtlb, config.dtlb) == _object_tlb(hierarchy.dtlb), label
+            if config.l2_tlb is None:
+                assert state.l2_tlb is None
+            else:
+                assert _flat_tlb(state.l2_tlb, config.l2_tlb) == _object_tlb(hierarchy.l2_tlb), label

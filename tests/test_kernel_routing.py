@@ -1,10 +1,11 @@
 """Where simulations execute: populations follow the kernel-backend pin.
 
 GA populations go through the resolved kernel backend's ``run_many``
-(``vector`` unless pinned); single programs always run the interpreter.
-A recording wrapper registered over both planes appends one line per
-``run_many`` call to a file, so calls made inside forked pool workers are
-seen too.  Removed plane names must fail loudly wherever they can be given.
+(``vector`` unless pinned); single programs run the vector plane directly,
+whatever the pin.  A recording wrapper registered over both planes appends
+one line per ``run_many`` call to a file, so calls made inside forked pool
+workers are seen too.  Removed plane names must fail loudly wherever they
+can be given.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.api.session import Session
 from repro.api.spec import RunSpec
 from repro.registry import RegistryError
 from repro.stressmark.generator import StressmarkGenerator
+from repro.uarch import kernel_vector
 from repro.uarch.config import baseline_config
 from repro.uarch.kernel_backends import (
     BACKEND_ENV_VAR,
@@ -104,12 +106,19 @@ class TestPopulationRouting:
         assert calls and {name for name, _ in calls} == {"vector"}
 
     def test_single_programs_ignore_the_pin(self, plane_log):
-        """A simulate spec runs single programs: no population plane is used."""
+        """A simulate spec runs single programs, which the pin does not reach.
+
+        ``OutOfOrderCore.run`` sends each program to the vector plane itself,
+        not through the resolved backend: under an ``interpreted`` pin no
+        recorded plane is called and the vector plane counts the run.
+        """
         spec = RunSpec(kind="simulate", name="single", workloads=("crc32_proxy",),
-                       kernel_backend="vector")
+                       kernel_backend="interpreted")
+        kernel_vector.STATS.reset()
         with Session(jobs=1) as session:
             session.run(spec)
         assert plane_log() == []
+        assert (kernel_vector.STATS.vector_runs, kernel_vector.STATS.fallbacks) == (1, 0)
 
 
 @pytest.mark.parametrize("removed", ["source", "batch"])

@@ -4,6 +4,7 @@ schema policing, and the fsck integration that audits/repairs journals."""
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -135,6 +136,29 @@ def test_compact_keeps_only_outstanding_submits(tmp_path):
     assert all(record["event"] == "submit" for record in records)
     # The orphaned-running start marker is gone: d1 replays as queued.
     assert [e.started for e in journal.outstanding()] == [False, False, False]
+
+
+def test_compact_does_not_lose_a_concurrent_append(tmp_path, monkeypatch):
+    """A drain compacts on a connection thread while the evaluation thread
+    may journal the running job's terminal: that record must survive."""
+    from repro.serve import journal as journal_module
+
+    journal = _journal(tmp_path)
+    journal.append_submit("running", _spec("running"), "alice")
+    journal.append_start("running")
+    journal.append_submit("queued", _spec("queued"), "bob")
+    appender = threading.Thread(target=journal.append_terminal, args=("running", "done"))
+    write = journal_module.atomic_write_text
+
+    def write_after_a_racing_append(path, text):
+        appender.start()
+        appender.join(timeout=0.2)  # returns at once unless appends wait for compaction
+        write(path, text)
+
+    monkeypatch.setattr(journal_module, "atomic_write_text", write_after_a_racing_append)
+    journal.compact()
+    appender.join()
+    assert [entry.digest for entry in journal.outstanding()] == ["queued"]
 
 
 def test_compact_empty_journal_leaves_empty_file(tmp_path):

@@ -232,6 +232,8 @@ def test_round_robin_fairness_across_clients(gated):
         assert [hog.status(j["job_id"])["position"] for j in hog_jobs] == [0, 2, 3]
         gate.set()
         small.wait(small_job["job_id"])
+        # hog-1 runs after small-1, so it may not have started yet.
+        hog.wait(hog_jobs[1]["job_id"])
     assert session.ran.index("small-1") < session.ran.index("hog-1")
 
 
