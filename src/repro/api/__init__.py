@@ -30,7 +30,6 @@ from repro.api.registry import (
     CONFIGS,
     FAULT_RATES,
     FITNESS_OBJECTIVES,
-    KERNEL_BACKENDS,
     SCALES,
     WORKLOAD_SUITES,
     Registry,
@@ -50,7 +49,6 @@ __all__ = [
     "FITNESS_OBJECTIVES",
     "SCALES",
     "BACKENDS",
-    "KERNEL_BACKENDS",
     "RUN_KINDS",
     "RunSpec",
     "RunResult",

@@ -41,7 +41,6 @@ __all__ = [
     "FITNESS_OBJECTIVES",
     "SCALES",
     "BACKENDS",
-    "KERNEL_BACKENDS",
     "registries",
 ]
 
@@ -64,11 +63,6 @@ SCALES = Registry("experiment scale")
 #: Evaluation backends: ``name -> (jobs: int) -> EvaluationBackend``.
 BACKENDS = Registry("evaluation backend")
 
-# Kernel backends (how a simulation request becomes machine code) live with
-# the microarchitectural core so repro.uarch stays importable on its own;
-# re-exported here as the registry the spec/CLI layers consult.
-from repro.uarch.kernel_backends import KERNEL_BACKENDS  # noqa: E402
-
 
 def registries() -> dict[str, Registry]:
     """All component registries keyed by their public spec-field name."""
@@ -83,6 +77,5 @@ def registries() -> dict[str, Registry]:
         "fitness": FITNESS_OBJECTIVES,
         "scale": SCALES,
         "backend": BACKENDS,
-        "kernel_backends": KERNEL_BACKENDS,
         "structures": STRUCTURES,
     }

@@ -67,7 +67,6 @@ from repro.parallel.backends import EvaluationBackend, create_backend, resolve_j
 from repro.parallel.resilience import FailurePolicy, RetryPolicy
 from repro.stressmark.fitness import FitnessFunction
 from repro.stressmark.generator import StressmarkResult
-from repro.uarch import kernel_backends
 from repro.uarch.config import MachineConfig
 from repro.uarch.faultrates import FaultRateModel
 from repro.workloads.profiles import WorkloadProfile
@@ -87,7 +86,6 @@ class ResolvedRun:
     scale: ExperimentScale
     jobs: int
     retry: RetryPolicy
-    kernel_backend: str = ""
 
 
 class Session:
@@ -108,12 +106,9 @@ class Session:
         store: Optional[Union["ResultStore", str, Path]] = None,
         resume: bool = False,
         retry: Optional[RetryPolicy] = None,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         if isinstance(scale, str):
             scale = SCALES.create(scale)
-        # Validate the pin — or, unpinned, REPRO_KERNEL_BACKEND — eagerly.
-        kernel_backends.resolve(kernel_backend or None)
         self._pinned_scale: Optional[ExperimentScale] = scale or (context.scale if context else None)
         self._pinned_jobs: Optional[int] = jobs if jobs is not None else (
             context.jobs if context is not None else None
@@ -121,9 +116,6 @@ class Session:
         # Retry precedence: pinned (CLI --retries/--task-timeout) > spec
         # fields > REPRO_RETRY_* environment > library defaults.
         self._pinned_retry: Optional[RetryPolicy] = retry
-        # Kernel-backend precedence: pinned (CLI --kernel-backend) > spec >
-        # REPRO_KERNEL_BACKEND environment > the registry default (vector).
-        self._pinned_kernel_backend: Optional[str] = kernel_backend
         self._resume = bool(resume)
         self._store: Optional["ResultStore"] = None
         self._owns_store = False
@@ -145,7 +137,7 @@ class Session:
             # (scale, jobs) pair — it already owns a live backend.  The
             # wrapped context's own store configuration is left untouched.
             self._wrapped = context
-            self._contexts[(context.scale, context.jobs, "", None, "")] = context
+            self._contexts[(context.scale, context.jobs, "", None)] = context
         else:
             self._wrapped = None
 
@@ -181,7 +173,6 @@ class Session:
             scale=self.resolve_scale(spec),
             jobs=self.resolve_jobs(spec),
             retry=self.resolve_retry(spec),
-            kernel_backend=self.resolve_kernel_backend(spec),
         )
 
     def resolve_config(self, spec: RunSpec) -> MachineConfig:
@@ -232,21 +223,6 @@ class Session:
             overrides["timeout"] = float(spec.task_timeout)
         return policy.derive(**overrides) if overrides else policy
 
-    def resolve_kernel_backend(self, spec: RunSpec) -> str:
-        """The kernel-backend name a spec runs under (pinned > spec).
-
-        Empty string means "no pin": the registry's own resolution
-        (``REPRO_KERNEL_BACKEND`` environment, then the ``vector`` default)
-        applies when a GA population is evaluated.  Every backend is
-        bit-identical, so the choice never changes results.  A session
-        (or CLI ``--kernel-backend``) pin never enters store keys; the
-        spec's own ``kernel_backend`` field does, because a set field is
-        part of the spec digest.
-        """
-        if self._pinned_kernel_backend:
-            return self._pinned_kernel_backend
-        return spec.kernel_backend
-
     def resolve_profiles(self, spec: RunSpec) -> tuple[WorkloadProfile, ...]:
         """Workload profiles of a simulate spec, in deterministic order."""
         if spec.workloads:
@@ -293,8 +269,7 @@ class Session:
         if self._wrapped is not None and (scale, jobs) == (self._wrapped.scale, self._wrapped.jobs):
             return self._wrapped
         policy = FailurePolicy(retry=self.resolve_retry(spec))
-        kernel_backend = self.resolve_kernel_backend(spec)
-        key = (scale, jobs, spec.backend, policy, kernel_backend)
+        key = (scale, jobs, spec.backend, policy)
         context = self._contexts.get(key)
         if context is None:
             if spec.backend:
@@ -306,7 +281,7 @@ class Session:
             context = ExperimentContext(
                 scale, jobs=jobs, backend=backend, store=self._store,
                 resume=self._resume, owns_backend=owns_backend,
-                failure_policy=policy, kernel_backend=kernel_backend,
+                failure_policy=policy,
             )
             self._contexts[key] = context
             self._owned.append(context)

@@ -35,7 +35,6 @@ from repro.api.registry import (
     CONFIGS,
     FAULT_RATES,
     FITNESS_OBJECTIVES,
-    KERNEL_BACKENDS,
     SCALES,
     WORKLOAD_SUITES,
     suggest as _suggest,
@@ -70,16 +69,7 @@ class RunSpec:
     ``task_timeout`` tune the resilient backend's
     :class:`~repro.parallel.resilience.RetryPolicy` (max attempts per item,
     per-item deadline in seconds); unset means the ``REPRO_RETRY_*``
-    environment (or library defaults) applies.  ``kernel_backend`` pins how
-    GA populations execute (a :data:`~repro.uarch.kernel_backends.
-    KERNEL_BACKENDS` name — ``vector`` or ``interpreted``); unset means the
-    ``REPRO_KERNEL_BACKEND`` environment (or the ``vector`` default)
-    applies.  Single-program simulations always run the vector plane.  Both
-    backends are bit-identical, so a pin never changes results; but the
-    field is part of the spec's JSON when set, so a spec that names a
-    kernel backend has a different digest (and store key) than one that
-    does not.  Pinning through the CLI or a :class:`~repro.api.session.
-    Session` instead leaves the digest alone.
+    environment (or library defaults) applies.
     Sweep-only fields: ``base``, ``axes``, ``runs``.
     """
 
@@ -98,7 +88,6 @@ class RunSpec:
     seed: Optional[int] = None
     retries: Optional[int] = None
     task_timeout: Optional[float] = None
-    kernel_backend: str = ""
     base: Optional["RunSpec"] = None
     axes: Mapping[str, tuple] = field(default_factory=dict)
     runs: tuple["RunSpec", ...] = ()
@@ -140,8 +129,6 @@ class RunSpec:
         SCALES.get(self.scale)
         if self.backend:
             BACKENDS.get(self.backend)
-        if self.kernel_backend:
-            KERNEL_BACKENDS.get(self.kernel_backend)
         for suite in self.suites:
             WORKLOAD_SUITES.get(suite)
 
@@ -159,9 +146,9 @@ class RunSpec:
         if self.axes and self.base is None:
             raise SpecError("a sweep with 'axes' needs a 'base' spec to expand")
         # Component fields live on the children; a sweep-level value would be
-        # silently ignored, so reject anything off its default (jobs, backend,
-        # kernel_backend and the retry knobs are the exceptions — expand()
-        # inherits them into children).
+        # silently ignored, so reject anything off its default (jobs, backend
+        # and the retry knobs are the exceptions — expand() inherits them
+        # into children).
         defaults = RunSpec(kind="sweep")
         for leaf_field in ("config", "config_overrides", "fault_rates", "suites", "workloads",
                            "fitness", "scale", "scale_overrides", "seed"):
@@ -216,8 +203,6 @@ class RunSpec:
             overrides["retries"] = self.retries
         if child.task_timeout is None and self.task_timeout is not None:
             overrides["task_timeout"] = self.task_timeout
-        if not child.kernel_backend and self.kernel_backend:
-            overrides["kernel_backend"] = self.kernel_backend
         return replace(child, **overrides) if overrides else child
 
     def replace(self, **overrides: object) -> "RunSpec":
@@ -243,15 +228,13 @@ class RunSpec:
             "backend": self.backend,
             "seed": self.seed,
         }
-        # Resilience/kernel knobs are emitted only when set: digests of specs
-        # that never mention them are unchanged, so results stored before
-        # these fields existed still match their specs.
+        # Resilience knobs are emitted only when set: digests of specs that
+        # never mention them are unchanged, so results stored before these
+        # fields existed still match their specs.
         if self.retries is not None:
             data["retries"] = self.retries
         if self.task_timeout is not None:
             data["task_timeout"] = self.task_timeout
-        if self.kernel_backend:
-            data["kernel_backend"] = self.kernel_backend
         if self.kind == "sweep":
             data["base"] = self.base.to_json_dict() if self.base is not None else None
             data["axes"] = {key: list(values) for key, values in self.axes.items()}
@@ -266,6 +249,10 @@ class RunSpec:
         known = _field_names(cls)
         kwargs: dict[str, object] = {}
         for key, value in data.items():
+            if key == "kernel_backend":
+                # Older specs could pin one of two bit-identical planes;
+                # dropped, such a spec is (and digests as) its unpinned twin.
+                continue
             if key not in known:
                 raise SpecError(f"unknown spec field {key!r}{_suggest(key, known)}")
             kwargs[key] = value

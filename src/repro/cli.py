@@ -62,7 +62,6 @@ from typing import Callable, Iterable
 from repro.api import (
     CONFIGS,
     FAULT_RATES,
-    KERNEL_BACKENDS,
     SCALES,
     RunSpec,
     Session,
@@ -331,11 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-attempt deadline before a worker is declared hung "
                              "and replaced (resilient backend, --jobs > 1; "
                              "default: $REPRO_RETRY_TIMEOUT, then unlimited)")
-    parser.add_argument("--kernel-backend", default=None, metavar="NAME",
-                        help="how GA populations execute: "
-                             f"{' or '.join(repr(name) for name in KERNEL_BACKENDS.names())}; "
-                             "both are bit-identical, single programs always run "
-                             "vector (default: $REPRO_KERNEL_BACKEND, then vector)")
     parser.add_argument("--repair", action="store_true",
                         help="fsck command only: repair salvageable damage in place "
                              "(truncate torn JSONL tails, drop unloadable checkpoints, "
@@ -391,7 +385,6 @@ def _cmd_list() -> None:
         "fitness": "fitness objectives",
         "scale": "experiment scales",
         "backend": "evaluation backends",
-        "kernel_backends": "kernel backends",
         "structures": "tracked structures",
     }
     for key, registry in registries().items():
@@ -496,8 +489,7 @@ def _cmd_run_spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         parser.error("--resume needs --store (checkpoints live in the store)")
     try:
         with Session(jobs=args.jobs, store=args.store, resume=args.resume,
-                     retry=_retry_from_args(parser, args),
-                     kernel_backend=args.kernel_backend) as session:
+                     retry=_retry_from_args(parser, args)) as session:
             if shard is not None:
                 result = session.run_shard(spec, *shard)
             else:
@@ -674,8 +666,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--resume needs --store (checkpoints live in the store)")
     try:
         session = Session(scale=args.scale, jobs=args.jobs, store=args.store, resume=args.resume,
-                          retry=_retry_from_args(parser, args),
-                          kernel_backend=args.kernel_backend)
+                          retry=_retry_from_args(parser, args))
     except (ValueError, RegistryError, StoreError) as exc:
         parser.error(str(exc))
     try:

@@ -177,17 +177,12 @@ class ExperimentContext:
         resume: bool = False,
         owns_backend: Optional[bool] = None,
         failure_policy: Optional[FailurePolicy] = None,
-        kernel_backend: str = "",
     ) -> None:
         self.scale = scale or ExperimentScale.quick()
         self.jobs = resolve_jobs(jobs) if backend is None else backend.jobs
         self.store = store
         self.resume = resume
         self.failure_policy = failure_policy
-        # Population-plane choice only (kernel backends are bit-identical),
-        # so it never enters result cache keys or stressmark artifact keys;
-        # workload simulations are single programs and ignore it.
-        self.kernel_backend = kernel_backend
         self._backend = backend
         # A context closes backends it created; a *shared* backend (the
         # Session hands one pool to every context of a sweep) is closed by
@@ -381,7 +376,6 @@ class ExperimentContext:
             backend=self.backend,
             fitness_store=fitness_store,
             checkpoint=checkpoint,
-            kernel_backend=self.kernel_backend,
         )
         seeds = None
         if self.scale.seed_ga_with_reference:

@@ -1,17 +1,18 @@
-"""Program container: a setup section plus an inner loop body.
+"""Program container: an inner loop body plus its warm-up footprint.
 
 Both the AVF stressmark and the synthetic workload proxies have the same
-shape the paper's code-generator framework uses: an initialisation section
+shape the paper's code-generator framework uses: an initialisation pass
 that touches the data region once, followed by an inner loop executed many
-times.  The simulator consumes the program as a dynamic instruction stream
-produced by :meth:`Program.dynamic_stream`.
+times.  The initialisation pass is declared as :class:`WarmupRegion`
+footprints, which the simulator warms functionally; its timing loop then
+runs the body ``iterations`` times, up to its dynamic instruction budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Optional
+from typing import Mapping
 
 from repro.isa.instructions import Instruction, InstructionClass
 
@@ -73,20 +74,9 @@ class BranchBehavior(Enum):
     BIASED = "biased"
 
 
-@dataclass(frozen=True)
-class DynamicOp:
-    """One dynamic instruction instance in the fetch stream."""
-
-    seq: int
-    iteration: int
-    index_in_body: int
-    instruction: Instruction
-    in_setup: bool = False
-
-
 @dataclass
 class Program:
-    """A synthetic program: optional setup section plus a repeated loop body.
+    """A synthetic program: a repeated loop body and its warm-up footprint.
 
     Attributes
     ----------
@@ -94,9 +84,6 @@ class Program:
         Human-readable identifier (used in reports and experiment tables).
     body:
         Instructions of the inner loop, executed ``iterations`` times.
-    setup:
-        Instructions executed once before the loop (e.g. the memory
-        initialisation walk of the stressmark framework).
     iterations:
         Number of loop iterations available; the simulator may stop earlier
         when it reaches its dynamic instruction budget.
@@ -116,7 +103,6 @@ class Program:
 
     name: str
     body: list[Instruction]
-    setup: list[Instruction] = field(default_factory=list)
     iterations: int = 1_000_000
     branch_behaviors: dict[int, BranchBehavior] = field(default_factory=dict)
     pointer_chase_indices: frozenset[int] = frozenset()
@@ -156,43 +142,10 @@ class Program:
         ace_count = sum(1 for instruction in self.body if instruction.ace)
         return ace_count / float(len(self.body))
 
-    def dynamic_stream(self, max_instructions: Optional[int] = None) -> Iterator[DynamicOp]:
-        """Yield the dynamic instruction stream.
-
-        The stream is the setup section once, then the body repeated for
-        ``iterations`` iterations, truncated at ``max_instructions`` dynamic
-        instructions when given.
-        """
-        budget = max_instructions if max_instructions is not None else float("inf")
-        seq = 0
-        for index, instruction in enumerate(self.setup):
-            if seq >= budget:
-                return
-            yield DynamicOp(
-                seq=seq,
-                iteration=-1,
-                index_in_body=index,
-                instruction=instruction,
-                in_setup=True,
-            )
-            seq += 1
-        for iteration in range(self.iterations):
-            for index, instruction in enumerate(self.body):
-                if seq >= budget:
-                    return
-                yield DynamicOp(
-                    seq=seq,
-                    iteration=iteration,
-                    index_in_body=index,
-                    instruction=instruction,
-                    in_setup=False,
-                )
-                seq += 1
-
     def static_footprint_bytes(self) -> int:
         """Upper bound on the data footprint of all memory instructions."""
         footprint = 0
-        for instruction in list(self.setup) + list(self.body):
+        for instruction in self.body:
             if instruction.address_pattern is not None:
                 footprint = max(footprint, instruction.address_pattern.footprint_bytes())
         return footprint

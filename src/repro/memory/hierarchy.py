@@ -145,13 +145,13 @@ class MemoryHierarchy:
 
         The region is walked at line granularity in address order at cycle 0,
         mimicking an initialisation pass executed before the detailed window
-        (the paper's "initialise memory space" setup loop).  DL1 victims spill
-        into the L2 so that, as in steady state, the L2 ends up holding the
-        most recently initialised data and the DL1 the tail of the walk.
+        (the paper's "initialise memory space" setup loop).  Each level
+        keeps the tail of the walk it can hold, counted in its own lines or
+        pages; a line a level evicts during warm-up is dropped, not written
+        back to the next level.
         """
         if size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
-        line_bytes = self.dl1.config.line_bytes
         page_bytes = self.dtlb.config.page_bytes
 
         # Walking the whole region through each level and letting LRU evict
@@ -170,12 +170,12 @@ class MemoryHierarchy:
             self.dtlb.warm_page(base + offset, cycle=0, ace=ace, recurrent=recurrent)
         self.l2.warm_lines(
             base + size_bytes - l2_span,
-            len(range(size_bytes - l2_span, size_bytes, line_bytes)),
+            len(range(size_bytes - l2_span, size_bytes, self.l2.config.line_bytes)),
             cycle=0, dirty=dirty, ace=ace, word_fraction=word_fraction,
         )
         self.dl1.warm_lines(
             base + size_bytes - dl1_span,
-            len(range(size_bytes - dl1_span, size_bytes, line_bytes)),
+            len(range(size_bytes - dl1_span, size_bytes, self.dl1.config.line_bytes)),
             cycle=0, dirty=dirty, ace=ace, word_fraction=word_fraction,
         )
 

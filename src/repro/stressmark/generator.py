@@ -22,7 +22,7 @@ from repro.stressmark.fitness import FitnessFunction
 from repro.stressmark.knobs import KnobSpace, StressmarkKnobs
 from repro.uarch.config import MachineConfig
 from repro.uarch.faultrates import FaultRateModel, unit_fault_rates
-from repro.uarch.kernel_backends import resolve
+from repro.uarch.kernel_backends import VECTOR
 from repro.uarch.pipeline import OutOfOrderCore, SimulationResult
 
 
@@ -74,7 +74,6 @@ class StressmarkEvaluator:
         knob_space: KnobSpace,
         max_instructions: int,
         simulation_seed: int,
-        kernel_backend: str = "",
     ) -> None:
         self.config = config
         self.fault_rates = fault_rates
@@ -82,13 +81,6 @@ class StressmarkEvaluator:
         self.knob_space = knob_space
         self.max_instructions = max_instructions
         self.simulation_seed = simulation_seed
-        # Population-plane choice only (all kernel backends are
-        # bit-identical), so it is deliberately *not* part of
-        # context_digest(): cached fitness results stay valid across backend
-        # selections.  Resolved here so an unknown pin or
-        # REPRO_KERNEL_BACKEND value fails before any worker sees it.
-        resolve(kernel_backend or None)
-        self.kernel_backend = kernel_backend
         self._codegen: Optional[CodeGenerator] = None
 
     def __getstate__(self) -> dict:
@@ -125,19 +117,17 @@ class StressmarkEvaluator:
         return score
 
     def evaluate_batch(self, individuals: list[Individual]) -> list[tuple[float, dict]]:
-        """Population-at-once evaluation through the resolved kernel backend.
+        """Population-at-once evaluation on the vector plane.
 
         Bit-identical to calling the evaluator per individual — one
         ``OutOfOrderCore`` per simulation with the same seed, the same
-        codegen, the same fitness — but the backend's ``run_many`` (``vector``
-        unless pinned) shares one warm cache/TLB state per footprint across
-        the whole slice.
+        codegen, the same fitness — but ``VECTOR.run_many`` shares one warm
+        cache/TLB state per footprint across the whole slice.
         """
         decoded = [self.knob_space.decode(individual.genome) for individual in individuals]
         programs = [self.codegen.generate(knobs) for knobs in decoded]
-        backend = resolve(self.kernel_backend or None)
         core = OutOfOrderCore(self.config, seed=self.simulation_seed)
-        results = backend.run_many(core, programs, self.max_instructions)
+        results = VECTOR.run_many(core, programs, self.max_instructions)
         outcomes: list[tuple[float, dict]] = []
         for individual, knobs, program, result in zip(individuals, decoded, programs, results):
             score = float(self.fitness(result))
@@ -179,7 +169,6 @@ class StressmarkGenerator:
         backend: Optional[EvaluationBackend] = None,
         fitness_store: Optional[object] = None,
         checkpoint: Optional[object] = None,
-        kernel_backend: str = "",
     ) -> None:
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
@@ -195,7 +184,6 @@ class StressmarkGenerator:
         self.backend = backend
         self.fitness_store = fitness_store
         self.checkpoint = checkpoint
-        self.kernel_backend = kernel_backend
         self.codegen = CodeGenerator(config)
         self.history: list[EvaluationRecord] = []
 
@@ -230,7 +218,6 @@ class StressmarkGenerator:
             knob_space=self.knob_space,
             max_instructions=self.max_instructions,
             simulation_seed=self.simulation_seed,
-            kernel_backend=self.kernel_backend,
         )
 
         seeds = None

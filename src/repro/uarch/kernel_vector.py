@@ -1,8 +1,10 @@
-"""The ``vector`` kernel backend: simulation over operand columns.
+"""The ``vector`` plane: every simulation, run over operand columns.
 
 A GA generation evaluates a whole population of genomes against one machine
 configuration; a single program (``OutOfOrderCore.run``) is a population of
-one.  This plane shares one functional warm-up across a population, and
+one.  Both reach this plane through ``VECTOR.run_many``
+(:mod:`repro.uarch.kernel_backends`), with no setting to send them
+elsewhere.  This plane shares one functional warm-up across a population, and
 removes per-op Python dispatch from the timing loop by *lowering* each
 genome's dynamic instruction stream to precomputed columns before the loop
 runs:
@@ -40,11 +42,10 @@ incrementally — so results are bit-identical to the interpreted reference
 ``tests/test_kernel_differential.py`` and the kernel-smoke and batch-smoke
 byte-compares).
 
-Programs the lowering cannot express (explicit setup sections, bodies over
-:data:`MAX_KERNEL_BODY`, runs over :data:`VECTOR_MAX_OPS`, more than one
-warm-up region, address columns or a region that overflow the int64 window)
-run the interpreted reference instead, one program at a time, counted in
-``STATS.fallbacks``.
+Programs the lowering cannot express (bodies over :data:`MAX_KERNEL_BODY`,
+runs over :data:`VECTOR_MAX_OPS`, more than one warm-up region, address
+columns or a region that overflow the int64 window) run the interpreted
+reference instead, one program at a time, counted in ``STATS.fallbacks``.
 """
 
 from __future__ import annotations
@@ -143,16 +144,13 @@ def clear_vector_caches() -> None:
 def supports_vector(program: "Program") -> bool:
     """Whether the column lowering can express this program at all.
 
-    Explicit setup sections replay stateful warm-up (and draw the setup RNG
-    stream) that the shared warm state does not capture; oversize bodies
-    are not worth specializing.  The warm state has a closed form for one
-    warm-up region inside the int64 window, and every generated program
-    declares exactly one.
+    Oversize bodies are not worth specializing.  The warm state has a closed
+    form for one warm-up region inside the int64 window, and every generated
+    program declares exactly one.
     """
     regions = program.warmup_regions
     return (
-        not program.setup
-        and len(program.body) <= MAX_KERNEL_BODY
+        len(program.body) <= MAX_KERNEL_BODY
         and len(regions) <= 1
         and all(abs(region.base) + region.size_bytes < _INT64_GUARD for region in regions)
     )
@@ -770,25 +768,24 @@ def install_trackers(ledger, hierarchy: VectorHierarchy) -> None:
 # ------------------------------------------------------------- warm building
 
 
-def _warm_cache(cache: "CacheConfig", step_bytes: int, region) -> tuple:
+def _warm_cache(cache: "CacheConfig", region) -> tuple:
     """``(sets, line_no, dirty, dirty_ace, word_state, free, wa_count)`` of
     one cache after warming ``region`` (``None``: nothing) into it.
 
     ``MemoryHierarchy.warm_region`` walks only the tail of the region the
-    cache can hold, counting its lines in the DL1's ``step_bytes`` whatever
-    the cache's own line size, and writes the ``words`` leading words of
-    each line in packed word state ``state`` at cycle 0: 5 for dirty ACE
-    data, 4 for dirty un-ACE data, 0 for clean fills.  Consecutive lines
-    deal round-robin over the sets.  Every warmed line has last use 0, so a
-    set dealt more lines than it has ways keeps the last ``associativity``
-    of them, in arrival order; way ``w`` of set ``s`` is slot
-    ``s * associativity + w``.
+    cache can hold, counted in the cache's own lines, and writes the
+    ``words`` leading words of each line in packed word state ``state`` at
+    cycle 0: 5 for dirty ACE data, 4 for dirty un-ACE data, 0 for clean
+    fills.  Consecutive lines deal round-robin over the sets.  Every warmed
+    line has last use 0, so a set dealt more lines than it has ways keeps
+    the last ``associativity`` of them, in arrival order; way ``w`` of set
+    ``s`` is slot ``s * associativity + w``.
     """
     first_line = count = words = state = 0
     if region is not None:
         base, size_bytes, dirty, ace, word_fraction, _ = region
         span = min(size_bytes, cache.size_bytes)
-        count = len(range(size_bytes - span, size_bytes, step_bytes))
+        count = len(range(size_bytes - span, size_bytes, cache.line_bytes))
         first_line = (base + size_bytes - span) // cache.line_bytes
         words = int(round(word_fraction * cache.words_per_line))
         state = (5 if ace else 4) if dirty else 0
@@ -876,7 +873,6 @@ class VectorWarmState:
         ACE total and ``wa_sum`` starts at 0 (:meth:`materialize` sets them).
         """
         (region,) = signature or (None,)
-        step_bytes = config.dl1.line_bytes
         l2_tlb = config.l2_tlb
         constants = {
             "memory_latency": config.memory_latency,
@@ -901,8 +897,8 @@ class VectorWarmState:
         }
         return cls(
             constants,
-            _warm_cache(config.dl1, step_bytes, region),
-            _warm_cache(config.l2, step_bytes, region),
+            _warm_cache(config.dl1, region),
+            _warm_cache(config.l2, region),
             _warm_tlb(config.dtlb, region),
             _warm_tlb(l2_tlb, region) if l2_tlb is not None else None,
         )
@@ -1013,7 +1009,7 @@ def vector_run(core, program: "Program", max_instructions: int, warm: VectorWarm
     frontend_rng = rng.spawn("frontend")
 
     body_infos = [
-        core._instruction_info(instruction, index, False, program)
+        core._instruction_info(instruction, index, program)
         for index, instruction in enumerate(program.body)
     ]
     body_len = len(body_infos)

@@ -157,35 +157,26 @@ class OutOfOrderCore:
 
     # ------------------------------------------------------------------ run
 
-    def run(
-        self,
-        program: Program,
-        max_instructions: int = 50_000,
-        functional_setup: bool = True,
-    ) -> SimulationResult:
+    def run(self, program: Program, max_instructions: int = 50_000) -> SimulationResult:
         """Simulate ``program`` for up to ``max_instructions`` body instructions.
 
-        ``functional_setup`` executes the program's setup section as a warm-up
-        of the memory hierarchy (cache/TLB contents and lifetime state) without
-        occupying core structures, mirroring the common practice of functional
-        cache warm-up before a detailed simulation window.
+        The memory hierarchy is first warmed functionally with the program's
+        declared :class:`~repro.isa.program.WarmupRegion` footprint (cache/TLB
+        contents and lifetime state, no core occupancy), mirroring the common
+        practice of functional cache warm-up before a detailed window.
 
         A single program runs on the vector plane as a population of one,
         through :meth:`VectorKernelBackend.run_many
         <repro.uarch.kernel_backends.VectorKernelBackend.run_many>`: its warm
         state is built flat from the footprint, which beats warming the
         interpreter's object hierarchy (~3.7x on the workload suite).  Programs
-        the plane cannot lower (setup sections, oversize bodies, runs over
-        ``VECTOR_MAX_OPS``, several warm-up regions, addresses past the int64
-        window) run the interpreter there; so does
-        ``functional_setup=False``, which replays the setup section through
-        the core.
+        the plane cannot lower (oversize bodies, runs over ``VECTOR_MAX_OPS``,
+        several warm-up regions, addresses past the int64 window) run the
+        interpreter there.
         """
-        if functional_setup:
-            from repro.uarch.kernel_backends import VECTOR
+        from repro.uarch.kernel_backends import VECTOR
 
-            return VECTOR.run_many(self, [program], max_instructions)[0]
-        return self.run_interpreted(program, max_instructions, functional_setup)
+        return VECTOR.run_many(self, [program], max_instructions)[0]
 
     def run_interpreted(
         self,
@@ -199,6 +190,7 @@ class OutOfOrderCore:
         differential suite and the ``kernel-smoke`` gate compare
         :func:`repro.uarch.kernel_vector.vector_run` against it
         cycle-for-cycle and ledger-credit-for-credit.
+        ``functional_setup=False`` skips the footprint warm-up.
         """
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
@@ -235,19 +227,23 @@ class OutOfOrderCore:
         frontend_rng = rng.spawn("frontend")
 
         if functional_setup:
-            self._run_functional_setup(program, hierarchy, rng)
+            # Functional warm-up: each declared WarmupRegion footprint is
+            # walked at line granularity, without core occupancy.
+            for region in program.warmup_regions:
+                hierarchy.warm_region(
+                    base=region.base,
+                    size_bytes=region.size_bytes,
+                    dirty=region.dirty,
+                    ace=region.ace,
+                    word_fraction=region.word_fraction,
+                    recurrent=region.recurrent,
+                )
 
         # -------------------------------------------- static precomputation
         body_infos = [
-            self._instruction_info(instruction, index, False, program)
+            self._instruction_info(instruction, index, program)
             for index, instruction in enumerate(program.body)
         ]
-        setup_infos: list[tuple] = []
-        if not functional_setup:
-            setup_infos = [
-                self._instruction_info(instruction, index, True, program)
-                for index, instruction in enumerate(program.setup)
-            ]
 
         # ------------------------------------------------ bandwidth counters
         # Dispatch and commit choices are monotone non-decreasing across ops,
@@ -263,9 +259,6 @@ class OutOfOrderCore:
         # (the exact condition under which two live cycles could alias).
         max_override = 0
         for info in body_infos:
-            if info[14] is not None and info[14] > max_override:
-                max_override = info[14]
-        for info in setup_infos:
             if info[14] is not None and info[14] > max_override:
                 max_override = info[14]
         per_op_latency_bound = (
@@ -373,19 +366,11 @@ class OutOfOrderCore:
         processed = 0
         done = False
 
-        # Dynamic stream: the setup section once (only when it is not handled
-        # functionally), then the body repeated per iteration, truncated at
-        # the instruction budget — mirroring Program.dynamic_stream.
-        def iteration_blocks():
-            if setup_infos:
-                yield -1, setup_infos
-            for iteration in range(iterations_total):
-                yield iteration, body_infos
-
-        for iteration, infos in iteration_blocks():
-            resolve_iteration = iteration if iteration > 0 else 0
+        # Dynamic stream: the body repeated per iteration, truncated at the
+        # instruction budget.
+        for iteration in range(iterations_total):
             closing_taken = iteration < iterations_total - 1
-            for info in infos:
+            for info in body_infos:
                 if processed >= budget:
                     done = True
                     break
@@ -502,7 +487,7 @@ class OutOfOrderCore:
                     else:
                         # Load/prefetch: resolve the address and access the
                         # memory hierarchy at issue time.
-                        address = pattern.resolve(resolve_iteration, memory_rng)
+                        address = pattern.resolve(iteration, memory_rng)
                         latency, dl1_hit, l2_hit, _ = hierarchy_access(address, False, issue, ace)
                         if not dl1_hit and not l2_hit:
                             l2_misses += 1
@@ -524,7 +509,7 @@ class OutOfOrderCore:
 
                 # Stores update the data cache when they retire.
                 if is_store and pattern is not None:
-                    address = pattern.resolve(resolve_iteration, memory_rng)
+                    address = pattern.resolve(iteration, memory_rng)
                     hierarchy_access(address, True, commit, ace)
 
                 # -------------------------------------------- branch logic
@@ -689,9 +674,7 @@ class OutOfOrderCore:
 
     # -------------------------------------------------------------- helpers
 
-    def _instruction_info(
-        self, instruction: Instruction, index: int, in_setup: bool, program: Program
-    ) -> tuple:
+    def _instruction_info(self, instruction: Instruction, index: int, program: Program) -> tuple:
         """Precompute the per-dynamic-op facts of one static instruction.
 
         Field order is documented by ``_INFO_FIELDS``.  ``fixed_latency`` is
@@ -742,7 +725,7 @@ class OutOfOrderCore:
             instruction.address_pattern,
             instruction.taken_probability,
             program.branch_behavior(index) is BranchBehavior.LOOP_CLOSING,
-            4096 + index if in_setup else index,
+            index,
         )
 
     @staticmethod
@@ -781,33 +764,3 @@ class OutOfOrderCore:
                 new_alu[new_slot] = ring_alu[slot]
                 new_mul[new_slot] = ring_mul[slot]
         return new_size, new_mask, new_tag, new_issue, new_mem, new_alu, new_mul
-
-    def _run_functional_setup(
-        self, program: Program, hierarchy: MemoryHierarchy, rng: DeterministicRng
-    ) -> None:
-        """Warm the memory hierarchy with the program's declared footprint.
-
-        Warm-up has two parts: the declared :class:`WarmupRegion` footprints
-        (walked at line granularity) and the explicit setup instructions
-        (replayed functionally, without core occupancy accounting).
-        """
-        for region in program.warmup_regions:
-            hierarchy.warm_region(
-                base=region.base,
-                size_bytes=region.size_bytes,
-                dirty=region.dirty,
-                ace=region.ace,
-                word_fraction=region.word_fraction,
-                recurrent=region.recurrent,
-            )
-        setup_rng = rng.spawn("setup")
-        for index, instruction in enumerate(program.setup):
-            if instruction.address_pattern is None:
-                continue
-            address = instruction.address_pattern.resolve(index, setup_rng)
-            hierarchy.access(
-                address,
-                is_write=instruction.is_store,
-                cycle=0,
-                ace=instruction.ace,
-            )

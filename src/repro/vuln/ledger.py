@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as _np
-
 from repro.registry import RegistryError, suggest
 from repro.vuln.structures import (
     STRUCTURES,
@@ -104,55 +102,6 @@ class AceAccumulator:
         duration = float(end - start)
         self.occupied_entry_cycles += duration
         self.ace_bit_cycles += duration * self.bits_per_entry * ace_fraction
-
-    def add_intervals(self, starts, ends, ace_fractions=None) -> None:
-        """Bulk :meth:`add_interval` over parallel columns of intervals.
-
-        Semantically *exactly* the per-element loop ``for i: add_interval(
-        starts[i], ends[i], ace_fractions[i])`` — same validation errors at
-        the same element, same accumulator values to the last bit.  A numpy
-        fast path replaces the loop only when the reduction is provably
-        bit-identical: every duration and fraction contribution is an exact
-        integer-valued float (fractions all 0 or 1), the accumulators hold
-        integer values, and no partial sum can leave the 2**53 window where
-        float addition is associative.  ``ace_fractions=None`` means 1.0 for
-        every interval.  Accepts any indexable columns (lists, numpy arrays).
-        """
-        count = len(starts)
-        if len(ends) != count or (ace_fractions is not None and len(ace_fractions) != count):
-            raise ValueError("interval columns must have equal lengths")
-        if count >= 8:
-            starts_arr = _np.asarray(starts, dtype=_np.int64)
-            ends_arr = _np.asarray(ends, dtype=_np.int64)
-            durations = ends_arr - starts_arr
-            if int(durations.min()) >= 0:
-                if ace_fractions is None:
-                    fractions = None
-                    exact = True
-                    ace_total = int(durations.sum()) * self.bits_per_entry
-                else:
-                    fractions = _np.asarray(ace_fractions, dtype=_np.float64)
-                    exact = bool(((fractions == 0.0) | (fractions == 1.0)).all())
-                    if exact:
-                        ace_total = int(durations[fractions == 1.0].sum()) * self.bits_per_entry
-                if exact:
-                    occupied_total = int(durations.sum())
-                    if (
-                        self.ace_bit_cycles.is_integer()
-                        and self.occupied_entry_cycles.is_integer()
-                        and self.ace_bit_cycles + ace_total < 2**53
-                        and self.occupied_entry_cycles + occupied_total < 2**53
-                    ):
-                        self.ace_bit_cycles += float(ace_total)
-                        self.occupied_entry_cycles += float(occupied_total)
-                        return
-        add = self.add_interval
-        if ace_fractions is None:
-            for index in range(count):
-                add(starts[index], ends[index])
-        else:
-            for index in range(count):
-                add(starts[index], ends[index], ace_fractions[index])
 
     def add_bit_cycles(self, ace_bit_cycles: float, occupied_entry_cycles: float = 0.0) -> None:
         """Directly add pre-computed ACE bit-cycles (used for caches/TLB)."""
@@ -442,14 +391,6 @@ class VulnerabilityLedger:
     ) -> None:
         """Record one occupancy interval of a core structure."""
         self.account(name).add_interval(start, end, ace_fraction)
-
-    def add_intervals(self, name: "str | StructureName", starts, ends, ace_fractions=None) -> None:
-        """Bulk :meth:`add_interval`: parallel (start, end, ace_fraction) columns.
-
-        Exactly equivalent to looping ``add_interval`` over the columns; see
-        :meth:`AceAccumulator.add_intervals` for the bit-identical contract.
-        """
-        self.account(name).add_intervals(starts, ends, ace_fractions)
 
     def credit(
         self,

@@ -100,16 +100,9 @@ class TestDefaultComponents:
     def test_registries_mapping_covers_every_registry(self):
         mapping = registries()
         assert set(mapping) == {
-            "config", "fault_rates", "suite", "fitness", "scale", "backend",
-            "kernel_backends", "structures",
+            "config", "fault_rates", "suite", "fitness", "scale", "backend", "structures",
         }
         assert mapping["config"] is CONFIGS
-
-    def test_kernel_backend_registry(self):
-        from repro.api.registry import KERNEL_BACKENDS
-
-        assert KERNEL_BACKENDS.names() == ["interpreted", "vector"]
-        assert registries()["kernel_backends"] is KERNEL_BACKENDS
 
     def test_structure_registry_is_exposed(self):
         from repro.vuln import STRUCTURES

@@ -80,6 +80,7 @@ class TestCheapCommands:
         assert "workload suites" in output and "mibench" in output
         assert "experiment scales" in output and "paper" in output
         assert "evaluation backends" in output and "resilient" in output
+        assert "kernel backends" not in output
 
     def test_list_shows_tracked_structures(self, capsys):
         assert main(["list"]) == 0

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.tlb import TlbConfig
+from repro.uarch.config import baseline_config
 
 
 def small_hierarchy(memory_latency: int = 100, tlb_penalty: int = 20) -> MemoryHierarchy:
@@ -107,6 +110,18 @@ class TestWarmRegion:
     def test_warm_region_validation(self):
         with pytest.raises(ValueError):
             small_hierarchy().warm_region(base=0, size_bytes=0)
+
+    def test_warm_region_counts_l2_lines_in_l2_line_bytes(self):
+        """An L2 line wider than the DL1's warms the region's tail, not past it."""
+        config = baseline_config()
+        wide_l2 = dataclasses.replace(config.l2, line_bytes=128)
+        hierarchy = MemoryHierarchy(dl1_config=config.dl1, l2_config=wide_l2,
+                                    dtlb_config=config.dtlb)
+        size = 256 * 1024
+        hierarchy.warm_region(base=0, size_bytes=size, dirty=True, ace=True)
+        assert hierarchy.l2.resident_line_count() == size // 128
+        assert hierarchy.l2.access(size - 128, is_write=False, cycle=1).hit
+        assert not hierarchy.l2.access(size, is_write=False, cycle=2).hit
 
     def test_warm_then_access_hits(self):
         hierarchy = small_hierarchy()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.isa.instructions import make_alu, make_branch, make_load, make_nop, make_store
 from repro.isa.memoryref import FixedPattern, StridedPattern
-from repro.isa.program import BranchBehavior, DynamicOp, Program, WarmupRegion
+from repro.isa.program import BranchBehavior, Program, WarmupRegion
 
 
 PATTERN = FixedPattern(address=0)
@@ -57,41 +57,6 @@ class TestWarmupRegion:
     def test_word_fraction_validation(self):
         with pytest.raises(ValueError):
             WarmupRegion(base=0, size_bytes=64, word_fraction=1.5)
-
-
-class TestDynamicStream:
-    def test_setup_then_body(self):
-        program = Program(
-            name="p",
-            body=simple_body(),
-            setup=[make_store(StridedPattern(base=0, stride=8, region=64), srcs=[0])],
-            iterations=2,
-        )
-        ops = list(program.dynamic_stream())
-        assert len(ops) == 1 + 2 * 4
-        assert ops[0].in_setup
-        assert all(not op.in_setup for op in ops[1:])
-
-    def test_iteration_and_index_tracking(self):
-        program = Program(name="p", body=simple_body(), iterations=3)
-        ops = list(program.dynamic_stream())
-        assert [op.iteration for op in ops[:4]] == [0, 0, 0, 0]
-        assert [op.iteration for op in ops[4:8]] == [1, 1, 1, 1]
-        assert [op.index_in_body for op in ops[:4]] == [0, 1, 2, 3]
-
-    def test_sequence_numbers_monotonic(self):
-        program = Program(name="p", body=simple_body(), iterations=2)
-        ops = list(program.dynamic_stream())
-        assert [op.seq for op in ops] == list(range(len(ops)))
-
-    def test_max_instructions_truncates(self):
-        program = Program(name="p", body=simple_body(), iterations=1000)
-        ops = list(program.dynamic_stream(max_instructions=10))
-        assert len(ops) == 10
-
-    def test_dynamic_op_type(self):
-        program = Program(name="p", body=simple_body(), iterations=1)
-        assert all(isinstance(op, DynamicOp) for op in program.dynamic_stream())
 
 
 class TestProgramIntrospection:

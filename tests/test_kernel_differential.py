@@ -46,7 +46,7 @@ from repro.memory.tlb import TlbConfig
 from repro.stressmark.generator import StressmarkGenerator, reference_knobs
 from repro.uarch import kernel_vector
 from repro.uarch.config import MachineConfig, baseline_config, config_a, extended_config
-from repro.uarch.kernel_backends import BACKEND_ENV_VAR, KERNEL_BACKENDS, VECTOR, resolve
+from repro.uarch.kernel_backends import VECTOR, resolve
 from repro.uarch.pipeline import OutOfOrderCore
 from repro.utils.rng import DeterministicRng
 from repro.vuln.ledger import AceEvent, VulnerabilityLedger
@@ -237,9 +237,8 @@ class TestKernelDifferential:
                 budget, len(program.body) * program.iterations
             )
 
-    def test_dispatcher_uses_kernel_by_default(self, monkeypatch):
-        """Single runs and populations both default to the vector plane."""
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_dispatcher_uses_kernel_by_default(self):
+        """Single runs and populations both run the vector plane."""
         kernel_vector.clear_vector_caches()
         config = baseline_config()
         program = random_program(5, "dispatch-check")
@@ -252,18 +251,6 @@ class TestKernelDifferential:
         assert kernel_vector.STATS.vector_runs == 2
         assert_identical(single, population, "dispatch")
         assert_identical(core.run_interpreted(program, 500), single, "dispatch-oracle")
-
-    def test_explicit_setup_section_falls_back_to_interpreter(self):
-        """functional_setup=False is out of the vector plane's scope — results still match."""
-        kernel_vector.clear_vector_caches()
-        config = baseline_config()
-        program = random_program(7, "setup-check")
-        program.setup = [make_alu(1, [0]), make_store(FixedPattern(address=64), srcs=[1])]
-        core = OutOfOrderCore(config, seed=3)
-        via_run = core.run(program, max_instructions=500, functional_setup=False)
-        reference = core.run_interpreted(program, max_instructions=500, functional_setup=False)
-        assert kernel_vector.STATS.vector_runs == 0
-        assert_identical(reference, via_run, "setup-fallback")
 
 
 class TestVectorKernelDifferential:
@@ -346,7 +333,7 @@ class TestVectorKernelDifferential:
 
     @pytest.mark.parametrize(
         "reason",
-        ["setup", "oversize_body", "over_budget", "int64_address",
+        ["oversize_body", "over_budget", "int64_address",
          "several_warm_regions", "int64_warm_region"],
     )
     def test_fallback_reason(self, reason, monkeypatch):
@@ -365,9 +352,6 @@ class TestVectorKernelDifferential:
             assert not kernel_vector.supports_vector(program)
         elif reason == "int64_warm_region":
             program.warmup_regions = [_region(1 << 62, 64 << 10)]
-            assert not kernel_vector.supports_vector(program)
-        elif reason == "setup":
-            program.setup = [make_alu(1, [0]), make_store(FixedPattern(address=64), srcs=[1])]
             assert not kernel_vector.supports_vector(program)
         elif reason == "oversize_body":
             program.body = [
@@ -443,14 +427,12 @@ class TestVectorKernelDifferential:
         kernel_vector.clear_vector_caches()
 
     def test_backend_run_many_routes_through_vector_plane(self):
-        """The registered backend engages the vector plane for batches."""
+        """``VECTOR.run_many`` engages the vector plane for batches."""
         kernel_vector.STATS.reset()
         config = baseline_config()
         programs = [random_program(61, "vbackend-a"), random_program(62, "vbackend-b")]
         core = OutOfOrderCore(config, seed=3)
-        backend = KERNEL_BACKENDS.create("vector")
-        assert backend is VECTOR
-        results = backend.run_many(core, programs, 1_000)
+        results = VECTOR.run_many(core, programs, 1_000)
         assert kernel_vector.STATS.vector_runs == 2
         for index, program in enumerate(programs):
             assert_identical(
@@ -461,8 +443,8 @@ class TestVectorKernelDifferential:
 
 
 def wide_l2_line_config() -> MachineConfig:
-    """L2 lines twice the DL1's: warm-up still counts L2 lines in DL1 line
-    steps, so one large region overflows the L2 sets on its own."""
+    """L2 lines twice the DL1's: each cache counts its warmed tail in its
+    own lines, and the flat state must start each at its own line."""
     return extended_config().derive(
         name="wide_l2_lines",
         l2=CacheConfig(name="l2", size_bytes=256 << 10, associativity=2, line_bytes=128,

@@ -1,34 +1,28 @@
-"""Where simulations execute: populations follow the kernel-backend pin.
+"""Where simulations execute: every route ends at ``VECTOR.run_many``.
 
-GA populations go through the resolved kernel backend's ``run_many``
-(``vector`` unless pinned); single programs run the vector plane directly,
-whatever the pin.  A recording wrapper registered over both planes appends
-one line per ``run_many`` call to a file, so calls made inside forked pool
-workers are seen too.  Removed plane names must fail loudly wherever they
-can be given.
+GA populations (``StressmarkEvaluator.evaluate_batch``) and single programs
+(``OutOfOrderCore.run``) both run the vector plane, and no setting sends
+them elsewhere.  ``VectorKernelBackend.run_many`` is monkeypatched with a
+recorder that appends one line per call to a file, so calls made inside
+forked pool workers (which inherit the patch) are seen too.  Every setting
+the deleted kernel-backend selector read is now dropped or refused.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import cli
 from repro.api.session import Session
 from repro.api.spec import RunSpec
-from repro.registry import RegistryError
-from repro.stressmark.generator import StressmarkGenerator
 from repro.uarch import kernel_vector
-from repro.uarch.config import baseline_config
-from repro.uarch.kernel_backends import (
-    BACKEND_ENV_VAR,
-    INTERPRETED,
-    KERNEL_BACKENDS,
-    VECTOR,
-    KernelBackend,
-    resolve,
-)
+from repro.uarch.kernel_backends import VECTOR, VectorKernelBackend, resolve
 
 #: A search small enough for a unit test (two generations of four genomes).
 SEARCH_OVERRIDES = {
@@ -37,110 +31,108 @@ SEARCH_OVERRIDES = {
     "ga_generations": 2,
 }
 
-VALID_CHOICES = "registered: interpreted, vector"
-
-
-class RecordingBackend(KernelBackend):
-    """Delegates to a real plane, logging ``<plane> <pid>`` per ``run_many``."""
-
-    def __init__(self, plane: KernelBackend, log_path) -> None:
-        self.plane = plane
-        self.name = plane.name
-        self.log_path = log_path
-
-    def run_many(self, core, programs, max_instructions):
-        with open(self.log_path, "a") as log:
-            log.write(f"{self.name} {os.getpid()}\n")
-        return self.plane.run_many(core, programs, max_instructions)
+#: The names the deleted selector accepted, and the planes it already refused.
+PLANE_NAMES = ["source", "batch", "interpreted", "vector"]
 
 
 @pytest.fixture
 def plane_log(tmp_path, monkeypatch):
-    """Register recording wrappers over both planes; yields the log reader."""
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    """Record ``<programs> <pid>`` per ``VECTOR.run_many`` call; yields the log reader."""
     log_path = tmp_path / "planes.log"
-    originals = dict(KERNEL_BACKENDS.items())
-    for plane in (INTERPRETED, VECTOR):
-        recording = RecordingBackend(plane, log_path)
-        KERNEL_BACKENDS.register(plane.name, lambda recording=recording: recording, replace=True)
+    run_many = VectorKernelBackend.run_many
 
-    def read() -> list[tuple[str, int]]:
+    def recording(self, core, programs, max_instructions):
+        with open(log_path, "a") as log:
+            log.write(f"{len(programs)} {os.getpid()}\n")
+        return run_many(self, core, programs, max_instructions)
+
+    monkeypatch.setattr(VectorKernelBackend, "run_many", recording)
+
+    def read() -> list[tuple[int, int]]:
         if not log_path.exists():
             return []
         return [
-            (name, int(pid))
-            for name, pid in (line.split() for line in log_path.read_text().splitlines())
+            (int(count), int(pid))
+            for count, pid in (line.split() for line in log_path.read_text().splitlines())
         ]
 
-    try:
-        yield read
-    finally:
-        for name, factory in originals.items():
-            KERNEL_BACKENDS.register(name, factory, replace=True)
+    return read
 
 
-def _search(kernel_backend: str = "") -> RunSpec:
-    return RunSpec(
-        kind="stressmark",
-        name="routing",
-        scale_overrides=SEARCH_OVERRIDES,
-        kernel_backend=kernel_backend,
+def _search(**legacy: object) -> RunSpec:
+    """A small stressmark search, loaded from JSON the way a stored spec is."""
+    return RunSpec.from_json_dict(
+        {"kind": "stressmark", "name": "routing", "scale_overrides": SEARCH_OVERRIDES, **legacy}
     )
 
 
 class TestPopulationRouting:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_pinned_spec_reaches_the_interpreter(self, plane_log, jobs):
+    def test_populations_reach_vector(self, plane_log, jobs):
+        """A spec that pinned the interpreter runs its populations on vector."""
         with Session(jobs=jobs) as session:
-            session.run(_search("interpreted"))
-        calls = plane_log()
-        assert calls, "no population evaluation was recorded"
-        assert {name for name, _ in calls} == {"interpreted"}
+            session.run(_search(kernel_backend="interpreted"))
+        populations = [pid for count, pid in plane_log() if count > 1]
+        assert populations, "no population evaluation was recorded"
         if jobs > 1:
-            assert all(pid != os.getpid() for _, pid in calls), "ran outside the pool"
+            assert all(pid != os.getpid() for pid in populations), "ran outside the pool"
 
-    def test_unpinned_spec_reaches_vector(self, plane_log):
+    def test_unpinned_spec_reaches_vector(self, plane_log, monkeypatch):
+        """``REPRO_KERNEL_BACKEND=interpreted`` no longer reaches the interpreter."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interpreted")
+        kernel_vector.STATS.reset()
         with Session(jobs=1) as session:
             session.run(_search())
-        calls = plane_log()
-        assert calls and {name for name, _ in calls} == {"vector"}
+        assert any(count > 1 for count, _ in plane_log())
+        assert kernel_vector.STATS.vector_runs > 0
+        assert kernel_vector.STATS.fallbacks == 0
 
     def test_single_programs_ignore_the_pin(self, plane_log):
-        """A simulate spec runs single programs, which the pin does not reach.
-
-        ``OutOfOrderCore.run`` sends each program to the vector plane itself,
-        not through the resolved backend: under an ``interpreted`` pin no
-        recorded plane is called and the vector plane counts the run.
-        """
-        spec = RunSpec(kind="simulate", name="single", workloads=("crc32_proxy",),
-                       kernel_backend="interpreted")
+        """Each program of a simulate spec is a population of one on vector."""
+        spec = RunSpec.from_json_dict({
+            "kind": "simulate", "name": "single", "workloads": ["crc32_proxy"],
+            "kernel_backend": "interpreted",
+        })
         kernel_vector.STATS.reset()
         with Session(jobs=1) as session:
             session.run(spec)
-        assert plane_log() == []
+        assert plane_log() == [(1, os.getpid())]
         assert (kernel_vector.STATS.vector_runs, kernel_vector.STATS.fallbacks) == (1, 0)
 
 
-@pytest.mark.parametrize("removed", ["source", "batch"])
+@pytest.mark.parametrize("plane", PLANE_NAMES)
 class TestRemovedPlanes:
-    def test_spec_field(self, removed):
-        with pytest.raises(RegistryError, match=VALID_CHOICES):
-            RunSpec(kind="stressmark", name="removed", kernel_backend=removed).validate()
+    def test_spec_field(self, plane):
+        """A spec naming ``kernel_backend`` loads as its unpinned twin, digest included."""
+        twin = {"kind": "stressmark", "name": "legacy", "scale_overrides": SEARCH_OVERRIDES}
+        spec = RunSpec.from_json_dict({**twin, "kernel_backend": plane}).validate()
+        assert spec == RunSpec.from_json_dict(twin)
+        assert spec.digest == RunSpec.from_json_dict(twin).digest
+        # Sweeps drop it at every level: the sweep, its base and its runs.
+        plain_sweep = {"kind": "sweep", "name": "legacy-sweep", "base": twin,
+                       "axes": {"seed": [1, 2]}, "runs": [twin]}
+        pinned = {**twin, "kernel_backend": plane}
+        pinned_sweep = {**plain_sweep, "kernel_backend": plane, "base": pinned, "runs": [pinned]}
+        sweep = RunSpec.from_json_dict(pinned_sweep).validate()
+        assert sweep.digest == RunSpec.from_json_dict(plain_sweep).digest
 
-    def test_cli_option(self, removed, capsys):
-        with pytest.raises(RegistryError, match=VALID_CHOICES):
-            Session(kernel_backend=removed)
+    def test_cli_option(self, plane, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["table1", "--kernel-backend", removed])
+            cli.main(["table1", "--kernel-backend", plane])
         assert exit_info.value.code == 2
-        assert VALID_CHOICES in capsys.readouterr().err
+        assert "unrecognized arguments: --kernel-backend" in capsys.readouterr().err
 
-    def test_environment(self, removed, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, removed)
-        with pytest.raises(RegistryError, match=VALID_CHOICES):
-            resolve(None)
-        with pytest.raises(RegistryError, match=VALID_CHOICES):
-            Session(jobs=1)
-        # Library use without a Session fails before any evaluation either.
-        with pytest.raises(RegistryError, match=VALID_CHOICES):
-            StressmarkGenerator(config=baseline_config(), max_instructions=500).generate()
+    def test_environment(self, plane, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", plane)
+        assert resolve(None) is VECTOR
+        Session(jobs=1).close()
+
+
+def test_import_repro_loads_the_vector_plane():
+    """numpy loads with ``import repro``, not on each pool worker's first evaluation."""
+    code = "import sys, repro; print('repro.uarch.kernel_vector' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    completed = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.strip() == "True"

@@ -515,14 +515,14 @@ class TestSpecRetryKnobs:
         data = spec.to_json_dict()
         assert "retries" not in data
         assert "task_timeout" not in data
-        assert "kernel_backend" not in data
         tuned = spec.replace(retries=2, task_timeout=30.0)
         assert tuned.to_json_dict()["retries"] == 2
         assert tuned.digest != spec.digest
-        # A spec-level kernel-backend pin is part of the digest when set.
-        pinned = spec.replace(kernel_backend="interpreted")
-        assert pinned.to_json_dict()["kernel_backend"] == "interpreted"
-        assert pinned.digest != spec.digest
+        # A stored spec that pinned a kernel backend loads as its unpinned
+        # twin, with the twin's digest: the dropped field changed no result.
+        pinned = RunSpec.from_json_dict({**data, "kernel_backend": "interpreted"})
+        assert "kernel_backend" not in pinned.to_json_dict()
+        assert pinned.digest == spec.digest
 
     def test_sweep_children_inherit_retry_knobs(self):
         sweep = RunSpec(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -37,6 +38,15 @@ class TestAtomicWrite:
         assert not path.with_name(path.name + ".tmp").exists()
 
 
+class PinnedResult(RunResult):
+    """A result as written while specs could pin a kernel backend."""
+
+    def to_json_dict(self) -> dict:
+        data = super().to_json_dict()
+        data["spec"]["kernel_backend"] = "interpreted"
+        return data
+
+
 @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
 class TestBackends:
     def test_put_get_round_trip(self, tmp_path, backend):
@@ -63,6 +73,26 @@ class TestBackends:
             assert reopened.backend_name == backend
             assert reopened.get(digest).rows == make_result().rows
             assert reopened.get(legacy_digest).spec.backend == "process"
+
+    def test_result_pinning_a_kernel_backend_reloads(self, tmp_path, backend):
+        """A result stored while specs could pin a kernel backend reloads: its
+        spec drops the field, and it keeps the digest it was stored under."""
+        root = tmp_path / "store"
+        twin = make_result("pinned")
+        pinned_spec = dict(twin.spec.to_json_dict(), kernel_backend="interpreted")
+        pinned_digest = hashlib.sha256(
+            json.dumps(pinned_spec, separators=(",", ":")).encode("utf-8")
+        ).hexdigest()
+        legacy = PinnedResult(spec=twin.spec, rows=twin.rows,
+                              provenance={"spec_digest": pinned_digest})
+        with ResultStore(root, backend=backend) as store:
+            assert store.put(legacy) == pinned_digest
+        with open_store(root) as reopened:
+            assert reopened.document(pinned_digest)["spec"]["kernel_backend"] == "interpreted"
+            loaded = reopened.get(pinned_digest)
+            assert loaded.spec == twin.spec
+            assert loaded.spec_digest == pinned_digest
+            assert loaded.rows == twin.rows
 
     def test_missing_digest_is_none(self, tmp_path, backend):
         with ResultStore(tmp_path / "store", backend=backend) as store:

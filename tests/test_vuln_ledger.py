@@ -90,67 +90,6 @@ class TestLedgerAccounts:
             ledger.word_tracker("dl1", 512)
 
 
-class TestAddIntervalsBulk:
-    """Bulk interval credit must be bit-identical to the looped form."""
-
-    def _looped(self, starts, ends, fractions=None):
-        ledger = VulnerabilityLedger(baseline_config())
-        for index in range(len(starts)):
-            if fractions is None:
-                ledger.add_interval("dtlb", starts[index], ends[index])
-            else:
-                ledger.add_interval("dtlb", starts[index], ends[index], fractions[index])
-        return ledger.account("dtlb")
-
-    def test_bulk_equals_loop_on_integer_columns(self):
-        starts = list(range(0, 640, 10))
-        ends = [start + 7 for start in starts]
-        ledger = VulnerabilityLedger(baseline_config())
-        ledger.add_intervals("dtlb", starts, ends)
-        looped = self._looped(starts, ends)
-        assert ledger.account("dtlb").ace_bit_cycles == looped.ace_bit_cycles
-        assert ledger.account("dtlb").occupied_entry_cycles == looped.occupied_entry_cycles
-
-    def test_bulk_equals_loop_with_zero_one_fractions(self):
-        starts = list(range(0, 160, 10))
-        ends = [start + 5 for start in starts]
-        fractions = [1.0 if index % 3 else 0.0 for index in range(len(starts))]
-        ledger = VulnerabilityLedger(baseline_config())
-        ledger.add_intervals("dtlb", starts, ends, fractions)
-        looped = self._looped(starts, ends, fractions)
-        assert ledger.account("dtlb").ace_bit_cycles == looped.ace_bit_cycles
-        assert ledger.account("dtlb").occupied_entry_cycles == looped.occupied_entry_cycles
-
-    def test_fractional_ace_falls_back_to_exact_loop(self):
-        starts = list(range(0, 160, 10))
-        ends = [start + 5 for start in starts]
-        fractions = [0.5] * len(starts)
-        ledger = VulnerabilityLedger(baseline_config())
-        ledger.add_intervals("dtlb", starts, ends, fractions)
-        looped = self._looped(starts, ends, fractions)
-        assert ledger.account("dtlb").ace_bit_cycles == looped.ace_bit_cycles
-
-    def test_small_batches_take_the_loop(self):
-        ledger = VulnerabilityLedger(baseline_config())
-        ledger.add_intervals("dtlb", [0, 5], [10, 9])
-        looped = self._looped([0, 5], [10, 9])
-        assert ledger.account("dtlb").ace_bit_cycles == looped.ace_bit_cycles
-
-    def test_mismatched_columns_raise(self, ledger):
-        with pytest.raises(ValueError, match="equal lengths"):
-            ledger.add_intervals("dtlb", [0, 1], [2])
-        with pytest.raises(ValueError, match="equal lengths"):
-            ledger.add_intervals("dtlb", [0, 1], [2, 3], [1.0])
-
-    def test_negative_duration_raises_like_the_loop(self):
-        starts = list(range(0, 160, 10))
-        ends = [start + 5 for start in starts]
-        ends[9] = starts[9] - 1  # one inverted interval inside a big batch
-        ledger = VulnerabilityLedger(baseline_config())
-        with pytest.raises(ValueError):
-            ledger.add_intervals("dtlb", starts, ends)
-
-
 class TestStructureNameOpenEnum:
     def test_lookup_by_value(self):
         assert StructureName("iq") is StructureName.IQ
