@@ -5,7 +5,7 @@ Two checks on the plane GA populations run through (ARCHITECTURE.md,
 
 * **Vector parity** — one GA-generation-shaped population of derived
   stressmarks per config is simulated through the ``vector`` backend
-  (numpy-precomputed operand columns, flat-array hierarchy replica) and
+  (precomputed operand columns, flat-array hierarchy replica) and
   through the interpreted reference loop, and the canonical per-structure
   AVF / group SER payloads are compared byte for byte at full ``repr``
   precision — the same discipline as the AVF golden gate.
@@ -16,9 +16,8 @@ Two checks on the plane GA populations run through (ARCHITECTURE.md,
   ``max(MIN_POPULATION_SPEEDUP, first recorded baseline minus the shared 30%
   regression allowance)``.
 
-The routing of each fallback reason (setup sections, oversize bodies, runs
-over ``VECTOR_MAX_OPS``, several warm-up regions, address streams or a
-region past the int64 window) is pinned in tier-1 by
+The routing of each fallback reason (oversize bodies, runs over
+``VECTOR_MAX_OPS``, several warm-up regions) is pinned in tier-1 by
 ``tests/test_kernel_differential.py``.
 
 Run via ``make batch-smoke`` or ``REPRO_BATCH_SMOKE=1``; skipped in plain

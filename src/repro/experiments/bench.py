@@ -16,8 +16,8 @@ the recorded baselines:
   genomes (``kernel_vector``).
 
 Every entry also records the environment it was measured in (python,
-machine, numpy version, timestamp) so trajectory numbers are comparable
-across hosts and installs.
+machine, numpy version or ``"absent"``, timestamp) so trajectory numbers are
+comparable across hosts and installs.
 
 Each ``repro bench`` run appends an entry to the files' ``entries`` list;
 the first entry is the recorded baseline that ``benchmarks/
@@ -74,9 +74,12 @@ def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
     reference loop (:meth:`OutOfOrderCore.run_interpreted`).
     ``vector_seconds`` times the same program as a population of one through
     the vector plane (the path :meth:`OutOfOrderCore.run` and GA fitness
-    evaluation take), back to back in the same process after one untimed
-    warm-up run; ``vector_speedup`` (interpreter over vector) is the
-    same-run ratio the kernel-smoke and bench-smoke floors hold, and
+    evaluation take).  After one untimed warm-up run of each, every repeat
+    runs both back to back, alternating which goes first, and each side
+    keeps its best time, so drift in machine load hits both alike (timed
+    one side after the other, one of three recorded ratios read 1.50x
+    under a 1.59x floor).  ``vector_speedup`` (interpreter over vector) is
+    the same-run ratio the kernel-smoke and bench-smoke floors hold, and
     ``vector_identical`` asserts both results agree bit for bit.
     """
     from repro.uarch.kernel_backends import VECTOR
@@ -86,11 +89,16 @@ def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
     program = generator.codegen.generate(reference_knobs(config))
     core = OutOfOrderCore(config, seed=1)
 
-    result = core.run_interpreted(program, instructions, True)
-    seconds = _best_of(lambda: core.run_interpreted(program, instructions, True), repeats)
-
+    result = core.run_interpreted(program, instructions, True)  # warm-up
     vector_result = VECTOR.run_many(core, [program], instructions)[0]  # warm-up
-    vector_seconds = _best_of(lambda: VECTOR.run_many(core, [program], instructions), repeats)
+    (seconds, _), (vector_seconds, _) = _time_interleaved(
+        [
+            lambda program: core.run_interpreted(program, instructions, True),
+            lambda program: VECTOR.run_many(core, [program], instructions),
+        ],
+        [program] * max(1, repeats),
+        alternate=True,
+    )
     return {
         "instructions": instructions,
         "seconds": seconds,
@@ -319,16 +327,23 @@ def _fresh_programs(batch: int, instructions: int):
     return OutOfOrderCore(config, seed=generator.simulation_seed), programs
 
 
-def _time_interleaved(runs: list, fresh_batches: list) -> list[tuple[float, list]]:
+def _time_interleaved(
+    runs: list, fresh_batches: list, alternate: bool = False
+) -> list[tuple[float, list]]:
     """Best-of wall time and results of each ``run(batch)`` over fresh batches.
 
     Every run meets a fresh batch back to back before the next batch starts,
-    so drift in machine load hits all sides alike.
+    so drift in machine load hits all sides alike.  With ``alternate``,
+    every other batch runs the sides in reverse order, so no side always
+    goes first.
     """
     timings: list[list[float]] = [[] for _ in runs]
     results: list[list] = [[] for _ in runs]
-    for fresh in fresh_batches:
-        for run, run_timings, run_results in zip(runs, timings, results):
+    sides = list(zip(runs, timings, results))
+    for index, fresh in enumerate(fresh_batches):
+        for run, run_timings, run_results in (
+            sides[::-1] if alternate and index % 2 else sides
+        ):
             start = time.perf_counter()
             run_results.append(run(fresh))
             run_timings.append(time.perf_counter() - start)
@@ -348,19 +363,18 @@ def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
 
     One GA-generation-shaped batch of ``batch`` *fresh* genomes (never seen
     by any memo) runs through the ``vector`` backend's ``run_many`` —
-    operand columns precomputed with numpy, one flat-array warm state per
-    footprint — and, back to back, through the interpreter genome by genome.
-    An untimed warm-up batch first builds the shared warm states, so
+    precomputed operand columns, a flat-array hierarchy per genome whose
+    cache sets warm on first touch — and, back to back, through the
+    interpreter genome by genome.  An untimed warm-up batch runs first, so
     ``vector_seconds`` measures the steady state a GA search lives in;
-    fresh batches still pay their own column builds inside the timed
-    region.  The interpreter has no cross-genome state to warm — that
-    asymmetry *is* the measurement.  Each side is best-of-three over three
-    distinct fresh batches, timed interleaved (vector, then the interpreter,
-    on each batch) — on a shared 2-core host this kept eight ratios within
-    7.2–8.3x where timing one side's batches before the other's spread
-    them over 5.9–10.4x.  Both sides must produce bit-identical results
-    (``deterministic``).  The recorded ``speedup`` is the number the
-    ``batch-smoke`` tier-2 gate holds future changes to.
+    every batch pays its own column builds and warm-up inside the timed
+    region.  Each side is best-of-three over three distinct fresh batches,
+    timed interleaved (vector, then the interpreter, on each batch) — on a
+    shared 2-core host this kept eight ratios within 7.2–8.3x where timing
+    one side's batches before the other's spread them over 5.9–10.4x.
+    Both sides must produce bit-identical results (``deterministic``).  The
+    recorded ``speedup`` is the number the ``batch-smoke`` tier-2 gate holds
+    future changes to.
     """
     from repro.uarch import kernel_vector
     from repro.uarch.kernel_backends import INTERPRETED, VECTOR
@@ -395,12 +409,16 @@ def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
 
 
 def _environment() -> dict:
-    import numpy
+    try:
+        import numpy
 
+        numpy_version = numpy.__version__
+    except ImportError:  # optional: nothing under ``repro`` imports it
+        numpy_version = "absent"
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "numpy": numpy.__version__,
+        "numpy": numpy_version,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
 

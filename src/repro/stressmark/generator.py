@@ -121,8 +121,8 @@ class StressmarkEvaluator:
 
         Bit-identical to calling the evaluator per individual — one
         ``OutOfOrderCore`` per simulation with the same seed, the same
-        codegen, the same fitness — but ``VECTOR.run_many`` shares one warm
-        cache/TLB state per footprint across the whole slice.
+        codegen, the same fitness — in one ``VECTOR.run_many`` call for the
+        whole slice.
         """
         decoded = [self.knob_space.decode(individual.genome) for individual in individuals]
         programs = [self.codegen.generate(knobs) for knobs in decoded]

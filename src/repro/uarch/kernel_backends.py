@@ -1,18 +1,16 @@
 """Kernel backends: the two planes a simulation can run on.
 
-* :data:`VECTOR` — the reference loop transcribed onto operand columns
-  precomputed by numpy array arithmetic, against a flat-array hierarchy
-  replica warmed once per footprint
-  (:func:`repro.uarch.kernel_vector.vector_run`).  Every simulation runs
-  here: :meth:`OutOfOrderCore.run <repro.uarch.pipeline.OutOfOrderCore.run>`
-  sends a single program as a population of one, and
-  :meth:`StressmarkEvaluator.evaluate_batch
+* :data:`VECTOR` — the reference loop transcribed onto precomputed operand
+  columns, against a flat-array hierarchy replica whose cache sets are
+  warmed on first touch (:func:`repro.uarch.kernel_vector.vector_run`).
+  Every simulation runs here: :meth:`OutOfOrderCore.run
+  <repro.uarch.pipeline.OutOfOrderCore.run>` sends a single program as a
+  population of one, and :meth:`StressmarkEvaluator.evaluate_batch
   <repro.stressmark.generator.StressmarkEvaluator.evaluate_batch>` sends a
   GA population.  Programs the column lowering cannot express — bodies over
   :data:`~repro.uarch.kernel_vector.MAX_KERNEL_BODY`, runs over
   :data:`~repro.uarch.kernel_vector.VECTOR_MAX_OPS`, more than one warm-up
-  region, address streams or a region past the int64 window — run the
-  interpreted reference per program.
+  region — run the interpreted reference per program.
 * :data:`INTERPRETED` — the reference loop, the semantics oracle the vector
   plane is differentially tested against.  Tests, gates and perfbench name
   it explicitly; nothing else selects it.
@@ -25,20 +23,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-# Imported eagerly, so numpy loads with ``import repro`` (~155 ms of ~370-430
-# ms) and not on the first simulation: loaded lazily, every forked pool worker
-# imports it on its first evaluation.  perfbench serve_mixed seed 1, 6
-# rotations of numpy loaded by the ledger (as before) / this import / numpy
-# on first use, medians (shared 2-core x86_64, Python 3.11.7, numpy 2.4.6):
-#   cold_wall_s  0.224 / 0.223 / 0.324 s
-#   setup_s      0.457 / 0.470 / 0.397 s
-#   warm_wall_s  0.100 / 0.082 / 0.100 s
-# This import with the plane selector deleted, against the ledger's import
-# and the selector: 10 alternating pairs, seed 1, medians of setup_s /
-# cold_wall_s / peak RSS:
-#   serve_mixed     0.434 -> 0.448 s, 0.229 -> 0.176 s, 66.6 -> 66.6 MB
-#   workload_suite  0.421 -> 0.426 s, 1.17  -> 1.07 s,  71.7 -> 71.1 MB
-#   ga_search       0.394 -> 0.425 s, 1.38  -> 1.42 s,  61.0 -> 60.9 MB
+# Imported eagerly, so the vector plane loads with ``import repro``, before
+# any pool worker forks, and not on each worker's first evaluation.  It needs
+# no numpy: ``import repro`` takes 196 ms and 26.7 MB resident, where it took
+# 338 ms and 38.0 MB while this import loaded numpy (medians of 8 alternating
+# fresh processes, shared 2-core x86_64, Python 3.11.7).
 from repro.uarch import kernel_vector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,10 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class KernelBackend:
     """One way of executing a simulation (and batches of them).
 
-    ``run_one`` simulates a single program; ``run_many`` a batch sharing
-    whatever the backend can share (warm state).  Every backend must be
-    bit-identical to the interpreted reference — the differential suite and
-    the kernel-smoke and batch-smoke gates enforce it.
+    ``run_one`` simulates a single program; ``run_many`` a batch.  Every
+    backend must be bit-identical to the interpreted reference — the
+    differential suite and the kernel-smoke and batch-smoke gates enforce
+    it.
     """
 
     name = "base"
@@ -78,7 +67,7 @@ class InterpretedBackend(KernelBackend):
 
 
 class VectorKernelBackend(KernelBackend):
-    """The plane every simulation runs on, over numpy-precomputed columns.
+    """The plane every simulation runs on, over precomputed operand columns.
 
     ``run_many`` lowers every vectorizable program to operand columns and
     runs :func:`~repro.uarch.kernel_vector.vector_run`; programs the column

@@ -4,10 +4,9 @@ A GA generation evaluates a whole population of genomes against one machine
 configuration; a single program (``OutOfOrderCore.run``) is a population of
 one.  Both reach this plane through ``VECTOR.run_many``
 (:mod:`repro.uarch.kernel_backends`), with no setting to send them
-elsewhere.  This plane shares one functional warm-up across a population, and
-removes per-op Python dispatch from the timing loop by *lowering* each
-genome's dynamic instruction stream to precomputed columns before the loop
-runs:
+elsewhere.  This plane removes per-op Python dispatch from the timing loop by
+*lowering* each genome's dynamic instruction stream to precomputed columns
+before the loop runs:
 
 * **front-end column** — one stall penalty (0 or the miss penalty) per
   dynamic op, drawn from the frontend RNG stream in reference order;
@@ -17,10 +16,10 @@ runs:
 * **memory columns** — per memory slot, the fully resolved address *parts*
   ``(address, dtlb_page, dl1_set, dl1_tag, dl1_word, dl1_line)`` for every
   iteration.  Strided / line-cover / pointer-chase / fixed patterns are
-  closed-form and vectorize to whole numpy int64 columns; random patterns
-  replay ``pattern.resolve`` in exact reference draw order (the memory RNG
-  stream is separate from the branch/front-end streams, so pre-resolving it
-  wholesale cannot perturb any other stream).
+  closed-form in the iteration and are computed in one comprehension per
+  slot; random patterns replay ``pattern.resolve`` in exact reference draw
+  order (the memory RNG stream is separate from the branch/front-end
+  streams, so pre-resolving it wholesale cannot perturb any other stream).
 
 The timing loop itself (:func:`vector_run`, a statement-for-statement
 transcription of the interpreted reference loop) then runs against a
@@ -29,9 +28,9 @@ lifetime and residency state flattened to per-slot integer columns with one
 inlined ``access`` method.  Warm-up is deterministic, draws no RNG and runs
 entirely at cycle 0, so the state ``MemoryHierarchy.warm_region`` leaves
 behind for a program's one ``WarmupRegion`` is a closed-form function of
-it: :meth:`VectorWarmState.build` writes those flat arrays straight from
-the footprint (no object hierarchy is built), once per (config, footprint),
-and each genome rematerializes them by cheap list copies.
+it: each run's hierarchy starts from a five-number warm plan per cache and
+fills a cache set from that closed form the first time an access reaches
+it, so a run pays only for the sets it touches.
 
 Everything on the AVF path stays integer-exact: word lifetime state packs
 ``cycle * 8 + event_code * 2 + write_ace`` into one int, residency credits
@@ -43,17 +42,15 @@ incrementally — so results are bit-identical to the interpreted reference
 byte-compares).
 
 Programs the lowering cannot express (bodies over :data:`MAX_KERNEL_BODY`,
-runs over :data:`VECTOR_MAX_OPS`, more than one warm-up region, address
-columns or a region that overflow the int64 window) run the interpreted
-reference instead, one program at a time, counted in ``STATS.fallbacks``.
+runs over :data:`VECTOR_MAX_OPS`, more than one warm-up region) run the
+interpreted reference instead, one program at a time, counted in
+``STATS.fallbacks``.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import TYPE_CHECKING, Optional
-
-import numpy as _np
 
 from repro.isa.instructions import ARCH_REG_COUNT
 from repro.isa.memoryref import (
@@ -89,25 +86,6 @@ VECTOR_MAX_OPS = 500_000
 #: interpreter — bodies this large are not worth lowering to columns.
 MAX_KERNEL_BODY = 4096
 
-#: Column values must stay well inside int64 under the decomposition
-#: arithmetic; anything near the edge takes the (unbounded-int) fallback.
-_INT64_GUARD = 1 << 60
-
-#: Warm states kept per process.  A GA search touches at most two
-#: footprints (the knob space only toggles the L2-miss region's presence).
-#
-# A build costs 2.7x (baseline) and 3.6x (config_a) the materialize a hit
-# pays (medians over the 33 proxies at 2k ops, PERFORMANCE.md), so the memo
-# stays.  Sizing runs: perfbench seed 1 at 1 / 2 / 8 entries, medians of 3
-# rotations (2 for the suite), in parentheses the freeze-based warm-up this
-# replaced (shared 2-core x86_64, Python 3.11.7, numpy 2.4.6):
-#   ga_search       cold 1.56 / 1.42 / 1.45 s (1.91), RSS 58 / 61 / 61 MB (80)
-#   serve_mixed     warm 0.106 / 0.082 / 0.083 s (0.076), RSS 60 / 67 / 99 MB (78.5)
-#   workload_suite  cold 1.45 / 1.53 / 1.71 s (5.04), RSS 62 / 73 / 115 MB (105)
-# One entry rebuilds at every footprint switch of a GA population; eight
-# hold enough states to outgrow the memory of the plane this replaced.
-VECTOR_WARM_CACHE_LIMIT = 2
-
 
 class Unvectorizable(Exception):
     """This program cannot be lowered to columns; use the interpreter."""
@@ -122,13 +100,9 @@ class VectorStats:
     def reset(self) -> None:
         self.vector_runs = 0
         self.fallbacks = 0
-        self.warm_builds = 0
 
 
 STATS = VectorStats()
-
-#: (config, warm signature) -> VectorWarmState, least recently used first.
-_frozen_warm: dict[tuple, "VectorWarmState"] = {}
 
 #: (global_entries, local_entries, choice_entries) -> predictor template.
 _predictor_templates: dict[tuple, tuple] = {}
@@ -136,7 +110,6 @@ _predictor_templates: dict[tuple, tuple] = {}
 
 def clear_vector_caches() -> None:
     """Drop the vector plane's in-process caches and reset its counters."""
-    _frozen_warm.clear()
     _predictor_templates.clear()
     STATS.reset()
 
@@ -145,15 +118,10 @@ def supports_vector(program: "Program") -> bool:
     """Whether the column lowering can express this program at all.
 
     Oversize bodies are not worth specializing.  The warm state has a closed
-    form for one warm-up region inside the int64 window, and every generated
-    program declares exactly one.
+    form for one warm-up region, and every generated program declares
+    exactly one.
     """
-    regions = program.warmup_regions
-    return (
-        len(program.body) <= MAX_KERNEL_BODY
-        and len(regions) <= 1
-        and all(abs(region.base) + region.size_bytes < _INT64_GUARD for region in regions)
-    )
+    return len(program.body) <= MAX_KERNEL_BODY and len(program.warmup_regions) <= 1
 
 
 # --------------------------------------------------------------- predictor
@@ -260,45 +228,32 @@ def _mispredict_column(
 # ------------------------------------------------------------ memory columns
 
 
-def _closed_form_addresses(pattern, count: int):
-    """Whole-column addresses for a closed-form pattern, or None.
+def _closed_form_addresses(pattern, count: int) -> Optional[list]:
+    """The addresses of iterations ``0 .. count-1`` of a closed-form pattern,
+    or None.
 
     Eligibility is by *exact* type (subclasses may override ``resolve``);
-    any column whose intermediate arithmetic could leave the int64 guard
-    window returns None and takes the ordered python-int path instead.
+    each comprehension is that pattern's ``resolve`` over the iterations.
     """
     kind = type(pattern)
-    iterations = None
     if kind is FixedPattern:
-        if abs(pattern.address) < _INT64_GUARD:
-            return _np.full(count, pattern.address, dtype=_np.int64)
-        return None
+        return [pattern.address] * count
     if kind is StridedPattern or kind is PointerChasePattern:
-        if (
-            count * pattern.stride < _INT64_GUARD
-            and abs(pattern.base) + pattern.region < _INT64_GUARD
-        ):
-            iterations = _np.arange(count, dtype=_np.int64)
-            return pattern.base + (iterations * pattern.stride) % pattern.region
-        return None
+        base, stride, region = pattern.base, pattern.stride, pattern.region
+        return [base + (iteration * stride) % region for iteration in range(count)]
     if kind is LineCoverPattern:
-        reach = count + abs(pattern.iteration_offset) + 1
-        scale = max(pattern.line_bytes, pattern.slots, pattern.word_bytes, 1)
-        if (
-            reach * scale < _INT64_GUARD
-            and abs(pattern.base) + pattern.region < _INT64_GUARD
-        ):
-            effective = _np.arange(count, dtype=_np.int64) + pattern.iteration_offset
-            if pattern.iteration_offset:
-                _np.maximum(effective, 0, out=effective)
-            words_per_line = max(1, pattern.line_bytes // pattern.word_bytes)
-            word_index = (effective * pattern.slots + pattern.slot) % words_per_line
-            return (
-                pattern.base
-                + (effective * pattern.line_bytes) % pattern.region
-                + word_index * pattern.word_bytes
-            )
-        return None
+        base, line_bytes, region = pattern.base, pattern.line_bytes, pattern.region
+        word_bytes, slot, slots = pattern.word_bytes, pattern.slot, pattern.slots
+        words_per_line = max(1, line_bytes // word_bytes)
+        offset = pattern.iteration_offset
+        effective = range(offset, offset + count)
+        if offset < 0:  # iterations before -offset resolve at 0
+            effective = [0] * min(-offset, count) + list(range(offset + count))
+        return [
+            base + (value * line_bytes) % region
+            + (value * slots + slot) % words_per_line * word_bytes
+            for value in effective
+        ]
     return None
 
 
@@ -313,9 +268,9 @@ def _memory_columns(
 
     Each entry is a list of ``(address, dtlb_page, dl1_set, dl1_tag,
     dl1_word, dl1_line)`` tuples indexed by iteration.  Slots whose pattern
-    draws randomness (or whose closed form could overflow) are resolved in
-    the exact reference order — iteration-major, body order within an
-    iteration — so the memory RNG stream is untouched.
+    draws randomness are resolved in the exact reference order —
+    iteration-major, body order within an iteration — so the memory RNG
+    stream is untouched.
     """
     dl1 = config.dl1
     line_bytes = dl1.line_bytes
@@ -324,7 +279,7 @@ def _memory_columns(
     page_bytes = config.dtlb.page_bytes
 
     columns: list = [None] * len(body_infos)
-    address_arrays: dict[int, object] = {}
+    address_lists: dict[int, list] = {}
     ordered: list[tuple] = []
     for index, info in enumerate(body_infos):
         is_nop, is_store = info[2], info[4]
@@ -340,7 +295,7 @@ def _memory_columns(
         if addresses is None:
             ordered.append((index, pattern))
         else:
-            address_arrays[index] = addresses
+            address_lists[index] = addresses
 
     if ordered:
         rows: dict[int, list] = {index: [] for index, _ in ordered}
@@ -352,34 +307,18 @@ def _memory_columns(
             for index, pattern, append in resolvers:
                 if index < tail_ops:
                     append(pattern.resolve(full_iters, memory_rng))
-        for index, values in rows.items():
-            if values and not (0 <= min(values) and max(values) < _INT64_GUARD):
-                if min(values) < 0:
-                    # The reference raises on the first negative address; the
-                    # interpreter fallback reproduces that exact error.
-                    raise Unvectorizable("negative address stream")
-                raise Unvectorizable("address stream exceeds the int64 window")
-            address_arrays[index] = _np.asarray(values, dtype=_np.int64)
+        address_lists.update(rows)
 
-    for index, addresses in address_arrays.items():
-        if addresses.size and int(addresses.min()) < 0:
+    for index, addresses in address_lists.items():
+        if addresses and min(addresses) < 0:
+            # The reference raises on the first negative address; the
+            # interpreter fallback reproduces that exact error.
             raise Unvectorizable("negative address stream")
-        pages = addresses // page_bytes
-        line_addresses = addresses // line_bytes
-        set_indices = line_addresses % num_sets
-        tags = line_addresses // num_sets
-        word_indices = (addresses % line_bytes) // word_bytes
-        line_numbers = tags * num_sets + set_indices
-        columns[index] = list(
-            zip(
-                addresses.tolist(),
-                pages.tolist(),
-                set_indices.tolist(),
-                tags.tolist(),
-                word_indices.tolist(),
-                line_numbers.tolist(),
-            )
-        )
+        columns[index] = [
+            (address, address // page_bytes, (line := address // line_bytes) % num_sets,
+             line // num_sets, address % line_bytes // word_bytes, line)
+            for address in addresses
+        ]
     return columns
 
 
@@ -398,8 +337,8 @@ def build_columns(
     """The whole pre-pass: (frontend, mispredict, memory) columns.
 
     Raises :class:`Unvectorizable` before any caller-visible state is
-    touched — :func:`vector_run` calls this before materializing warm
-    state, so a failed lowering falls back to the interpreter cleanly.
+    touched — :func:`vector_run` calls this before it builds the run's
+    hierarchy, so a failed lowering falls back to the interpreter cleanly.
     All three RNG streams are independent spawns, so draining each in its
     own pre-pass preserves every stream's reference draw sequence.
     """
@@ -427,32 +366,37 @@ def build_columns(
 class VectorHierarchy:
     """DL1 + L2 + DTLB (+ L2 TLB) flattened to integer columns.
 
-    One object per genome run, rematerialized from a
-    :class:`VectorWarmState` by shallow list copies.  Semantically a
-    statement-for-statement replica of :meth:`MemoryHierarchy.access_parts`
-    restricted to what the simulation result can observe: latencies, access
-    and miss counts, the load-side L2 miss counter, and integer ACE cycle
-    totals per structure.  LRU victims are found by a first-minimum scan in
-    dict insertion order — identical to the reference ``min()`` because
-    neither implementation ever reorders entries in place.
+    One object per genome run.  Semantically a statement-for-statement
+    replica of :meth:`MemoryHierarchy.access_parts` restricted to what the
+    simulation result can observe: latencies, access and miss counts, the
+    load-side L2 miss counter, and integer ACE cycle totals per structure.
+    LRU victims are found by a first-minimum scan in dict insertion order —
+    identical to the reference ``min()`` because neither implementation
+    ever reorders entries in place.
 
     A word's lifetime state packs ``cycle * 8 + code`` (-1 = untouched):
     FILL=0, READ=2, WRITE=4, +1 when the recorded write was ACE.
     ``state & 7 == 5`` is therefore "ACE write still live" — the only
     terminal state that earns credit on eviction or finalize.
+
+    Set ``s`` of a cache owns slots ``s * ways`` to ``s * ways + ways - 1``.
+    A set only grows until it is full, after which every miss reuses its
+    victim's slot, so a set of ``n`` lines holds the first ``n`` of its
+    slots and the next line of a non-full set takes slot ``s * ways + n``.
+    Slot numbers are never observed (the LRU scan follows dict order).
     """
 
     __slots__ = (
         "memory_latency", "tlb_miss_penalty", "l2_tlb_hit_latency",
         "dl1_hit_latency", "l2_hit_latency",
-        "dl1_line_bytes", "dl1_assoc", "dl1_wpl",
-        "l2_line_bytes", "l2_num_sets", "l2_word_bytes", "l2_assoc", "l2_wpl",
+        "dl1_line_bytes", "dl1_num_sets", "dl1_assoc", "dl1_wpl", "dl1_plan",
+        "l2_line_bytes", "l2_num_sets", "l2_word_bytes", "l2_assoc", "l2_wpl", "l2_plan",
         "has_l2_tlb", "l2_tlb_page_bytes",
         "dl1_word_bits", "l2_word_bits", "dtlb_entry_bits", "l2_tlb_entry_bits",
         "dl1_sets", "dl1_line_no", "dl1_dirty", "dl1_dirty_ace", "dl1_lu",
-        "dl1_ws", "dl1_free", "dl1_accesses", "dl1_misses",
+        "dl1_ws", "dl1_accesses", "dl1_misses",
         "dl1_ace_cycles", "dl1_wa_count", "dl1_wa_sum",
-        "l2_sets", "l2_lu", "l2_ws", "l2_free", "l2_accesses", "l2_misses",
+        "l2_sets", "l2_lu", "l2_ws", "l2_accesses", "l2_misses",
         "l2_ace_cycles", "l2_wa_count", "l2_wa_sum",
         "dtlb_map", "dtlb_first", "dtlb_last", "dtlb_lu", "dtlb_rec",
         "dtlb_free", "dtlb_accesses", "dtlb_misses", "dtlb_ace_cycles",
@@ -460,6 +404,97 @@ class VectorHierarchy:
         "l2_tlb_rec", "l2_tlb_free", "l2_tlb_ace_cycles",
         "load_l2_misses",
     )
+
+    # Construction writes no warmed line: every cache set starts as None and
+    # the first access that reaches it fills it from the warm plan, so a run
+    # pays for the sets it touches.  On ``baseline`` (1 MB direct-mapped L2,
+    # 16,384 sets) the 33 proxies at 2k ops fill a median of 756 L2 sets (at
+    # most 999), and 24 GA-sampled genomes at 12k ops a median of 506
+    # (254-1,144).  The memoized build this replaced wrote every set once
+    # per footprint and copied every set on each run (costs per run in
+    # PERFORMANCE.md, "Warm-up on first touch").
+    def __init__(self, config: "MachineConfig", region: Optional[tuple]) -> None:
+        """The hierarchy ``MemoryHierarchy.warm_region`` leaves after warming
+        ``region`` (a :func:`warm_signature` entry; None: no warm-up).
+
+        Warm-up runs at cycle 0, so every last use, access and miss counter,
+        ACE total and ``wa_sum`` starts at 0; each ``wa_count`` starts at
+        its cache's closed-form count of live ACE words, so :meth:`finalize`
+        credits the warmed words of sets no access reached.
+        """
+        dl1, l2, l2_tlb = config.dl1, config.l2, config.l2_tlb
+        self.memory_latency = config.memory_latency
+        self.tlb_miss_penalty = config.tlb_miss_penalty
+        self.l2_tlb_hit_latency = config.l2_tlb_hit_latency
+        self.dl1_hit_latency = dl1.hit_latency
+        self.l2_hit_latency = l2.hit_latency
+        self.has_l2_tlb = l2_tlb is not None
+        self.l2_tlb_page_bytes = l2_tlb.page_bytes if l2_tlb is not None else 0
+        self.dl1_word_bits = dl1.word_bytes * 8
+        self.l2_word_bits = l2.word_bytes * 8
+        self.dtlb_entry_bits = config.dtlb.entry_bits
+        self.l2_tlb_entry_bits = l2_tlb.entry_bits if l2_tlb is not None else 0
+        self.load_l2_misses = 0
+
+        self.dl1_line_bytes = dl1.line_bytes
+        self.dl1_num_sets = dl1.num_sets
+        self.dl1_assoc = dl1.associativity
+        self.dl1_wpl = dl1.words_per_line
+        self.dl1_plan = _warm_plan(dl1, region)
+        lines = dl1.num_lines
+        self.dl1_sets = [None] * dl1.num_sets
+        self.dl1_line_no = [0] * lines
+        self.dl1_dirty = [False] * lines
+        self.dl1_dirty_ace = [False] * lines
+        self.dl1_lu = [0] * lines
+        self.dl1_ws = [-1] * (lines * dl1.words_per_line)
+        self.dl1_wa_count = self.dl1_plan[4]
+        self.dl1_accesses = self.dl1_misses = self.dl1_ace_cycles = self.dl1_wa_sum = 0
+
+        self.l2_line_bytes = l2.line_bytes
+        self.l2_num_sets = l2.num_sets
+        self.l2_word_bytes = l2.word_bytes
+        self.l2_assoc = l2.associativity
+        self.l2_wpl = l2.words_per_line
+        self.l2_plan = _warm_plan(l2, region)
+        self.l2_sets = [None] * l2.num_sets
+        self.l2_lu = [0] * l2.num_lines
+        self.l2_ws = [-1] * (l2.num_lines * l2.words_per_line)
+        self.l2_wa_count = self.l2_plan[4]
+        self.l2_accesses = self.l2_misses = self.l2_ace_cycles = self.l2_wa_sum = 0
+
+        (self.dtlb_map, self.dtlb_first, self.dtlb_last, self.dtlb_rec,
+         self.dtlb_free) = _warm_tlb(config.dtlb, region)
+        self.dtlb_lu = [0] * config.dtlb.entries
+        self.dtlb_accesses = self.dtlb_misses = self.dtlb_ace_cycles = 0
+        if l2_tlb is not None:
+            (self.l2_tlb_map, self.l2_tlb_first, self.l2_tlb_last, self.l2_tlb_rec,
+             self.l2_tlb_free) = _warm_tlb(l2_tlb, region)
+            self.l2_tlb_lu = [0] * l2_tlb.entries
+            self.l2_tlb_ace_cycles = 0
+
+    def _warm_dl1_set(self, set_index: int) -> dict:
+        """DL1 set ``set_index`` as warm-up left it, filled on first touch."""
+        cache_set = _warm_set(
+            self.dl1_plan, set_index, self.dl1_num_sets, self.dl1_assoc, self.dl1_wpl,
+            self.dl1_ws,
+        )
+        _, _, words, state, _ = self.dl1_plan
+        dirty = words > 0 and state >= 4
+        dirty_ace = words > 0 and state == 5
+        for tag, slot in cache_set.items():
+            self.dl1_line_no[slot] = tag * self.dl1_num_sets + set_index
+            self.dl1_dirty[slot] = dirty
+            self.dl1_dirty_ace[slot] = dirty_ace
+        self.dl1_sets[set_index] = cache_set
+        return cache_set
+
+    def _warm_l2_set(self, set_index: int) -> dict:
+        """L2 set ``set_index`` as warm-up left it, filled on first touch."""
+        cache_set = self.l2_sets[set_index] = _warm_set(
+            self.l2_plan, set_index, self.l2_num_sets, self.l2_assoc, self.l2_wpl, self.l2_ws
+        )
+        return cache_set
 
     def access(self, parts: tuple, is_write: bool, cycle: int, ace: bool) -> int:
         """One memory access from precomputed parts; returns its latency."""
@@ -514,6 +549,8 @@ class VectorHierarchy:
         # ---- DL1 (Cache.access_parts with the decomposition precomputed)
         self.dl1_accesses += 1
         cache_set = self.dl1_sets[set_index]
+        if cache_set is None:
+            cache_set = self._warm_dl1_set(set_index)
         slot = cache_set.get(tag)
         ws = self.dl1_ws
         evicted_dirty = False
@@ -548,8 +585,9 @@ class VectorHierarchy:
                     evicted_dirty = True
                     evicted_address = self.dl1_line_no[victim_slot] * self.dl1_line_bytes
                     evicted_ace = self.dl1_dirty_ace[victim_slot]
-                self.dl1_free.append(victim_slot)
-            slot = self.dl1_free.pop()
+                slot = victim_slot
+            else:
+                slot = set_index * self.dl1_assoc + len(cache_set)
             cache_set[tag] = slot
             self.dl1_line_no[slot] = line_number
             self.dl1_dirty[slot] = False
@@ -607,6 +645,8 @@ class VectorHierarchy:
         tag = line_address // num_sets
         word = (address % self.l2_line_bytes) // self.l2_word_bytes
         cache_set = self.l2_sets[set_index]
+        if cache_set is None:
+            cache_set = self._warm_l2_set(set_index)
         slot = cache_set.get(tag)
         ws = self.l2_ws
         if slot is None:
@@ -634,8 +674,9 @@ class VectorHierarchy:
                             if duration > 0:
                                 self.l2_ace_cycles += duration
                         ws[offset] = -1
-                self.l2_free.append(victim_slot)
-            slot = self.l2_free.pop()
+                slot = victim_slot
+            else:
+                slot = set_index * self.l2_assoc + len(cache_set)
             cache_set[tag] = slot
             index = slot * self.l2_wpl + word
             ws[index] = cycle * 8
@@ -768,60 +809,54 @@ def install_trackers(ledger, hierarchy: VectorHierarchy) -> None:
 # ------------------------------------------------------------- warm building
 
 
-def _warm_cache(cache: "CacheConfig", region) -> tuple:
-    """``(sets, line_no, dirty, dirty_ace, word_state, free, wa_count)`` of
-    one cache after warming ``region`` (``None``: nothing) into it.
+def _warm_plan(cache: "CacheConfig", region: Optional[tuple]) -> tuple:
+    """``(first_line, count, words, state, live)``: what warming ``region``
+    (``None``: nothing) leaves in one cache.
 
     ``MemoryHierarchy.warm_region`` walks only the tail of the region the
-    cache can hold, counted in the cache's own lines, and writes the
-    ``words`` leading words of each line in packed word state ``state`` at
-    cycle 0: 5 for dirty ACE data, 4 for dirty un-ACE data, 0 for clean
-    fills.  Consecutive lines deal round-robin over the sets.  Every warmed
-    line has last use 0, so a set dealt more lines than it has ways keeps
-    the last ``associativity`` of them, in arrival order; way ``w`` of set
-    ``s`` is slot ``s * associativity + w``.
+    cache can hold, counted in the cache's own lines: ``count`` consecutive
+    lines from line number ``first_line``.  It writes the ``words`` leading
+    words of each line in packed word state ``state`` at cycle 0: 5 for
+    dirty ACE data, 4 for dirty un-ACE data, 0 for clean fills.  ``count``
+    never exceeds the cache's lines, so warm-up evicts nothing and ``live``,
+    the number of live ACE words it leaves, is ``count * words`` when
+    ``state`` is 5.
     """
-    first_line = count = words = state = 0
-    if region is not None:
-        base, size_bytes, dirty, ace, word_fraction, _ = region
-        span = min(size_bytes, cache.size_bytes)
-        count = len(range(size_bytes - span, size_bytes, cache.line_bytes))
-        first_line = (base + size_bytes - span) // cache.line_bytes
-        words = int(round(word_fraction * cache.words_per_line))
-        state = (5 if ace else 4) if dirty else 0
-    num_sets = cache.num_sets
-    ways = cache.associativity
-    set_ids = _np.arange(num_sets, dtype=_np.int64)
-    offset = (set_ids - first_line) % num_sets  # region index of the set's first line
-    dealt = _np.where(offset < count, (count - 1 - offset) // num_sets + 1, 0)
-    kept = _np.minimum(dealt, ways)
-    used = _np.arange(ways) < kept[:, None]
-    tags = ((first_line + offset) // num_sets + dealt - kept)[:, None] + _np.arange(ways)
-    slots = _np.flatnonzero(used)
-    sets: list[dict] = [{} for _ in range(num_sets)]
-    for set_index, tag, slot in zip(
-        (slots // ways).tolist(), tags.ravel()[slots].tolist(), slots.tolist()
-    ):
-        sets[set_index][tag] = slot
-    # Sets hold at most two line counts, in at most three runs of sets: one
-    # list repeat per run is several times cheaper than a numpy ``tolist``.
-    wpl = cache.words_per_line
-    line_words = [state] * words + [-1] * (wpl - words)
-    word_state: list = []
-    bounds = [0, *(_np.flatnonzero(_np.diff(kept)) + 1).tolist(), num_sets]
-    for start, stop in zip(bounds, bounds[1:]):
-        lines = int(kept[start])
-        word_state += (line_words * lines + [-1] * (wpl * (ways - lines))) * (stop - start)
-    written = used.ravel() & (words > 0)
+    if region is None:
+        return 0, 0, 0, 0, 0
+    base, size_bytes, dirty, ace, word_fraction, _ = region
+    span = min(size_bytes, cache.size_bytes)
+    count = len(range(size_bytes - span, size_bytes, cache.line_bytes))
+    words = int(round(word_fraction * cache.words_per_line))
+    state = (5 if ace else 4) if dirty else 0
     return (
-        sets,
-        _np.where(used, tags * num_sets + set_ids[:, None], 0).ravel().tolist(),
-        (written & (state >= 4)).tolist(),
-        (written & (state == 5)).tolist(),
-        word_state,
-        _np.flatnonzero(~used.ravel())[::-1].tolist(),  # lowest free slot pops first
-        len(slots) * words if state == 5 else 0,
+        (base + size_bytes - span) // cache.line_bytes,
+        count,
+        words,
+        state,
+        count * words if state == 5 else 0,
     )
+
+
+def _warm_set(plan: tuple, set_index: int, num_sets: int, ways: int, wpl: int, ws: list) -> dict:
+    """``{tag: slot}`` of one set after the warm-up ``plan``; writes the
+    warmed words of its lines into ``ws``.
+
+    The plan's lines deal round-robin over the sets, so this set holds
+    every ``num_sets``-th of them from the first that maps to it (no more
+    than ``ways``, as the plan never exceeds the cache's lines), in arrival
+    order (all have last use 0), in its first slots.
+    """
+    first_line, count, words, state, _ = plan
+    offset = (set_index - first_line) % num_sets  # region index of the set's first line
+    if offset >= count:
+        return {}
+    lines = (count - 1 - offset) // num_sets + 1
+    tag = (first_line + offset) // num_sets
+    slot = set_index * ways
+    if words:  # the set's slots are fresh: every word still -1
+        ws[slot * wpl:(slot + lines) * wpl] = ([state] * words + [-1] * (wpl - words)) * lines
+    return {tag + way: slot + way for way in range(lines)}
 
 
 def _warm_tlb(tlb: "TlbConfig", region) -> tuple:
@@ -848,111 +883,9 @@ def _warm_tlb(tlb: "TlbConfig", region) -> tuple:
     )
 
 
-class VectorWarmState:
-    """Flat warm state of one (config, footprint), rematerialized per genome.
-
-    Built straight from the footprint by :meth:`build` and never mutated,
-    so one state serves every genome that declares the same footprint.
-    """
-
-    __slots__ = ("constants", "dl1", "l2", "dtlb", "l2_tlb")
-
-    def __init__(self, constants: dict, dl1, l2, dtlb, l2_tlb) -> None:
-        self.constants = constants
-        self.dl1 = dl1
-        self.l2 = l2
-        self.dtlb = dtlb
-        self.l2_tlb = l2_tlb
-
-    @classmethod
-    def build(cls, config: "MachineConfig", signature: tuple) -> "VectorWarmState":
-        """The state ``warm_region`` leaves for ``signature``'s one region
-        (or none; :func:`supports_vector` admits no more).
-
-        Warm-up runs at cycle 0, so every last use, access and miss counter,
-        ACE total and ``wa_sum`` starts at 0 (:meth:`materialize` sets them).
-        """
-        (region,) = signature or (None,)
-        l2_tlb = config.l2_tlb
-        constants = {
-            "memory_latency": config.memory_latency,
-            "tlb_miss_penalty": config.tlb_miss_penalty,
-            "l2_tlb_hit_latency": config.l2_tlb_hit_latency,
-            "dl1_hit_latency": config.dl1.hit_latency,
-            "l2_hit_latency": config.l2.hit_latency,
-            "dl1_line_bytes": config.dl1.line_bytes,
-            "dl1_assoc": config.dl1.associativity,
-            "dl1_wpl": config.dl1.words_per_line,
-            "l2_line_bytes": config.l2.line_bytes,
-            "l2_num_sets": config.l2.num_sets,
-            "l2_word_bytes": config.l2.word_bytes,
-            "l2_assoc": config.l2.associativity,
-            "l2_wpl": config.l2.words_per_line,
-            "has_l2_tlb": l2_tlb is not None,
-            "l2_tlb_page_bytes": l2_tlb.page_bytes if l2_tlb is not None else 0,
-            "dl1_word_bits": config.dl1.word_bytes * 8,
-            "l2_word_bits": config.l2.word_bytes * 8,
-            "dtlb_entry_bits": config.dtlb.entry_bits,
-            "l2_tlb_entry_bits": l2_tlb.entry_bits if l2_tlb is not None else 0,
-        }
-        return cls(
-            constants,
-            _warm_cache(config.dl1, region),
-            _warm_cache(config.l2, region),
-            _warm_tlb(config.dtlb, region),
-            _warm_tlb(l2_tlb, region) if l2_tlb is not None else None,
-        )
-
-    def materialize(self) -> VectorHierarchy:
-        """A fresh mutable VectorHierarchy seeded from this state."""
-        vh = VectorHierarchy.__new__(VectorHierarchy)
-        for name, value in self.constants.items():
-            setattr(vh, name, value)
-
-        sets, line_no, dirty, dirty_ace, ws, free, wa_count = self.dl1
-        vh.dl1_sets = [dict(entry) for entry in sets]
-        vh.dl1_line_no = line_no.copy()
-        vh.dl1_dirty = dirty.copy()
-        vh.dl1_dirty_ace = dirty_ace.copy()
-        vh.dl1_lu = [0] * len(line_no)
-        vh.dl1_ws = ws.copy()
-        vh.dl1_free = free.copy()
-        vh.dl1_wa_count = wa_count
-        vh.dl1_accesses = vh.dl1_misses = vh.dl1_ace_cycles = vh.dl1_wa_sum = 0
-
-        sets, line_no, _, _, ws, free, wa_count = self.l2
-        vh.l2_sets = [dict(entry) for entry in sets]
-        vh.l2_lu = [0] * len(line_no)
-        vh.l2_ws = ws.copy()
-        vh.l2_free = free.copy()
-        vh.l2_wa_count = wa_count
-        vh.l2_accesses = vh.l2_misses = vh.l2_ace_cycles = vh.l2_wa_sum = 0
-
-        tlb_map, first, last, rec, free = self.dtlb
-        vh.dtlb_map = dict(tlb_map)
-        vh.dtlb_first = first.copy()
-        vh.dtlb_last = last.copy()
-        vh.dtlb_lu = [0] * len(first)
-        vh.dtlb_rec = rec.copy()
-        vh.dtlb_free = free.copy()
-        vh.dtlb_accesses = vh.dtlb_misses = vh.dtlb_ace_cycles = 0
-
-        if self.l2_tlb is not None:
-            tlb_map, first, last, rec, free = self.l2_tlb
-            vh.l2_tlb_map = dict(tlb_map)
-            vh.l2_tlb_first = first.copy()
-            vh.l2_tlb_last = last.copy()
-            vh.l2_tlb_lu = [0] * len(first)
-            vh.l2_tlb_rec = rec.copy()
-            vh.l2_tlb_free = free.copy()
-            vh.l2_tlb_ace_cycles = 0
-
-        vh.load_l2_misses = 0
-        return vh
-
-
 def warm_signature(program: "Program") -> tuple:
-    """The warm-up footprint of a program as a hashable cache key."""
+    """The warm-up footprint of a program: one ``(base, size_bytes, dirty,
+    ace, word_fraction, recurrent)`` tuple per region."""
     return tuple(
         (region.base, region.size_bytes, region.dirty, region.ace,
          region.word_fraction, region.recurrent)
@@ -960,31 +893,18 @@ def warm_signature(program: "Program") -> tuple:
     )
 
 
-def _frozen_warm_for(config: "MachineConfig", program: "Program") -> VectorWarmState:
-    """The warm state for this (config, footprint), LRU-memoized."""
-    key = (config, warm_signature(program))
-    state = _frozen_warm.pop(key, None)
-    if state is None:
-        state = VectorWarmState.build(config, key[1])
-        STATS.warm_builds += 1
-        while len(_frozen_warm) >= VECTOR_WARM_CACHE_LIMIT:
-            del _frozen_warm[next(iter(_frozen_warm))]
-    _frozen_warm[key] = state  # most recently used last
-    return state
-
-
 # ------------------------------------------------------------------ running
 
 
-def vector_run(core, program: "Program", max_instructions: int, warm: VectorWarmState):
-    """Simulate one program on operand columns against a built warm state.
+def vector_run(core, program: "Program", max_instructions: int):
+    """Simulate one program on operand columns.
 
     The reference loop of :meth:`OutOfOrderCore.run_interpreted
     <repro.uarch.pipeline.OutOfOrderCore.run_interpreted>` statement for
     statement, except that every per-op stochastic or object-dispatched input
     is a column read from :func:`build_columns` — front-end stall, branch
     outcome, resolved address parts — and the memory hierarchy is the flat
-    :class:`VectorHierarchy` rematerialized from ``warm``.
+    :class:`VectorHierarchy` warmed with the program's one region.
 
     Bit-identity contract: identical float addition order, RNG draw order
     and probe cycles as the interpreted reference; every ACE product stays
@@ -1060,7 +980,8 @@ def vector_run(core, program: "Program", max_instructions: int, warm: VectorWarm
         memory_rng, branch_rng, frontend_rng,
         frontend_miss_rate, frontend_miss_penalty,
     )
-    hierarchy = warm.materialize()
+    (region,) = warm_signature(program) or (None,)
+    hierarchy = VectorHierarchy(config, region)
 
     ledger = VulnerabilityLedger(config)
     accounts = ledger.accounts
@@ -1410,16 +1331,14 @@ def run_many(core, programs, max_instructions: int = 50_000):
     instead, counted in ``STATS.fallbacks``; empty bodies run it inline
     without counting.
     """
-    config = core.config
     results = []
     for program in programs:
         if not program.body:
             results.append(core.run_interpreted(program, max_instructions, True))
             continue
         if supports_vector(program):
-            warm = _frozen_warm_for(config, program)
             try:
-                result = vector_run(core, program, max_instructions, warm)
+                result = vector_run(core, program, max_instructions)
             except Unvectorizable:
                 pass
             else:

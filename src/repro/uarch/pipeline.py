@@ -167,12 +167,12 @@ class OutOfOrderCore:
 
         A single program runs on the vector plane as a population of one,
         through :meth:`VectorKernelBackend.run_many
-        <repro.uarch.kernel_backends.VectorKernelBackend.run_many>`: its warm
-        state is built flat from the footprint, which beats warming the
-        interpreter's object hierarchy (~3.7x on the workload suite).  Programs
-        the plane cannot lower (oversize bodies, runs over ``VECTOR_MAX_OPS``,
-        several warm-up regions, addresses past the int64 window) run the
-        interpreter there.
+        <repro.uarch.kernel_backends.VectorKernelBackend.run_many>`: its
+        cache sets are warmed from the footprint's closed form the first
+        time an access reaches them, which beats warming the interpreter's
+        whole object hierarchy.  Programs the plane cannot lower (oversize
+        bodies, runs over ``VECTOR_MAX_OPS``, several warm-up regions) run
+        the interpreter there.
         """
         from repro.uarch.kernel_backends import VECTOR
 

@@ -10,9 +10,9 @@ ISA; configurations cover the paper baseline, a constrained derivative
 kernels' non-resident register path), and the ``extended`` config (store
 buffer + L2 TLB).  The ``vector`` plane is diffed directly, one program per
 warm-up shape included, and every reason it hands a program to the
-interpreter is exercised once.  Its warm state, built flat from the
-footprint, is also compared with the interpreter's warmed object hierarchy
-set by set (``TestVectorWarmState``).
+interpreter is exercised once.  Its warm state, filled set by set from the
+footprint's closed form, is also compared with the interpreter's warmed
+object hierarchy set by set (``TestVectorWarmState``).
 """
 
 from __future__ import annotations
@@ -331,10 +331,51 @@ class TestVectorKernelDifferential:
                     config, [program], budget, f"vector-warm-{shape}-{budget}/{config.name}"
                 )
 
+    def test_a_short_run_fills_few_l2_sets(self, monkeypatch):
+        """A 40-op run past the L2's reach fills under 1% of ``baseline``'s
+        16,384 L2 sets: a run pays warm-up for the sets it touches."""
+        built = []
+
+        class Recording(kernel_vector.VectorHierarchy):
+            __slots__ = ()
+
+            def __init__(self, config, region):
+                super().__init__(config, region)
+                built.append(self)
+
+        monkeypatch.setattr(kernel_vector, "VectorHierarchy", Recording)
+        program = random_program(71, "vfew-sets")
+        program.warmup_regions = WARM_SHAPES["beyond_l2_and_tlb_reach"]
+        self._assert_matches_interpreter(baseline_config(), [program], 40, "vector-few-sets")
+        (hierarchy,) = built
+        assert len(hierarchy.l2_sets) == 16_384
+        filled = sum(cache_set is not None for cache_set in hierarchy.l2_sets)
+        assert 0 < filled < 16_384 // 100
+
+    @pytest.mark.parametrize("reason", ["int64_address", "int64_warm_region"])
+    def test_no_fallback(self, reason):
+        """Addresses and a warm-up region past the int64 range take no
+        fallback: the vector plane runs them (its column arithmetic is on
+        Python ints) on every config."""
+        program = random_program(53, f"vwide-{reason}")
+        if reason == "int64_warm_region":
+            program.warmup_regions = [_region(1 << 62, 64 << 10)]
+        else:
+            program.body = [
+                make_load(1, FixedPattern(address=1 << 62)),
+                make_alu(2, [1]),
+                make_store(FixedPattern(address=1 << 62), srcs=[2]),
+            ]
+            program.branch_behaviors = {}
+        assert kernel_vector.supports_vector(program)
+        for config_factory in CONFIG_FACTORIES:
+            config = config_factory()
+            self._assert_matches_interpreter(
+                config, [program], 1_500, f"vector-{reason}/{config.name}"
+            )
+
     @pytest.mark.parametrize(
-        "reason",
-        ["oversize_body", "over_budget", "int64_address",
-         "several_warm_regions", "int64_warm_region"],
+        "reason", ["oversize_body", "over_budget", "several_warm_regions"]
     )
     def test_fallback_reason(self, reason, monkeypatch):
         """Each reason the lowering refuses a program runs the interpreter."""
@@ -350,9 +391,6 @@ class TestVectorKernelDifferential:
                 for index in range(10)
             ] + [_region(9 * (2 << 20), 4 << 10, dirty=False, word_fraction=0.75)]
             assert not kernel_vector.supports_vector(program)
-        elif reason == "int64_warm_region":
-            program.warmup_regions = [_region(1 << 62, 64 << 10)]
-            assert not kernel_vector.supports_vector(program)
         elif reason == "oversize_body":
             program.body = [
                 make_alu(index % 32, [(index + 1) % 32])
@@ -360,16 +398,9 @@ class TestVectorKernelDifferential:
             ]
             program.branch_behaviors = {}
             assert not kernel_vector.supports_vector(program)
-        elif reason == "over_budget":
+        else:
             run_length = min(budget, len(program.body) * program.iterations)
             monkeypatch.setattr(kernel_vector, "VECTOR_MAX_OPS", run_length - 1)
-        else:
-            program.body = [
-                make_load(1, FixedPattern(address=1 << 62)),
-                make_alu(2, [1]),
-                make_store(FixedPattern(address=1 << 62), srcs=[2]),
-            ]
-            program.branch_behaviors = {}
         self._assert_matches_interpreter(
             config, [program], budget, f"vector-fallback-{reason}", expect_vectorized=0
         )
@@ -403,28 +434,16 @@ class TestVectorKernelDifferential:
                 f"vector-empty-body[{index}]",
             )
 
-    def test_vector_frozen_warm_eviction_does_not_break_reuse(self, monkeypatch):
-        """A one-entry warm-state memo rebuilds alternating footprints, and
-        serves them correctly; the default memo holds both."""
+    def test_alternating_footprints(self):
+        """Footprints A, B, A, B in one batch: each run warms its own
+        hierarchy, so nothing one footprint's run leaves reaches the next."""
         config = baseline_config()
         first = random_program(76, "vevict-a")
         second = random_program(77, "vevict-b")
         second.warmup_regions = [WarmupRegion(base=8192, size_bytes=1 << 14, dirty=False)]
-        core = OutOfOrderCore(config, seed=3)
-        for limit, builds in ((1, 4), (kernel_vector.VECTOR_WARM_CACHE_LIMIT, 2)):
-            kernel_vector.clear_vector_caches()
-            monkeypatch.setattr(kernel_vector, "VECTOR_WARM_CACHE_LIMIT", limit)
-            for round_index in range(2):
-                for program in (first, second):
-                    results = kernel_vector.run_many(core, [program], 800)
-                    assert_identical(
-                        core.run_interpreted(program, max_instructions=800),
-                        results[0],
-                        f"vevict-{limit}-round-{round_index}/{program.name}",
-                    )
-            assert kernel_vector.STATS.warm_builds == builds
-            assert len(kernel_vector._frozen_warm) == min(limit, 2)
-        kernel_vector.clear_vector_caches()
+        self._assert_matches_interpreter(
+            config, [first, second, first, second], 800, "vector-alternating-footprints"
+        )
 
     def test_backend_run_many_routes_through_vector_plane(self):
         """``VECTOR.run_many`` engages the vector plane for batches."""
@@ -482,22 +501,41 @@ def _object_cache(cache) -> list:
     return canonical
 
 
-def _flat_cache(state, cache_config) -> list:
-    """The same canonical form from a built ``VectorWarmState`` cache."""
-    sets, line_no, dirty, dirty_ace, word_state, free, wa_count = state
+def _flat_cache(hierarchy, level: str, cache_config) -> list:
+    """The same canonical form from a fresh ``VectorHierarchy``, every set
+    filled through the first-touch routine its ``access`` uses.
+
+    The flat L2 keeps no line-number or dirty columns (its dirty victims go
+    to memory untracked), so its rows are ``(tag, line, words)``, the line
+    number from the tag and the set.
+    """
+    fill = getattr(hierarchy, f"_warm_{level}_set")
+    word_state = getattr(hierarchy, f"{level}_ws")
+    num_sets, ways = cache_config.num_sets, cache_config.associativity
     wpl = cache_config.words_per_line
     canonical = []
-    for cache_set in sets:
+    resident = set()
+    for set_index in range(num_sets):
+        cache_set = fill(set_index)
+        assert list(cache_set.values()) == list(
+            range(set_index * ways, set_index * ways + len(cache_set))
+        ), "set s holds slots s*ways .. s*ways+len-1"
         rows = []
         for tag, slot in cache_set.items():
             words = word_state[slot * wpl:(slot + 1) * wpl]
-            rows.append((tag, line_no[slot], dirty[slot], dirty_ace[slot],
-                         tuple((word, value) for word, value in enumerate(words) if value >= 0)))
+            words = tuple((word, value) for word, value in enumerate(words) if value >= 0)
+            if level == "dl1":
+                rows.append((tag, hierarchy.dl1_line_no[slot], hierarchy.dl1_dirty[slot],
+                             hierarchy.dl1_dirty_ace[slot], words))
+            else:
+                rows.append((tag, tag * num_sets + set_index, words))
         canonical.append(rows)
-    resident = [slot for cache_set in sets for slot in cache_set.values()]
-    assert sorted(resident + free) == list(range(cache_config.num_lines)), "slot bookkeeping"
-    assert all(word_state[slot * wpl:(slot + 1) * wpl] == [-1] * wpl for slot in free)
-    assert wa_count == word_state.count(5)
+        resident.update(cache_set.values())
+    assert all(
+        word_state[slot * wpl:(slot + 1) * wpl] == [-1] * wpl
+        for slot in range(cache_config.num_lines) if slot not in resident
+    )
+    assert getattr(hierarchy, f"{level}_wa_count") == word_state.count(5)
     return canonical
 
 
@@ -514,19 +552,23 @@ def _object_tlb(tlb) -> list:
     ]
 
 
-def _flat_tlb(state, tlb_config) -> list:
-    tlb_map, first, last, recurrent, free = state
+def _flat_tlb(hierarchy, level: str, tlb_config) -> list:
+    tlb_map, first, last, recurrent, free = (
+        getattr(hierarchy, f"{level}_{name}") for name in ("map", "first", "last", "rec", "free")
+    )
     assert sorted([*tlb_map.values(), *free]) == list(range(tlb_config.entries))
     return [(page, first[slot], last[slot], recurrent[slot]) for page, slot in tlb_map.items()]
 
 
 class TestVectorWarmState:
-    """The built flat warm state equals the object hierarchy after ``warm_region``.
+    """The flat warm state equals the object hierarchy after ``warm_region``.
 
-    Compared per set in insertion order (tag, line, dirty, dirty-ACE, word
-    states) and per TLB entry (page, first and last ACE use, recurrent), so
-    a divergence no short run observes — the LRU order of an untouched set,
-    a dirty bit of a line never evicted — still fails.
+    Every DL1 and L2 set of a fresh ``VectorHierarchy`` is filled through
+    the first-touch routine ``access`` uses, then compared per set in
+    insertion order (tag, line, dirty, dirty-ACE, word states) and per TLB
+    entry (page, first and last ACE use, recurrent), so a divergence no
+    short run observes — the LRU order of an untouched set, a dirty bit of
+    a line never evicted — still fails.
     """
 
     @pytest.mark.parametrize("shape", sorted(WARM_SHAPES) + ["stressmark_hit", "stressmark_miss"])
@@ -553,14 +595,16 @@ class TestVectorWarmState:
                     ace=region.ace, word_fraction=region.word_fraction,
                     recurrent=region.recurrent,
                 )
-            state = kernel_vector.VectorWarmState.build(
-                config, kernel_vector.warm_signature(program)
-            )
+            (region,) = kernel_vector.warm_signature(program)
+            flat = kernel_vector.VectorHierarchy(config, region)
             label = f"{shape}/{config.name}"
-            assert _flat_cache(state.dl1, config.dl1) == _object_cache(hierarchy.dl1), label
-            assert _flat_cache(state.l2, config.l2) == _object_cache(hierarchy.l2), label
-            assert _flat_tlb(state.dtlb, config.dtlb) == _object_tlb(hierarchy.dtlb), label
-            if config.l2_tlb is None:
-                assert state.l2_tlb is None
-            else:
-                assert _flat_tlb(state.l2_tlb, config.l2_tlb) == _object_tlb(hierarchy.l2_tlb), label
+            assert _flat_cache(flat, "dl1", config.dl1) == _object_cache(hierarchy.dl1), label
+            l2_rows = [
+                [(tag, line, words) for tag, line, _, _, words in rows]
+                for rows in _object_cache(hierarchy.l2)
+            ]
+            assert _flat_cache(flat, "l2", config.l2) == l2_rows, label
+            assert _flat_tlb(flat, "dtlb", config.dtlb) == _object_tlb(hierarchy.dtlb), label
+            assert flat.has_l2_tlb == (config.l2_tlb is not None)
+            if config.l2_tlb is not None:
+                assert _flat_tlb(flat, "l2_tlb", config.l2_tlb) == _object_tlb(hierarchy.l2_tlb), label

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -128,11 +129,48 @@ class TestRemovedPlanes:
         Session(jobs=1).close()
 
 
-def test_import_repro_loads_the_vector_plane():
-    """numpy loads with ``import repro``, not on each pool worker's first evaluation."""
-    code = "import sys, repro; print('repro.uarch.kernel_vector' in sys.modules)"
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this source tree; its stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
     completed = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert completed.stdout.strip() == "True"
+    return completed.stdout.strip()
+
+
+def test_import_repro_loads_the_vector_plane():
+    """The vector plane loads with ``import repro``, not on each pool
+    worker's first evaluation."""
+    code = "import sys, repro; print('repro.uarch.kernel_vector' in sys.modules)"
+    assert _run_python(code) == "True"
+
+
+def test_simulations_load_no_numpy():
+    """``import repro``, a simulate run and a GA population never load numpy."""
+    code = textwrap.dedent("""
+        import sys
+        import repro
+        from repro.api.session import Session
+        from repro.api.spec import RunSpec
+        from repro.ga.individual import Individual
+        from repro.stressmark.generator import (
+            StressmarkEvaluator, StressmarkGenerator, reference_knobs)
+        from repro.stressmark.knobs import KnobSpace
+        from repro.uarch.config import baseline_config
+
+        with Session(jobs=1) as session:
+            session.run(RunSpec.from_json_dict(
+                {"kind": "simulate", "name": "no-numpy", "workloads": ["crc32_proxy"]}))
+        config = baseline_config()
+        generator = StressmarkGenerator(config=config, max_instructions=2_000)
+        evaluator = StressmarkEvaluator(
+            config=config, fault_rates=generator.fault_rates, fitness=generator.fitness,
+            knob_space=KnobSpace(config), max_instructions=2_000, simulation_seed=1)
+        population = [
+            Individual(genome=reference_knobs(config).derive(random_seed=seed).to_genome())
+            for seed in (1, 2)
+        ]
+        assert len(evaluator.evaluate_batch(population)) == 2
+        print("numpy" in sys.modules)
+    """)
+    assert _run_python(code) == "False"
