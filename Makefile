@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test benchmarks bench bench-smoke specs-smoke store-smoke avf-smoke avf-golden kernel-smoke batch-smoke chaos-smoke serve-smoke serve-chaos-smoke serve-bench
+.PHONY: test benchmarks bench bench-smoke specs-smoke store-smoke avf-smoke avf-golden kernel-smoke batch-smoke chaos-smoke serve-smoke serve-chaos-smoke
 
 test:
 	$(PYTHON) -m pytest tests -q
@@ -78,7 +78,3 @@ serve-smoke:
 # "Failure semantics").
 serve-chaos-smoke:
 	REPRO_SERVE_CHAOS_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_serve_chaos_smoke.py -m serve_chaos_smoke -q
-
-# Record/append service latency+throughput baselines (writes BENCH_serve.json).
-serve-bench:
-	$(PYTHON) -m repro loadtest

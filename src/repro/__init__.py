@@ -60,7 +60,6 @@ def package_version() -> str:
         return __version__
 
 from repro.api import (  # noqa: E402  (api imports repro submodules, keep last)
-    BACKENDS,
     CONFIGS,
     FAULT_RATES,
     FITNESS_OBJECTIVES,
@@ -121,7 +120,6 @@ __all__ = [
     "WORKLOAD_SUITES",
     "FITNESS_OBJECTIVES",
     "SCALES",
-    "BACKENDS",
     "ResultStore",
     "StoreError",
     "merge_stores",

@@ -4,8 +4,8 @@ The one request/response surface shared by the CLI, the experiment drivers,
 the bench harness and any future service front-end:
 
 * :mod:`repro.api.registry` — named registries of machine configs,
-  fault-rate models, workload suites, fitness objectives, scales and
-  evaluation backends (stock components installed on import).
+  fault-rate models, workload suites, fitness objectives and scales
+  (stock components installed on import).
 * :mod:`repro.api.spec` — JSON-serializable :class:`RunSpec` requests
   (``simulate`` / ``stressmark`` / ``sweep``) and round-trippable
   :class:`RunResult` responses with content-addressed provenance.
@@ -26,7 +26,6 @@ Quickstart::
 from repro.api import components as _components  # noqa: F401  (installs registries)
 from repro.api.presets import comparison_spec, preset_names, preset_spec
 from repro.api.registry import (
-    BACKENDS,
     CONFIGS,
     FAULT_RATES,
     FITNESS_OBJECTIVES,
@@ -48,7 +47,6 @@ __all__ = [
     "WORKLOAD_SUITES",
     "FITNESS_OBJECTIVES",
     "SCALES",
-    "BACKENDS",
     "RUN_KINDS",
     "RunSpec",
     "RunResult",

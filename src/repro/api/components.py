@@ -11,8 +11,10 @@ component the repository ships into the registries of
 * workload suites — ``spec_int``, ``spec_fp``, ``mibench`` and the combined
   ``all`` (the 33 proxies),
 * fitness objectives — ``balanced``, ``overall``, ``core_only``,
-* experiment scales — ``quick``, ``default``, ``paper``,
-* evaluation backends — ``serial``, ``resilient``.
+* experiment scales — ``quick``, ``default``, ``paper``.
+
+The evaluation backend is not a component: it follows the worker count
+(:func:`~repro.parallel.backends.create_backend`).
 
 Registration lives here rather than on the defining modules so the core
 packages stay import-cycle-free; user code extends the same registries with
@@ -21,10 +23,7 @@ the ``Registry.register`` decorator.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.api.registry import (
-    BACKENDS,
     CONFIGS,
     FAULT_RATES,
     FITNESS_OBJECTIVES,
@@ -32,8 +31,6 @@ from repro.api.registry import (
     WORKLOAD_SUITES,
 )
 from repro.experiments.runner import ExperimentScale
-from repro.parallel.backends import SerialBackend, resolve_jobs
-from repro.parallel.resilience import FailurePolicy, ResilientPoolBackend
 from repro.stressmark.fitness import FitnessFunction
 from repro.uarch.config import baseline_config, config_a, extended_config
 from repro.uarch.faultrates import edr_fault_rates, rhc_fault_rates, unit_fault_rates
@@ -74,19 +71,6 @@ def install_default_components() -> None:
     SCALES.register("quick", ExperimentScale.quick)
     SCALES.register("default", ExperimentScale.default)
     SCALES.register("paper", ExperimentScale.paper)
-
-    BACKENDS.register("serial", _serial_backend)
-    BACKENDS.register("resilient", _resilient_backend)
-
-
-def _serial_backend(jobs: Optional[int] = None) -> SerialBackend:
-    """In-process evaluation regardless of the requested worker count."""
-    return SerialBackend()
-
-
-def _resilient_backend(jobs: Optional[int] = None) -> ResilientPoolBackend:
-    """Fault-tolerant pool with ``jobs`` workers; retry policy from ``REPRO_RETRY_*``."""
-    return ResilientPoolBackend(resolve_jobs(jobs), policy=FailurePolicy.from_env())
 
 
 install_default_components()

@@ -1,8 +1,8 @@
 """Named component registries for the declarative run API.
 
 Every pluggable ingredient of an experiment — machine configurations,
-circuit-level fault-rate models, workload suites, fitness objectives,
-experiment scales and evaluation backends — is published in a
+circuit-level fault-rate models, workload suites, fitness objectives and
+experiment scales — is published in a
 :class:`Registry` keyed by a short stable name.  A :class:`~repro.api.spec.
 RunSpec` refers to components exclusively by those names, so a scenario is a
 JSON document instead of a code change, and the CLI derives its ``choices``
@@ -40,7 +40,6 @@ __all__ = [
     "WORKLOAD_SUITES",
     "FITNESS_OBJECTIVES",
     "SCALES",
-    "BACKENDS",
     "registries",
 ]
 
@@ -60,9 +59,6 @@ FITNESS_OBJECTIVES = Registry("fitness objective")
 #: Experiment scales: ``name -> () -> ExperimentScale``.
 SCALES = Registry("experiment scale")
 
-#: Evaluation backends: ``name -> (jobs: int) -> EvaluationBackend``.
-BACKENDS = Registry("evaluation backend")
-
 
 def registries() -> dict[str, Registry]:
     """All component registries keyed by their public spec-field name."""
@@ -76,6 +72,5 @@ def registries() -> dict[str, Registry]:
         "suite": WORKLOAD_SUITES,
         "fitness": FITNESS_OBJECTIVES,
         "scale": SCALES,
-        "backend": BACKENDS,
         "structures": STRUCTURES,
     }

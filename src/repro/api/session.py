@@ -6,9 +6,10 @@ objects (machine config, fault-rate model, workload profiles, fitness,
 scale), applies ``config_overrides`` / ``scale_overrides``, and routes the
 work through a cached :class:`~repro.experiments.runner.ExperimentContext`
 — which fans independent simulations and GA evaluations out over the
-:mod:`repro.parallel` backends and memoizes results.  All front-ends (the
-CLI's ``run``/``sweep``/figure commands, the experiment drivers, the bench
-harness, future services) share this entry point.
+session's evaluation backend for the spec's worker count (in-process for
+one job, the resilient worker pool for more) and memoizes results.  All
+front-ends (the CLI's ``run``/``sweep``/figure commands, the experiment
+drivers, the bench harness, future services) share this entry point.
 
 Two result surfaces exist:
 
@@ -50,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.api import components as _components  # noqa: F401  (installs registries)
 from repro.api.registry import (
-    BACKENDS,
     CONFIGS,
     FAULT_RATES,
     FITNESS_OBJECTIVES,
@@ -91,11 +91,11 @@ class ResolvedRun:
 class Session:
     """Facade resolving and executing :class:`RunSpec` requests.
 
-    Contexts (and their worker pools / caches) are memoized per
-    ``(scale, jobs)`` pair, so the runs of a sweep share workload
-    simulations and stressmark searches exactly like the figure drivers
-    always have.  Use as a context manager, or call :meth:`close`, to
-    release worker processes.
+    Contexts (and their caches) are memoized per ``(scale, jobs, failure
+    policy)`` and backends per ``(jobs, failure policy)``, so the runs of a
+    sweep share warm workers, workload simulations and stressmark searches
+    exactly like the figure drivers always have.  Use as a context manager,
+    or call :meth:`close`, to release worker processes.
     """
 
     def __init__(
@@ -127,19 +127,15 @@ class Session:
         self._closed = False
         self._contexts: dict[tuple, ExperimentContext] = {}
         self._owned: list[ExperimentContext] = []
-        # One warm worker pool per jobs count, shared by every context the
-        # session creates (sweep points at different scales included): the
-        # versioned task registry inside ResilientPoolBackend lets one pool
-        # serve any number of distinct evaluators without recycling workers.
+        # One worker pool per (jobs, failure policy), shared by every context
+        # the session creates (sweep points at different scales included):
+        # workers keep no per-task state, so one pool serves any number of
+        # distinct evaluators without recycling workers.
         self._backends: dict[tuple[int, FailurePolicy], "EvaluationBackend"] = {}
-        if context is not None:
-            # A wrapped context serves every backend request for its
-            # (scale, jobs) pair — it already owns a live backend.  The
-            # wrapped context's own store configuration is left untouched.
-            self._wrapped = context
-            self._contexts[(context.scale, context.jobs, "", None)] = context
-        else:
-            self._wrapped = None
+        # A wrapped context serves every spec at its (scale, jobs) pair — it
+        # already owns a live backend.  Its own store configuration is left
+        # untouched.
+        self._wrapped = context
 
     @property
     def store(self) -> Optional["ResultStore"]:
@@ -254,12 +250,11 @@ class Session:
         return backend
 
     def context_for(self, spec: SpecLike) -> ExperimentContext:
-        """The (cached) ExperimentContext executing a spec's scale/jobs/backend.
+        """The (cached) ExperimentContext executing a spec's scale/jobs/retry policy.
 
-        Contexts with the default backend share one session-owned worker
-        pool per (jobs, failure policy) pair, so a sweep's points (and the
-        GA generations inside each) reuse warm workers instead of
-        respawning them.
+        Every context shares the session-owned backend of its (jobs, failure
+        policy) pair, so a sweep's points (and the GA generations inside
+        each) reuse warm workers instead of respawning them.
         """
         if self._closed:
             raise RuntimeError("session is closed — worker pools and stores are released")
@@ -269,19 +264,12 @@ class Session:
         if self._wrapped is not None and (scale, jobs) == (self._wrapped.scale, self._wrapped.jobs):
             return self._wrapped
         policy = FailurePolicy(retry=self.resolve_retry(spec))
-        key = (scale, jobs, spec.backend, policy)
+        key = (scale, jobs, policy)
         context = self._contexts.get(key)
         if context is None:
-            if spec.backend:
-                backend = BACKENDS.create(spec.backend, jobs)
-                owns_backend = True
-            else:
-                backend = self._shared_backend(jobs, policy)
-                owns_backend = False
             context = ExperimentContext(
-                scale, jobs=jobs, backend=backend, store=self._store,
-                resume=self._resume, owns_backend=owns_backend,
-                failure_policy=policy,
+                scale, backend=self._shared_backend(jobs, policy), store=self._store,
+                resume=self._resume,
             )
             self._contexts[key] = context
             self._owned.append(context)

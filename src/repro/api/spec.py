@@ -31,7 +31,6 @@ from typing import Mapping, Optional
 
 from repro.api import components as _components  # noqa: F401  (installs registries)
 from repro.api.registry import (
-    BACKENDS,
     CONFIGS,
     FAULT_RATES,
     FITNESS_OBJECTIVES,
@@ -62,11 +61,12 @@ class RunSpec:
     """One declarative run request (JSON-serializable, content-addressable).
 
     Component fields (``config``, ``fault_rates``, ``fitness``, ``scale``,
-    ``backend``, ``suites``) hold registry *names*; ``config_overrides`` /
+    ``suites``) hold registry *names*; ``config_overrides`` /
     ``scale_overrides`` are keyword overrides applied via
     ``MachineConfig.derive`` / ``ExperimentScale.derive``.  ``seed``
-    overrides the GA seed of a stressmark search.  ``retries`` /
-    ``task_timeout`` tune the resilient backend's
+    overrides the GA seed of a stressmark search.  ``jobs`` picks the
+    evaluation backend: one job runs in-process, more run the resilient
+    worker pool.  ``retries`` / ``task_timeout`` tune that pool's
     :class:`~repro.parallel.resilience.RetryPolicy` (max attempts per item,
     per-item deadline in seconds); unset means the ``REPRO_RETRY_*``
     environment (or library defaults) applies.
@@ -84,7 +84,6 @@ class RunSpec:
     scale: str = "quick"
     scale_overrides: Mapping[str, object] = field(default_factory=dict)
     jobs: Optional[int] = None
-    backend: str = ""
     seed: Optional[int] = None
     retries: Optional[int] = None
     task_timeout: Optional[float] = None
@@ -127,8 +126,6 @@ class RunSpec:
         FAULT_RATES.get(self.fault_rates)
         FITNESS_OBJECTIVES.get(self.fitness)
         SCALES.get(self.scale)
-        if self.backend:
-            BACKENDS.get(self.backend)
         for suite in self.suites:
             WORKLOAD_SUITES.get(suite)
 
@@ -146,9 +143,9 @@ class RunSpec:
         if self.axes and self.base is None:
             raise SpecError("a sweep with 'axes' needs a 'base' spec to expand")
         # Component fields live on the children; a sweep-level value would be
-        # silently ignored, so reject anything off its default (jobs, backend
-        # and the retry knobs are the exceptions — expand() inherits them
-        # into children).
+        # silently ignored, so reject anything off its default (jobs and the
+        # retry knobs are the exceptions — expand() inherits them into
+        # children).
         defaults = RunSpec(kind="sweep")
         for leaf_field in ("config", "config_overrides", "fault_rates", "suites", "workloads",
                            "fitness", "scale", "scale_overrides", "seed"):
@@ -175,8 +172,8 @@ class RunSpec:
     def expand(self) -> list["RunSpec"]:
         """Children of a sweep (axes product first, then explicit runs).
 
-        Sweep-level ``jobs`` / ``backend`` / ``retries`` / ``task_timeout``
-        are inherited by children that do not set their own.
+        Sweep-level ``jobs`` / ``retries`` / ``task_timeout`` are inherited
+        by children that do not set their own.
         """
         if self.kind != "sweep":
             return [self]
@@ -197,8 +194,6 @@ class RunSpec:
         overrides: dict[str, object] = {}
         if child.jobs is None and self.jobs is not None:
             overrides["jobs"] = self.jobs
-        if not child.backend and self.backend:
-            overrides["backend"] = self.backend
         if child.retries is None and self.retries is not None:
             overrides["retries"] = self.retries
         if child.task_timeout is None and self.task_timeout is not None:
@@ -225,7 +220,9 @@ class RunSpec:
             "scale": self.scale,
             "scale_overrides": _jsonify(self.scale_overrides),
             "jobs": self.jobs,
-            "backend": self.backend,
+            # Specs once named an evaluation backend here.  Every digest
+            # recorded so far hashed this slot, so it stays, always empty.
+            "backend": "",
             "seed": self.seed,
         }
         # Resilience knobs are emitted only when set: digests of specs that
@@ -249,9 +246,10 @@ class RunSpec:
         known = _field_names(cls)
         kwargs: dict[str, object] = {}
         for key, value in data.items():
-            if key == "kernel_backend":
-                # Older specs could pin one of two bit-identical planes;
-                # dropped, such a spec is (and digests as) its unpinned twin.
+            if key in ("kernel_backend", "backend"):
+                # Older specs could pin a kernel plane or an evaluation
+                # backend, neither of which changed a result; dropped, such a
+                # spec is (and digests as) its unpinned twin.
                 continue
             if key not in known:
                 raise SpecError(f"unknown spec field {key!r}{_suggest(key, known)}")

@@ -19,7 +19,6 @@ Usage (after ``pip install -e .``)::
     repro fsck results/ --repair                     # also fix salvageable damage
     repro serve --store results/ --jobs 4            # evaluation daemon
     repro run spec.json --remote HOST:9474           # run against a daemon
-    repro loadtest --clients 3 --requests 8          # service benchmark
     repro --version                                  # package version
 
 Every experiment routes through the declarative run API
@@ -40,16 +39,15 @@ interrupted sweep resumes from its last finished run, figure/table commands
 replay from a populated store, and ``--resume`` additionally continues an
 interrupted GA search from its per-generation checkpoint.
 
-``--retries N`` / ``--task-timeout S`` tune the fault-tolerant evaluation
-backend used for ``--jobs > 1``: each simulation/GA evaluation gets up to N
+``--retries N`` / ``--task-timeout S`` tune the fault-tolerant worker pool
+every ``--jobs > 1`` run uses: each simulation/GA evaluation gets up to N
 attempts (with capped exponential backoff) and S seconds per attempt before
 its worker is declared hung and replaced.  Defaults come from the
 ``REPRO_RETRY_*`` environment, then the library (3 attempts, no deadline).
 
 ``repro serve`` starts the evaluation daemon (one warm shared fabric, many
 clients — see EXPERIMENTS.md, "Evaluation service"); ``repro run SPEC
---remote HOST:PORT`` executes a spec against it with byte-identical results;
-``repro loadtest`` benchmarks a daemon and records ``BENCH_serve.json``.
+--remote HOST:PORT`` executes a spec against it with byte-identical results.
 """
 
 from __future__ import annotations
@@ -289,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"repro {package_version()}")
     parser.add_argument("experiment",
                         choices=sorted(COMMANDS) + ["list", "run", "sweep", "merge", "fsck",
-                                                    "serve", "loadtest"],
+                                                    "serve"],
                         help="experiment to regenerate, 'list', 'run'/'sweep' a spec "
                              "file, 'merge' shard stores, 'fsck' a store directory, "
-                             "'serve' the evaluation daemon, or 'loadtest' a daemon")
+                             "or 'serve' the evaluation daemon")
     parser.add_argument("spec", nargs="?", default=None, metavar="SPEC.json",
                         help="RunSpec JSON file (run/sweep), or the destination "
                              "store (merge), or the store to audit (fsck)")
@@ -324,18 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
                              "(1-based; sweep command only, requires --store)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="attempts per simulation/GA evaluation before the item "
-                             "is quarantined (resilient backend, --jobs > 1; "
+                             "is quarantined (worker pool, --jobs > 1; "
                              "default: $REPRO_RETRY_MAX_ATTEMPTS, then 3)")
     parser.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
                         help="per-attempt deadline before a worker is declared hung "
-                             "and replaced (resilient backend, --jobs > 1; "
+                             "and replaced (worker pool, --jobs > 1; "
                              "default: $REPRO_RETRY_TIMEOUT, then unlimited)")
     parser.add_argument("--repair", action="store_true",
                         help="fsck command only: repair salvageable damage in place "
                              "(truncate torn JSONL tails, drop unloadable checkpoints, "
                              "remove temp-file debris)")
     parser.add_argument("--remote", default=None, metavar="HOST:PORT[,HOST:PORT...]",
-                        help="run/loadtest: execute against a live 'repro serve' "
+                        help="run/sweep: execute against a live 'repro serve' "
                              "daemon instead of this process (results are "
                              "byte-identical to a local run); a comma-separated "
                              "list enables client-side failover in endpoint order")
@@ -358,12 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve command only: on SIGTERM/SIGINT persist the "
                              "queued jobs to the job journal (next daemon on the "
                              "same --store replays them) instead of cancelling")
-    parser.add_argument("--clients", type=int, default=3, metavar="N",
-                        help="loadtest command only: concurrent synthetic clients "
-                             "(default: 3)")
-    parser.add_argument("--requests", type=int, default=8, metavar="M",
-                        help="loadtest command only: requests per client, mixed "
-                             "duplicate/unique specs (default: 8)")
     return parser
 
 
@@ -376,7 +368,6 @@ def _cmd_list() -> None:
     print("  merge <dest-store> <src-store>...")
     print("  fsck <store> [--repair]")
     print("  serve [--host --port --store --jobs --queue-limit --job-timeout --drain]")
-    print("  loadtest [--remote HOST:PORT --clients N --requests M]")
     print("\nregistered components (usable in RunSpec files):")
     labels = {
         "config": "machine configs",
@@ -384,7 +375,6 @@ def _cmd_list() -> None:
         "suite": "workload suites",
         "fitness": "fitness objectives",
         "scale": "experiment scales",
-        "backend": "evaluation backends",
         "structures": "tracked structures",
     }
     for key, registry in registries().items():
@@ -585,26 +575,6 @@ def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return code
 
 
-def _cmd_loadtest(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """Benchmark a daemon (spawning one unless --remote targets a live one)."""
-    if args.spec or args.extra:
-        parser.error("'loadtest' takes no positional arguments")
-    from repro.serve.loadtest import SERVE_BENCH_FILE, run_loadtest
-
-    try:
-        run_loadtest(
-            endpoint=args.remote,
-            clients=args.clients,
-            requests=args.requests,
-            store=args.store,
-            jobs=args.jobs,
-            out=args.out or SERVE_BENCH_FILE,
-        )
-    except (OSError, RuntimeError, ValueError) as exc:
-        parser.error(f"loadtest failed: {exc}")
-    return 0
-
-
 def _cmd_merge(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     destination = args.spec or args.store
     if not destination:
@@ -653,8 +623,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_fsck(parser, args)
     if args.experiment == "serve":
         return _cmd_serve(parser, args)
-    if args.experiment == "loadtest":
-        return _cmd_loadtest(parser, args)
     if args.experiment in SPEC_COMMANDS:
         return _cmd_run_spec(parser, args)
     if args.spec or args.extra:

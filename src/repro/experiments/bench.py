@@ -211,8 +211,11 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
 
     The pool is the one production ``jobs > 1`` runs use:
     :func:`~repro.parallel.backends.create_backend` (the fault-tolerant
-    ``ResilientPoolBackend``).  Entries recorded before that switch timed
-    the since-deleted chunked ``ProcessPoolBackend`` and are not comparable.
+    ``ResilientPoolBackend``), driven through ``evaluate_batch`` like every
+    GA search: one slice per worker, each slice one vector-plane
+    population.  Earlier entries are not comparable: before that they timed
+    one pool task per genome on the per-item evaluator protocol, and before
+    the resilient pool the deleted chunked ``ProcessPoolBackend``.
 
     The batch mirrors one GA generation: ``batch`` independent fitness
     evaluations of distinct genomes.  Fitness values must be identical under
@@ -221,8 +224,8 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
     Warm-up and steady state are timed **separately**, and the steady batch
     is shaped like a real GA generation: *fresh* genomes on a warm pool.
     ``warmup_seconds`` covers pool spin-up (process fork, module
-    initialisation) plus one full untimed batch of distinct genomes so
-    every worker builds its per-task state; ``steady_seconds`` then times a
+    initialisation) plus one full untimed batch of distinct genomes, so
+    every worker has run an evaluation; ``steady_seconds`` then times a
     second batch of previously unseen genomes on the warm workers.  The
     serial reference runs the *same* fresh batch in the parent process,
     which has simulated none of them (the pool forks before the parent
@@ -272,12 +275,12 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
     steady_timings = []
     try:
         start = time.perf_counter()
-        pool.evaluate_individuals(evaluator, [individual.copy() for individual in warm_batch])
+        pool.evaluate_batch(evaluator, [individual.copy() for individual in warm_batch])
         warmup_seconds = time.perf_counter() - start
         for fresh in fresh_batches:
             start = time.perf_counter()
             pool_outcomes.append(
-                pool.evaluate_individuals(evaluator, [ind.copy() for ind in fresh])
+                pool.evaluate_batch(evaluator, [ind.copy() for ind in fresh])
             )
             steady_timings.append(time.perf_counter() - start)
     finally:
@@ -285,13 +288,13 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
     steady_seconds = min(steady_timings)
 
     serial = SerialBackend()
-    serial.evaluate_individuals(evaluator, [warm_batch[0].copy()])  # untimed warm-up
+    serial.evaluate_batch(evaluator, [warm_batch[0].copy()])  # untimed warm-up
     serial_outcomes = []
     serial_timings = []
     for fresh in fresh_batches:
         start = time.perf_counter()
         serial_outcomes.append(
-            serial.evaluate_individuals(evaluator, [ind.copy() for ind in fresh])
+            serial.evaluate_batch(evaluator, [ind.copy() for ind in fresh])
         )
         serial_timings.append(time.perf_counter() - start)
     serial_seconds = min(serial_timings)

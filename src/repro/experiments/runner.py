@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 from repro.avf.report import SerReport, build_report
 from repro.ga.engine import GAParameters
 from repro.parallel.backends import EvaluationBackend, create_backend, resolve_jobs
-from repro.parallel.resilience import FailurePolicy, Quarantined
+from repro.parallel.resilience import Quarantined
 from repro.stressmark.fitness import FitnessFunction
 from repro.stressmark.generator import StressmarkGenerator, StressmarkResult, reference_knobs
 from repro.stressmark.knobs import KnobSpace
@@ -175,48 +175,29 @@ class ExperimentContext:
         backend: Optional[EvaluationBackend] = None,
         store: Optional[object] = None,
         resume: bool = False,
-        owns_backend: Optional[bool] = None,
-        failure_policy: Optional[FailurePolicy] = None,
     ) -> None:
         self.scale = scale or ExperimentScale.quick()
         self.jobs = resolve_jobs(jobs) if backend is None else backend.jobs
         self.store = store
         self.resume = resume
-        self.failure_policy = failure_policy
         self._backend = backend
-        # A context closes backends it created; a *shared* backend (the
-        # Session hands one pool to every context of a sweep) is closed by
-        # its owner.  Passing a backend historically transferred ownership,
-        # so that stays the default.
-        self._owns_backend = True if owns_backend is None else bool(owns_backend)
+        # A context closes only the backend it creates; a backend passed in
+        # (the Session hands one pool to every context of a sweep) is closed
+        # by its owner.
+        self._owns_backend = backend is None
         # AVF is independent of the circuit-level fault rates, so workload
         # simulations are cached per configuration and re-reported under each
         # fault-rate model without re-simulating.
         self._workload_sim_cache: dict[tuple[str, str], object] = {}
         self._workload_cache: dict[tuple[str, str], WorkloadReportSet] = {}
         self._stressmark_cache: dict[tuple, StressmarkResult] = {}
-        self._workload_tasks: dict[str, _WorkloadSimulationTask] = {}
 
     @property
     def backend(self) -> EvaluationBackend:
         """The evaluation backend (created lazily from ``jobs``)."""
         if self._backend is None:
-            self._backend = create_backend(self.jobs, policy=self.failure_policy)
+            self._backend = create_backend(self.jobs)
         return self._backend
-
-    def _workload_task(self, config: MachineConfig) -> _WorkloadSimulationTask:
-        # One stable task object per configuration so the process pool can be
-        # reused across figures instead of restarting per call.
-        task = self._workload_tasks.get(config.name)
-        if task is None or task.config != config:
-            task = _WorkloadSimulationTask(
-                config=config,
-                instructions=self.scale.workload_instructions,
-                workload_seed=self.scale.workload_seed,
-                simulation_seed=self.scale.simulation_seed,
-            )
-            self._workload_tasks[config.name] = task
-        return task
 
     # ----------------------------------------------------------- workloads
 
@@ -294,7 +275,13 @@ class ExperimentContext:
             if self._fetch_workload_result(config, profile) is None
         ]
         if len(to_simulate) > 1 and self.backend.jobs > 1:
-            results = self.backend.map(self._workload_task(config), to_simulate)
+            task = _WorkloadSimulationTask(
+                config=config,
+                instructions=self.scale.workload_instructions,
+                workload_seed=self.scale.workload_seed,
+                simulation_seed=self.scale.simulation_seed,
+            )
+            results = self.backend.map(task, to_simulate)
             for profile, result in zip(to_simulate, results, strict=True):
                 # A workload the resilient backend quarantined is simply not
                 # recorded: the serial loop below re-simulates it in-process,

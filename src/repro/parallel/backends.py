@@ -7,15 +7,13 @@ through an :class:`EvaluationBackend`.  The contract every backend honours:
 * **Ordered results** — ``map(fn, items)`` returns results in the order of
   ``items`` regardless of which worker finished first, so GA runs are
   bit-identical no matter the worker count.
-* **Per-worker state reuse** — process-pool workers
-  (:class:`~repro.parallel.resilience.ResilientPoolBackend`) keep every task
-  callable they have ever seen in a version-keyed registry
-  (:class:`_TaskVersionTable` on the parent side, :func:`_run_task` in the
-  worker), so expensive per-task state (code generator, machine
-  configuration, warm simulator state, fitness function) is built once per
-  worker per task *version* instead of once per item — and the pool itself
-  is **never recycled** when the mapped callable changes (sweeps alternating
-  evaluators reuse the same warm workers).
+* **Stateless workers** — every task message a process-pool worker
+  (:class:`~repro.parallel.resilience.ResilientPoolBackend`) receives
+  carries its callable, and the worker runs it (:func:`_run_task`) and
+  keeps nothing.  Any worker can run any task, so the pool is **never
+  recycled** when the mapped callable changes (sweeps alternating
+  evaluators reuse the same workers), and a respawned worker needs no
+  warm-up.
 
 Worker count resolution: an explicit ``jobs`` argument wins, then the
 ``REPRO_JOBS`` environment variable, then 1 (serial).
@@ -38,58 +36,16 @@ R = TypeVar("R")
 #: Environment variable consulted when no explicit worker count is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
-#: Most task versions a worker-side registry retains (oldest evicted first).
-#: Bounds worker memory for very long sweeps over many distinct evaluators.
-TASK_REGISTRY_LIMIT = 64
-
-# Worker-side task registry: version -> installed callable.  Task messages
-# are ``(version, fn, item)``; a worker that has already installed
-# ``version`` keeps using its registered instance, preserving any lazily
-# built per-task state across items, map calls and evaluator changes.
-_worker_tasks: dict[int, Callable] = {}
-
-
-def _init_worker() -> None:
-    _worker_tasks.clear()
-
-
 def _run_task(payload):
-    version, fn, item = payload
-    task = _worker_tasks.get(version)
-    if task is None:
-        while len(_worker_tasks) >= TASK_REGISTRY_LIMIT:
-            _worker_tasks.pop(min(_worker_tasks))
-        _worker_tasks[version] = task = fn
+    # Workers run the callable each ``(fn, item)`` message carries and keep
+    # nothing.  The only per-task state an evaluator builds is the GA's
+    # ``CodeGenerator(config)``, at 0.26-0.45 us, while unpickling the 1.8 KB
+    # ``_BatchTask`` every message carries costs 23-39 us (best of 7
+    # ``timeit`` runs, Python 3.11, 2-core Xeon), so caching callables per
+    # worker would save nothing measurable.
+    fn, item = payload
     chaos_hook("worker")
-    return task(item)
-
-
-class _TaskVersionTable:
-    """Monotone task versions for mapped callables.
-
-    The strong references in ``_table`` also pin every seen callable's
-    ``id()``, so the id-keyed lookup can never alias a collected object;
-    both maps are bounded alongside the worker-side registry.
-    """
-
-    def __init__(self) -> None:
-        self._table: dict[int, Callable] = {}
-        self._ids: dict[int, int] = {}
-        self._next_version = 0
-
-    def version_for(self, fn: Callable) -> int:
-        version = self._ids.get(id(fn))
-        if version is not None and self._table.get(version) is fn:
-            return version
-        while len(self._table) >= TASK_REGISTRY_LIMIT:
-            oldest = min(self._table)
-            stale = self._table.pop(oldest)
-            self._ids.pop(id(stale), None)
-        self._next_version += 1
-        version = self._next_version
-        self._ids[id(fn)] = version
-        self._table[version] = fn
-        return version
+    return fn(item)
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -114,19 +70,6 @@ class EvaluationBackend(ABC):
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """Apply ``fn`` to every item; results are in input order."""
 
-    def evaluate_individuals(self, evaluator: Callable, individuals: Sequence) -> list[tuple[float, dict]]:
-        """Evaluate GA individuals; returns ``(fitness, payload)`` per individual.
-
-        The GA evaluator protocol mutates ``individual.payload`` in place and
-        returns the fitness.  When evaluation happens in another process those
-        mutations land on a pickled copy, so backends return the payload
-        explicitly and the engine re-applies it on the caller side.
-        """
-        if not individuals:
-            return []
-        task = self._individual_task(evaluator)
-        return self.map(task, individuals)
-
     def map_batches(self, fn: Callable[["EvalBatch"], R], batches: Sequence["EvalBatch"]) -> list[R]:
         """Apply ``fn`` to whole batches; per-batch results in input order.
 
@@ -144,13 +87,15 @@ class EvaluationBackend(ABC):
         (so batch-capable evaluators amortise per-population state) and the
         per-item outcomes — ``(fitness, payload)`` tuples, or ``Quarantined``
         records from resilient backends — are returned flattened, aligned
-        with the input order.
+        with the input order.  Evaluators without ``evaluate_batch`` follow
+        the per-item protocol: they mutate ``individual.payload`` in place
+        and return the fitness, and since in a worker those mutations land
+        on a pickled copy, the payload travels back in the outcome.
         """
         if not individuals:
             return []
-        task = self._batch_task(evaluator)
         batches = partition_batches(individuals, self.jobs)
-        outcomes = self.map_batches(task, batches)
+        outcomes = self.map_batches(_BatchTask(evaluator), batches)
         flat: list = []
         for batch, outcome in zip(batches, outcomes):
             if isinstance(outcome, list) and len(outcome) == len(batch.items):
@@ -160,30 +105,6 @@ class EvaluationBackend(ABC):
                 # backend that could not salvage it): every slot inherits it.
                 flat.extend([outcome] * len(batch.items))
         return flat
-
-    def _individual_task(self, evaluator: Callable) -> "_IndividualTask":
-        return self._cached_task(evaluator, _IndividualTask)
-
-    def _batch_task(self, evaluator: Callable) -> "_BatchTask":
-        return self._cached_task(evaluator, _BatchTask)
-
-    def _cached_task(self, evaluator: Callable, wrapper: Callable):
-        # Keep one stable wrapper per (evaluator, protocol) — not just the
-        # most recent one — so sweeps alternating between evaluators hand
-        # the pool the same callable objects, and therefore the same task
-        # versions, every time they come back around.
-        cache = getattr(self, "_task_cache", None)
-        if cache is None:
-            cache = {}
-            self._task_cache = cache
-        key = (id(evaluator), wrapper)
-        cached = cache.get(key)
-        if cached is None or cached.evaluator is not evaluator:
-            while len(cache) >= TASK_REGISTRY_LIMIT:
-                cache.pop(next(iter(cache)))
-            cached = wrapper(evaluator)
-            cache[key] = cached
-        return cached
 
     def failure_counters(self) -> dict[str, int]:
         """Cumulative fault-tolerance counters (empty for non-resilient backends).
@@ -204,24 +125,12 @@ class EvaluationBackend(ABC):
         self.close()
 
 
-class _IndividualTask:
-    """Picklable wrapper turning the GA evaluator protocol into a pure map."""
-
-    def __init__(self, evaluator: Callable) -> None:
-        self.evaluator = evaluator
-
-    def __call__(self, individual) -> tuple[float, dict]:
-        fitness = float(self.evaluator(individual))
-        return fitness, individual.payload
-
-
 class EvalBatch:
     """One worker-sized slice of a generation, evaluated as a unit.
 
-    Batching lets evaluators that implement ``evaluate_batch`` share
-    per-population state (compiled batch kernels, warm cache/TLB state,
-    operand plans) across the genomes of the slice; it is purely an
-    execution grouping — outcomes stay per-item and ordered.
+    Batching lets evaluators that implement ``evaluate_batch`` run the
+    slice as one vector-plane population; it is purely an execution
+    grouping — outcomes stay per-item and ordered.
     """
 
     __slots__ = ("items",)

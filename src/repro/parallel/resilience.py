@@ -1,10 +1,10 @@
 """Fault-tolerant evaluation: the resilient worker pool and its policies.
 
-The worker pool keeps its workers *warm* (a versioned task registry per
-worker, see :mod:`repro.parallel.backends`); this module makes it
-*durable*.  A single segfaulting worker, an OOM-killed child, a hung
-simulation or a transiently failing evaluator must not deadlock ``map`` or
-abort a multi-hour GA search, so
+The worker pool keeps its workers alive across map calls and runs the
+callable each task message carries (see :mod:`repro.parallel.backends`);
+this module makes it *durable*.  A single segfaulting worker, an
+OOM-killed child, a hung simulation or a transiently failing evaluator must
+not deadlock ``map`` or abort a multi-hour GA search, so
 :class:`ResilientPoolBackend` dispatches items individually over per-worker
 pipes and supervises every attempt:
 
@@ -12,8 +12,7 @@ pipes and supervises every attempt:
   its worker killed and is retried elsewhere.
 * **Dead-worker detection** — a worker exiting mid-task (crash, OOM kill,
   injected chaos) is detected via its process sentinel; only the lost worker
-  is respawned, and the warm task registry of the survivors is untouched
-  (the respawned worker re-warms lazily from the task payloads).
+  is respawned, and the survivors keep running.
 * **Retries with capped exponential backoff** — a failed attempt re-queues
   the item after ``base_delay * 2**(attempt-1)`` seconds (capped at
   ``max_delay``), up to ``max_attempts`` attempts.
@@ -49,12 +48,7 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 from multiprocessing import connection as mp_connection
 from typing import Callable, Iterable, Optional, TypeVar
 
-from repro.parallel.backends import (
-    EvaluationBackend,
-    _TaskVersionTable,
-    _init_worker,
-    _run_task,
-)
+from repro.parallel.backends import EvaluationBackend, _run_task
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -185,7 +179,6 @@ class FailureStats:
 
 def _resilient_worker(conn) -> None:  # pragma: no cover - runs in child processes
     """Worker loop: one ``(seq, payload)`` request per ``(seq, ok, value)`` reply."""
-    _init_worker()
     while True:
         try:
             message = conn.recv()
@@ -224,9 +217,9 @@ class _Worker:
 
     __slots__ = ("process", "connection", "seq", "deadline")
 
-    def __init__(self, context) -> None:
-        parent_conn, child_conn = context.Pipe(duplex=True)
-        self.process = context.Process(target=_resilient_worker, args=(child_conn,), daemon=True)
+    def __init__(self) -> None:
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        self.process = multiprocessing.Process(target=_resilient_worker, args=(child_conn,), daemon=True)
         self.process.start()
         child_conn.close()
         self.connection = parent_conn
@@ -275,27 +268,19 @@ class _Worker:
 class ResilientPoolBackend(EvaluationBackend):
     """Crash-surviving worker pool with retries, quarantine and degradation.
 
-    Registered as ``resilient`` in the BACKENDS registry and the default for
-    ``jobs > 1`` (see :func:`~repro.parallel.backends.create_backend`).
-    Mapped callables follow the warm-task-registry contract of
-    :mod:`repro.parallel.backends`: versioned install on first sight,
-    per-worker reuse across map calls and evaluator changes.
+    The backend every ``jobs > 1`` run uses (see
+    :func:`~repro.parallel.backends.create_backend`).  Workers are
+    stateless: each task message carries its callable, so one pool serves
+    any sequence of map calls and evaluators.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        policy: Optional[FailurePolicy] = None,
-        mp_context: Optional[str] = None,
-    ) -> None:
+    def __init__(self, jobs: int, policy: Optional[FailurePolicy] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.jobs = int(jobs)
         self.policy = policy or FailurePolicy.from_env()
         self.stats = FailureStats()
-        self._mp_context = mp_context
         self._workers: list[_Worker] = []
-        self._versions = _TaskVersionTable()
         self._pool_failures = 0
         self._degraded = False
 
@@ -307,8 +292,7 @@ class ResilientPoolBackend(EvaluationBackend):
             return []
         if self._degraded:
             return [self._run_serial(fn, item) for item in items]
-        version = self._versions.version_for(fn)
-        return _MapRun(self, version, fn, items).run()
+        return _MapRun(self, fn, items).run()
 
     def map_batches(self, fn, batches):
         """Map over whole batches, salvaging failed batches item by item.
@@ -345,12 +329,11 @@ class ResilientPoolBackend(EvaluationBackend):
     # ------------------------------------------------------- pool plumbing
 
     def _ensure_workers(self) -> None:
-        context = multiprocessing.get_context(self._mp_context)
         while len(self._workers) < self.jobs:
-            self._workers.append(_Worker(context))
+            self._workers.append(_Worker())
 
     def _replace_worker(self, worker: _Worker) -> None:
-        """Respawn one lost/hung worker, leaving the survivors warm."""
+        """Respawn one lost/hung worker, leaving the survivors running."""
         worker.kill()
         self.stats.worker_restarts += 1
         self._pool_failures += 1
@@ -358,8 +341,7 @@ class ResilientPoolBackend(EvaluationBackend):
         if self._pool_failures > self.policy.max_pool_failures and self.policy.degrade_to_serial:
             self._degrade()
             return
-        context = multiprocessing.get_context(self._mp_context)
-        self._workers[index] = _Worker(context)
+        self._workers[index] = _Worker()
 
     def _degrade(self) -> None:
         warnings.warn(
@@ -376,8 +358,8 @@ class ResilientPoolBackend(EvaluationBackend):
     def _run_serial(self, fn: Callable[[T], R], item: T):
         """Degraded-mode execution: identical to SerialBackend, plus retries.
 
-        No chaos hooks and no task registry — ``fn(item)`` exactly as the
-        serial reference executes it, so degraded results stay bit-identical.
+        No chaos hooks — ``fn(item)`` exactly as the serial reference
+        executes it, so degraded results stay bit-identical.
         """
         retry = self.policy.retry
         attempts = 0
@@ -444,9 +426,8 @@ class _MapRun:
     schedule.
     """
 
-    def __init__(self, backend: ResilientPoolBackend, version: int, fn: Callable, items: list) -> None:
+    def __init__(self, backend: ResilientPoolBackend, fn: Callable, items: list) -> None:
         self.backend = backend
-        self.version = version
         self.fn = fn
         self.items = items
         self.results: list = [None] * len(items)
@@ -486,7 +467,7 @@ class _MapRun:
         while idle and self.ready and self.ready[0][0] <= now:
             _, seq = heapq.heappop(self.ready)
             worker = idle.pop()
-            payload = (self.version, self.fn, self.items[seq])
+            payload = (self.fn, self.items[seq])
             try:
                 worker.dispatch(seq, payload, backend.policy.retry.timeout)
             except (OSError, ValueError, BrokenPipeError):

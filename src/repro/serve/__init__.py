@@ -21,7 +21,8 @@ ARCHITECTURE.md):
     unchanged against a remote host, with endpoint failover and resumable
     watch streams.
 :mod:`repro.serve.loadtest`
-    The ``repro loadtest`` harness recording ``BENCH_serve.json``.
+    :func:`~repro.serve.loadtest.spawn_daemon` and the specs the serve
+    smoke gates submit.
 """
 
 from repro.serve.client import (

@@ -1,21 +1,12 @@
-"""Load-test harness for the evaluation daemon (``repro loadtest``).
+"""Daemon harness shared by the serve smoke gates and the examples.
 
-Spins a ``repro serve`` daemon in a subprocess (or targets a live one via
-``endpoint``), fires N synthetic clients at it concurrently — each client
-alternating between one shared *duplicate* spec (exercising the store-hit
-fast path after its first evaluation) and *unique* specs rotating over the
-workload-proxy suite (exercising the warm fabric) — and records the service
-metrics the ROADMAP's "heavy traffic" story is judged by:
-
-* ``p50_ms`` / ``p99_ms`` — per-request submit-to-result latency
-* ``throughput_rps`` — completed requests per wall-clock second
-* ``store_hit_ratio`` — fraction of requests answered from the ResultStore
-  without queueing (duplicates after the first evaluation)
-* ``dedup_hits`` — concurrent identical submissions folded onto one job
-
-Each run appends a provenance-stamped entry (server + client version,
-protocol version, python/platform) to ``BENCH_serve.json``, the same
-trajectory format as ``BENCH_pipeline.json`` / ``BENCH_ga.json``.
+:func:`spawn_daemon` starts ``repro serve`` in a subprocess on an ephemeral
+port and returns it once it answers ``ping``; :func:`duplicate_spec` and
+:func:`unique_spec` are the small simulate specs the gates submit: one
+shared spec every client re-submits (store hits after its first
+evaluation) and a stream of distinct specs rotating over five workload
+proxies.  The service's throughput and latency are measured by the
+repository's benchmark (``perfbench``, workload ``serve_mixed``).
 """
 
 from __future__ import annotations
@@ -24,18 +15,11 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments.bench import append_entry
-from repro.serve.client import ServeClient, wait_until_ready
-from repro.serve.protocol import PROTOCOL_VERSION
-
-#: Default trajectory file (written to the current working directory).
-SERVE_BENCH_FILE = "BENCH_serve.json"
+from repro.serve.client import wait_until_ready
 
 #: Workload proxies the unique-spec stream rotates over (cheap but real).
 _UNIQUE_WORKLOADS = (
@@ -122,141 +106,3 @@ def spawn_daemon(
         process.kill()
         process.wait()
         raise
-
-
-def _percentile(sorted_values: list[float], quantile: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = round(quantile * (len(sorted_values) - 1))
-    return sorted_values[min(len(sorted_values) - 1, max(0, index))]
-
-
-def run_loadtest(
-    endpoint: Optional[str] = None,
-    clients: int = 3,
-    requests: int = 8,
-    store: Optional[str] = None,
-    jobs: Optional[int] = None,
-    out: Optional[str | Path] = SERVE_BENCH_FILE,
-    quiet: bool = False,
-) -> dict:
-    """Fire ``clients`` concurrent clients x ``requests`` each; return metrics.
-
-    Without ``endpoint`` a daemon is spawned (and shut down) around the run,
-    persisting into ``store`` (a temporary directory by default).  Request
-    index 0 and every odd index submit the shared duplicate spec; even
-    indexes submit unique specs — so >= half the workload exercises the
-    dedup/store path and the rest the warm fabric.
-    """
-    if clients < 1 or requests < 1:
-        raise ValueError("loadtest needs at least 1 client and 1 request")
-    process = None
-    tmp = None
-    shutdown_sent = False
-    if endpoint is None:
-        if store is None:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-loadtest-")
-            store = tmp.name
-        try:
-            process, endpoint = spawn_daemon(store, jobs=jobs)
-        except BaseException:
-            if tmp is not None:
-                tmp.cleanup()
-            raise
-    try:
-        ping = wait_until_ready(endpoint, timeout=30.0)
-        latencies: list[float] = []
-        failures: list[str] = []
-        lock = threading.Lock()
-
-        def client_worker(client_index: int) -> None:
-            with ServeClient(endpoint, client_id=f"loadtest-{client_index}") as client:
-                for request_index in range(requests):
-                    spec = (
-                        duplicate_spec() if request_index % 2 else
-                        unique_spec(client_index * requests + request_index)
-                    )
-                    start = time.perf_counter()
-                    try:
-                        client.run(spec)
-                    except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                        with lock:
-                            failures.append(f"client {client_index}: {exc}")
-                        continue
-                    elapsed = time.perf_counter() - start
-                    with lock:
-                        latencies.append(elapsed)
-
-        threads = [threading.Thread(target=client_worker, args=(i,), daemon=True)
-                   for i in range(clients)]
-        wall_start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall_seconds = time.perf_counter() - wall_start
-
-        with ServeClient(endpoint, client_id="loadtest-stats") as client:
-            stats = client.stats()
-            if process is not None:
-                client.shutdown()
-                shutdown_sent = True
-    finally:
-        # Tear the daemon down on *every* path out of the run.  A graceful
-        # wait is only worth anything after the shutdown verb was actually
-        # sent; on error paths go straight to terminate/kill so a failing
-        # loadtest never leaks a daemon holding the store and port.
-        if process is not None and process.poll() is None:
-            if shutdown_sent:
-                try:
-                    process.wait(timeout=30.0)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-                    process.wait()
-            else:
-                process.terminate()
-                try:
-                    process.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-                    process.wait()
-        if tmp is not None:
-            tmp.cleanup()
-
-    total = clients * requests
-    ordered = sorted(latencies)
-    counters = stats.get("counters", {})
-    store_hits = int(counters.get("store_hits", 0))
-    metrics = {
-        "serve": {
-            "clients": clients,
-            "requests_per_client": requests,
-            "total_requests": total,
-            "completed": len(latencies),
-            "failures": len(failures),
-            "wall_seconds": round(wall_seconds, 6),
-            "throughput_rps": round(len(latencies) / wall_seconds, 3) if wall_seconds else 0.0,
-            "p50_ms": round(_percentile(ordered, 0.50) * 1000, 3),
-            "p99_ms": round(_percentile(ordered, 0.99) * 1000, 3),
-            "store_hits": store_hits,
-            "store_hit_ratio": round(store_hits / total, 4) if total else 0.0,
-            "dedup_hits": int(counters.get("dedup_hits", 0)),
-            "rejected": int(counters.get("rejected", 0)),
-            "server_version": ping.get("server_version"),
-            "protocol_version": PROTOCOL_VERSION,
-        },
-    }
-    if failures:
-        metrics["serve"]["failure_samples"] = failures[:5]
-    if out:
-        append_entry(out, metrics)
-    if not quiet:
-        serve = metrics["serve"]
-        print(f"loadtest: {serve['completed']}/{total} requests over {clients} clients "
-              f"in {serve['wall_seconds']:.2f}s ({serve['throughput_rps']} req/s)")
-        print(f"latency p50 {serve['p50_ms']} ms / p99 {serve['p99_ms']} ms; "
-              f"store hits {store_hits} ({serve['store_hit_ratio']:.0%}), "
-              f"dedup {serve['dedup_hits']}, rejected {serve['rejected']}")
-        if out:
-            print(f"entry appended to {out}")
-    return metrics

@@ -3,9 +3,9 @@
 The store subsystem gives every expensive computation in the repository a
 persistent home keyed by content digests:
 
-* :class:`ResultStore` — RunSpec-digest -> RunResult documents (JSONL or
-  sqlite backend, atomic writes, schema-versioned); the unit ``repro sweep
-  --shard``/``repro merge`` shard and join.
+* :class:`ResultStore` — RunSpec-digest -> RunResult documents (one JSONL
+  file, schema-versioned); the unit ``repro sweep --shard``/``repro merge``
+  shard and join.
 * :class:`ArtifactStore` — pickled simulation artefacts backing the
   :class:`~repro.experiments.runner.ExperimentContext` caches, so figures
   and tables replay from a populated store without re-simulating.

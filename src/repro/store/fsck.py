@@ -1,10 +1,10 @@
 """Integrity audit (and optional repair) of a result-store directory.
 
 ``repro fsck <store>`` walks every persistence layer rooted at one store
-directory — ``meta.json``, the results backend (JSONL or sqlite), the
-pickled artifact and fitness databases, and the GA checkpoints — and
-reports what it finds.  With ``repair=True`` it additionally fixes the
-*salvageable* classes of corruption in place:
+directory — ``meta.json``, ``results.jsonl``, the pickled artifact and
+fitness databases, and the GA checkpoints — and reports what it finds.
+With ``repair=True`` it additionally fixes the *salvageable* classes of
+corruption in place:
 
 * a crash-torn trailing fragment in ``results.jsonl`` is truncated away
   (the interrupted run recomputes that one result);
@@ -19,7 +19,8 @@ reports what it finds.  With ``repair=True`` it additionally fixes the
 Unsalvageable damage — a corrupt record in the *middle* of the JSONL file,
 a sqlite database failing its integrity check — is only ever reported:
 repairing those would silently drop an unknown amount of data, which is a
-decision for the operator, not a tool default.
+decision for the operator, not a tool default.  So is a store kept in the
+retired sqlite result format, which an older build converts.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ from typing import Optional, Union
 from repro.store.result_store import (
     JSONL_FILE,
     META_FILE,
+    RECORD_FORMAT,
     SCHEMA_VERSION,
     SQLITE_FILE,
+    retired_format_problem,
 )
 
-#: Sqlite databases hosted in a store directory besides the results backend.
+#: Sqlite databases hosted in a store directory beside the results.
 _SQLITE_SIBLINGS = ("artifacts.sqlite", "fitness.sqlite")
 
 
@@ -101,10 +104,7 @@ def fsck_store(root: Union[str, Path], repair: bool = False) -> FsckReport:
         report.findings.append(FsckFinding(path=str(root), problem="not a directory"))
         return report
 
-    backend = _check_meta(root, report)
-    if backend == "sqlite" or (backend is None and (root / SQLITE_FILE).exists()):
-        _check_results_sqlite(root / SQLITE_FILE, report)
-    if backend == "jsonl" or (backend is None and (root / JSONL_FILE).exists()):
+    if _check_meta(root, report) in (None, RECORD_FORMAT):
         _check_results_jsonl(root / JSONL_FILE, report, repair)
     for name in _SQLITE_SIBLINGS:
         path = root / name
@@ -121,8 +121,14 @@ def fsck_store(root: Union[str, Path], repair: bool = False) -> FsckReport:
 
 
 def _check_meta(root: Path, report: FsckReport) -> Optional[str]:
+    """The record format ``meta.json`` names (None when it cannot say)."""
     meta_path = root / META_FILE
     if not meta_path.exists():
+        if (root / SQLITE_FILE).exists():
+            report.findings.append(
+                FsckFinding(path=str(root / SQLITE_FILE), problem=retired_format_problem(root, "sqlite"))
+            )
+            return "sqlite"
         report.findings.append(
             FsckFinding(path=str(meta_path), problem="missing store metadata (not a store?)")
         )
@@ -141,8 +147,12 @@ def _check_meta(root: Path, report: FsckReport) -> Optional[str]:
                 problem=f"schema {version!r} unsupported (this build reads {SCHEMA_VERSION})",
             )
         )
-    backend = meta.get("backend")
-    return str(backend) if backend else None
+    record_format = str(meta.get("backend", RECORD_FORMAT))
+    if record_format != RECORD_FORMAT:
+        report.findings.append(
+            FsckFinding(path=str(meta_path), problem=retired_format_problem(root, record_format))
+        )
+    return record_format
 
 
 # ------------------------------------------------------------ results files
@@ -207,31 +217,6 @@ def _record_problem(line: str) -> Optional[str]:
     if "digest" not in record or "result" not in record:
         return "missing digest/result fields"
     return None
-
-
-def _check_results_sqlite(path: Path, report: FsckReport) -> None:
-    if not path.exists():
-        return
-    report.checked_files += 1
-    connection = _open_checked(path, report)
-    if connection is None:
-        return
-    try:
-        rows = connection.execute("SELECT digest, schema_version FROM results")
-        for digest, version in rows:
-            if version != SCHEMA_VERSION:
-                report.findings.append(
-                    FsckFinding(
-                        path=str(path),
-                        problem=f"digest {digest}: unsupported schema {version!r}",
-                    )
-                )
-            else:
-                report.intact_results += 1
-    except sqlite3.DatabaseError as exc:
-        report.findings.append(FsckFinding(path=str(path), problem=f"unreadable results table: {exc}"))
-    finally:
-        connection.close()
 
 
 # --------------------------------------------------------- sqlite siblings

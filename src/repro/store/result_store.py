@@ -1,22 +1,18 @@
 """Persistent, content-addressed storage for :class:`~repro.api.spec.RunResult`s.
 
 A :class:`ResultStore` is a directory that durably maps RunSpec sha256
-digests to their RunResult JSON documents.  Two interchangeable backends
-persist the mapping:
+digests to their RunResult JSON documents, kept in ``results.jsonl``: one
+schema-versioned JSON record per line.  Appends are single ``write`` calls
+followed by a flush, and the loader tolerates a truncated *final* line, so a
+run killed mid-append never corrupts the records written before it.
 
-``jsonl`` (the default)
-    ``results.jsonl`` — one schema-versioned JSON record per line.  Appends
-    are single ``write`` calls followed by a flush, and the loader tolerates
-    a truncated *final* line, so a run killed mid-append never corrupts the
-    records written before it.
-``sqlite``
-    ``results.sqlite`` — a one-table sqlite database; every put commits a
-    transaction, so interrupted writes roll back cleanly.
-
-The backend choice is recorded in ``meta.json`` (written atomically via a
-temp-file rename) together with the store schema version; opening a store
-with a conflicting backend or an unknown schema raises :class:`StoreError`
-instead of silently misreading records.
+``meta.json`` records the schema version and the record format
+(``"backend": "jsonl"``).  It is written once, atomically, when the store is
+created; opening a store never rewrites it, so a read-only source can be
+merged.  A store with an unknown schema, or one kept in the retired sqlite
+format (``results.sqlite``), raises :class:`StoreError` instead of being
+misread; an older build that still reads sqlite converts it with
+``repro merge``.
 
 Putting two *different* results under the same digest raises — deterministic
 simulations must reproduce the same rows for the same spec, so a conflict
@@ -35,8 +31,8 @@ execution stack (see :mod:`repro.store.artifacts`,
 .. code-block:: text
 
     store/
-      meta.json            backend + schema version
-      results.jsonl        (or results.sqlite) RunResult records
+      meta.json            record format + schema version
+      results.jsonl        RunResult records
       artifacts.sqlite     pickled simulation artefacts (context caches)
       fitness.sqlite       persistent GA fitness cache
       checkpoints/*.ckpt   per-search GA generation checkpoints
@@ -53,7 +49,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.api.spec import RunResult
-from repro.store.sqlite_util import connect_with_retry, retry_locked
 from repro.testing.chaos import chaos_mangle
 
 logger = logging.getLogger("repro.store")
@@ -64,9 +59,12 @@ SCHEMA_VERSION = 1
 #: File names inside a store directory.
 META_FILE = "meta.json"
 JSONL_FILE = "results.jsonl"
-SQLITE_FILE = "results.sqlite"
 
-BACKENDS = ("jsonl", "sqlite")
+#: The record format ``meta.json`` names (under its historical ``backend`` key).
+RECORD_FORMAT = "jsonl"
+
+#: Where the retired sqlite record format kept its results (detected only).
+SQLITE_FILE = "results.sqlite"
 
 
 class StoreError(RuntimeError):
@@ -95,10 +93,10 @@ def _exclusive_lock(handle):
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename).
 
-    The temp name is unique per writer: several processes opening one store
-    concurrently (serve daemon + offline runs) each write ``meta.json``
-    through here, and a shared ``.tmp`` name would let one writer truncate
-    the file another is about to rename into place.
+    The temp name is unique per writer: several processes creating one
+    store concurrently (serve daemon + offline runs) may each write
+    ``meta.json`` through here, and a shared ``.tmp`` name would let one
+    writer truncate the file another is about to rename into place.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.{os.getpid()}.", suffix=".tmp")
@@ -138,8 +136,6 @@ def _strip_volatile(document: dict) -> dict:
 
 class _JsonlBackend:
     """Append-only JSONL persistence (one record per line)."""
-
-    name = "jsonl"
 
     def __init__(self, root: Path) -> None:
         self.path = root / JSONL_FILE
@@ -232,52 +228,14 @@ class _JsonlBackend:
         handle.truncate(keep)
         handle.seek(keep)
 
-    def close(self) -> None:  # pragma: no cover - nothing to release
-        pass
 
-
-class _SqliteBackend:
-    """Transactional sqlite persistence."""
-
-    name = "sqlite"
-
-    def __init__(self, root: Path) -> None:
-        self.path = root / SQLITE_FILE
-        self._connection = connect_with_retry(self.path)
-        self._connection.execute(
-            "CREATE TABLE IF NOT EXISTS results ("
-            " digest TEXT PRIMARY KEY,"
-            " schema_version INTEGER NOT NULL,"
-            " payload TEXT NOT NULL)"
-        )
-        self._connection.commit()
-
-    def load_all(self) -> dict[str, dict]:
-        records: dict[str, dict] = {}
-        rows = self._connection.execute("SELECT digest, schema_version, payload FROM results")
-        for digest, version, payload in rows:
-            if version != SCHEMA_VERSION:
-                raise StoreError(
-                    f"unsupported store schema {version!r} for digest {digest} in {self.path} "
-                    f"(this build reads schema {SCHEMA_VERSION})"
-                )
-            records[str(digest)] = json.loads(payload)
-        return records
-
-    def append(self, digest: str, document: dict) -> None:
-        payload = json.dumps(document, separators=(",", ":"))
-
-        def _write() -> None:
-            with self._connection:
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO results (digest, schema_version, payload) VALUES (?, ?, ?)",
-                    (digest, SCHEMA_VERSION, payload),
-                )
-
-        retry_locked(_write, f"append to {self.path}")
-
-    def close(self) -> None:
-        self._connection.close()
+def retired_format_problem(root: Path, record_format: str) -> str:
+    """Why a store in a record format this build no longer reads is refused."""
+    return (
+        f"store {root} keeps its results in the {record_format!r} format, which "
+        f"this build no longer reads; convert it with an older build that still "
+        f"reads it: 'repro merge NEW_STORE {root}' there writes a JSONL store"
+    )
 
 
 class ResultStore:
@@ -288,16 +246,13 @@ class ResultStore:
     documents are kept in memory so repeated gets avoid re-parsing.
     """
 
-    def __init__(self, root: Union[str, Path], backend: Optional[str] = None) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         if self.root.exists() and not self.root.is_dir():
             raise StoreError(f"store path {self.root} exists and is not a directory")
         self.root.mkdir(parents=True, exist_ok=True)
-        self.backend_name = self._resolve_backend(backend)
-        self._write_meta()
-        self._backend = (
-            _SqliteBackend(self.root) if self.backend_name == "sqlite" else _JsonlBackend(self.root)
-        )
+        self._open_meta()
+        self._backend = _JsonlBackend(self.root)
         self._documents: dict[str, dict] = self._backend.load_all()
         self._results: dict[str, RunResult] = {}
         self._fitness_store = None
@@ -305,36 +260,27 @@ class ResultStore:
 
     # -------------------------------------------------------------- metadata
 
-    def _resolve_backend(self, requested: Optional[str]) -> str:
-        if requested is not None and requested not in BACKENDS:
-            raise StoreError(f"unknown store backend {requested!r} (expected one of: {', '.join(BACKENDS)})")
+    def _open_meta(self) -> None:
+        """Check ``meta.json``, writing it only when the store is new."""
         meta_path = self.root / META_FILE
-        recorded: Optional[str] = None
-        if meta_path.exists():
-            try:
-                meta = json.loads(meta_path.read_text())
-            except json.JSONDecodeError as exc:
-                raise StoreError(f"corrupt store metadata {meta_path}: {exc}") from exc
-            version = meta.get("schema_version")
-            if version != SCHEMA_VERSION:
-                raise StoreError(
-                    f"store {self.root} has schema {version!r}; this build reads schema {SCHEMA_VERSION}"
-                )
-            recorded = meta.get("backend")
-        elif (self.root / SQLITE_FILE).exists():
-            recorded = "sqlite"
-        elif (self.root / JSONL_FILE).exists():
-            recorded = "jsonl"
-        if recorded is not None and requested is not None and recorded != requested:
+        if not meta_path.exists():
+            if (self.root / SQLITE_FILE).exists():
+                raise StoreError(retired_format_problem(self.root, "sqlite"))
+            meta = {"schema_version": SCHEMA_VERSION, "backend": RECORD_FORMAT}
+            atomic_write_text(meta_path, json.dumps(meta, indent=2) + "\n")
+            return
+        try:
+            meta = json.loads(meta_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise StoreError(f"corrupt store metadata {meta_path}: {exc}") from exc
+        version = meta.get("schema_version")
+        if version != SCHEMA_VERSION:
             raise StoreError(
-                f"store {self.root} was created with the {recorded!r} backend; "
-                f"cannot reopen it as {requested!r}"
+                f"store {self.root} has schema {version!r}; this build reads schema {SCHEMA_VERSION}"
             )
-        return recorded or requested or "jsonl"
-
-    def _write_meta(self) -> None:
-        meta = {"schema_version": SCHEMA_VERSION, "backend": self.backend_name}
-        atomic_write_text(self.root / META_FILE, json.dumps(meta, indent=2) + "\n")
+        record_format = meta.get("backend", RECORD_FORMAT)
+        if record_format != RECORD_FORMAT:
+            raise StoreError(retired_format_problem(self.root, record_format))
 
     # ------------------------------------------------------------ result API
 
@@ -437,7 +383,6 @@ class ResultStore:
     # -------------------------------------------------------------- lifetime
 
     def close(self) -> None:
-        self._backend.close()
         if self._fitness_store is not None:
             self._fitness_store.close()
             self._fitness_store = None
@@ -452,15 +397,15 @@ class ResultStore:
         self.close()
 
 
-def open_store(path: Union[str, Path, ResultStore], backend: Optional[str] = None) -> ResultStore:
+def open_store(path: Union[str, Path, ResultStore]) -> ResultStore:
     """Open (or create) a result store at ``path``; passes stores through."""
     if isinstance(path, ResultStore):
         return path
-    return ResultStore(path, backend=backend)
+    return ResultStore(path)
 
 
-def merge_stores(destination: Union[str, Path, ResultStore], sources: Iterable[Union[str, Path, ResultStore]],
-                 backend: Optional[str] = None) -> tuple[ResultStore, int]:
+def merge_stores(destination: Union[str, Path, ResultStore],
+                 sources: Iterable[Union[str, Path, ResultStore]]) -> tuple[ResultStore, int]:
     """Merge shard stores into ``destination``; returns (store, #added).
 
     The destination is created if missing; every source must already be a
@@ -472,7 +417,7 @@ def merge_stores(destination: Union[str, Path, ResultStore], sources: Iterable[U
         if not isinstance(source, ResultStore) and not (Path(source) / META_FILE).exists():
             raise StoreError(f"source {source} is not a result store (no {META_FILE})")
         checked.append(source)
-    dest = open_store(destination, backend=backend)
+    dest = open_store(destination)
     added = 0
     for source in checked:
         src = open_store(source)

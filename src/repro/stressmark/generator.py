@@ -58,12 +58,12 @@ class EvaluationRecord:
 
 
 class StressmarkEvaluator:
-    """Picklable fitness evaluator: genome -> codegen -> simulate -> score.
+    """Picklable fitness evaluator: genomes -> codegen -> simulate -> score.
 
-    Instances are shipped to worker processes by
-    :class:`~repro.parallel.resilience.ResilientPoolBackend`; the code generator
-    is excluded from pickling and rebuilt lazily, once per worker, so each
-    worker pays construction cost a single time for the whole GA run.
+    Instances travel to worker processes inside every task message of
+    :class:`~repro.parallel.resilience.ResilientPoolBackend`; each
+    :meth:`evaluate_batch` call builds its own ``CodeGenerator``, which
+    costs less than a microsecond.
     """
 
     def __init__(
@@ -81,18 +81,6 @@ class StressmarkEvaluator:
         self.knob_space = knob_space
         self.max_instructions = max_instructions
         self.simulation_seed = simulation_seed
-        self._codegen: Optional[CodeGenerator] = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_codegen"] = None
-        return state
-
-    @property
-    def codegen(self) -> CodeGenerator:
-        if self._codegen is None:
-            self._codegen = CodeGenerator(self.config)
-        return self._codegen
 
     def context_digest(self) -> str:
         """Digest of everything besides the genome that shapes the fitness."""
@@ -104,28 +92,17 @@ class StressmarkEvaluator:
             self.simulation_seed,
         )
 
-    def __call__(self, individual: Individual) -> float:
-        knobs = self.knob_space.decode(individual.genome)
-        program = self.codegen.generate(knobs)
-        core = OutOfOrderCore(self.config, seed=self.simulation_seed)
-        result = core.run(program, max_instructions=self.max_instructions)
-        score = self.fitness(result)
-        report = build_report(result, self.fault_rates)
-        individual.payload["report"] = report
-        individual.payload["program"] = program
-        individual.payload["knobs"] = knobs
-        return score
-
     def evaluate_batch(self, individuals: list[Individual]) -> list[tuple[float, dict]]:
         """Population-at-once evaluation on the vector plane.
 
-        Bit-identical to calling the evaluator per individual — one
+        Bit-identical to simulating each genome on its own — one
         ``OutOfOrderCore`` per simulation with the same seed, the same
         codegen, the same fitness — in one ``VECTOR.run_many`` call for the
         whole slice.
         """
+        codegen = CodeGenerator(self.config)
         decoded = [self.knob_space.decode(individual.genome) for individual in individuals]
-        programs = [self.codegen.generate(knobs) for knobs in decoded]
+        programs = [codegen.generate(knobs) for knobs in decoded]
         core = OutOfOrderCore(self.config, seed=self.simulation_seed)
         results = VECTOR.run_many(core, programs, self.max_instructions)
         outcomes: list[tuple[float, dict]] = []

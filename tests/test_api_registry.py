@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.api.registry import (
-    BACKENDS,
     CONFIGS,
     FAULT_RATES,
     FITNESS_OBJECTIVES,
@@ -87,7 +86,6 @@ class TestDefaultComponents:
         assert WORKLOAD_SUITES.names() == ["spec_int", "spec_fp", "mibench", "all"]
         assert FITNESS_OBJECTIVES.names() == ["balanced", "overall", "core_only"]
         assert SCALES.names() == ["quick", "default", "paper"]
-        assert BACKENDS.names() == ["serial", "resilient"]
 
     def test_factories_build_the_canonical_objects(self):
         assert CONFIGS.create("config_a").rob_entries == 96
@@ -100,7 +98,7 @@ class TestDefaultComponents:
     def test_registries_mapping_covers_every_registry(self):
         mapping = registries()
         assert set(mapping) == {
-            "config", "fault_rates", "suite", "fitness", "scale", "backend", "structures",
+            "config", "fault_rates", "suite", "fitness", "scale", "structures",
         }
         assert mapping["config"] is CONFIGS
 
@@ -111,12 +109,3 @@ class TestDefaultComponents:
         assert STRUCTURES.names()[:8] == [
             "iq", "rob", "lq_tag", "lq_data", "sq_tag", "sq_data", "rf", "fu",
         ]
-
-    def test_backend_factories(self):
-        serial = BACKENDS.create("serial", 4)
-        assert serial.jobs == 1
-        pool = BACKENDS.create("resilient", 2)
-        try:
-            assert pool.jobs == 2
-        finally:
-            pool.close()

@@ -202,12 +202,22 @@ class TestSessionPinning:
             session.close()  # explicit close inside the with block
         assert session.closed
 
-    def test_backend_participates_in_context_cache_key(self):
-        with Session(jobs=1) as session:
-            default = session.context_for(RunSpec(kind="simulate"))
-            serial = session.context_for(RunSpec(kind="simulate", backend="serial"))
-            assert serial is not default
-            assert serial is session.context_for(RunSpec(kind="simulate", backend="serial"))
+    def test_legacy_backend_keeps_the_spec_retry_policy(self):
+        """A spec that named a backend runs the pool its own retry knobs ask for."""
+        with Session() as session:
+            context = session.context_for({
+                "kind": "simulate", "jobs": 2, "backend": "resilient",
+                "retries": 5, "task_timeout": 30,
+            })
+            assert context.backend.policy.retry.max_attempts == 5
+            assert context.backend.policy.retry.timeout == 30.0
+
+    def test_legacy_serial_backend_follows_jobs(self):
+        """The worker count, not a backend name, decides how a spec runs."""
+        with Session() as session:
+            context = session.context_for({"kind": "simulate", "jobs": 4, "backend": "serial"})
+            assert context.backend.jobs == 4
+            assert context is session.context_for({"kind": "simulate", "jobs": 4})
 
 
 class TestPresets:

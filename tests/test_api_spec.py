@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.api.spec import RUN_KINDS, RunResult, RunSpec, SpecError
-from repro.registry import RegistryError
+
+
+EXAMPLE_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
+
+#: Digests of the checked-in example specs.  Results stored under them must
+#: stay reachable, so any change to the canonical spec form shows up here.
+EXAMPLE_DIGESTS = {
+    "simulate_mibench.json": "25432bd1318e027be7e5d64f15df493779f393a1054dc0cbfbd750a2612f2a53",
+    "stressmark_rhc.json": "6228e29e671905f80f37baacde674ababaadf26825312c5c776abf009aa334d5",
+    "sweep_fault_rates.json": "3622234ae28c0ec6923d37846bcd438cdb74cda68e250c17271fe6088a72872a",
+    "sweep_vuln_structures.json": "4d75109a344a76e6a7a0fc1d6d115ea3619dadf3cea53846d898615442081997",
+}
 
 
 def tiny_stressmark_spec(**overrides) -> RunSpec:
@@ -74,9 +86,10 @@ class TestRunSpecValidation:
     def test_unknown_component_name_propagates_registry_error(self):
         with pytest.raises(KeyError, match="did you mean 'rhc'"):
             RunSpec(kind="stressmark", fault_rates="rch").validate()
-        # The removed ``process`` backend is an unknown name like any other.
-        with pytest.raises(RegistryError, match=r"\(registered: serial, resilient\)"):
-            RunSpec(kind="simulate", backend="process").validate()
+        # The evaluation backend is no component: any name a spec recorded
+        # for it loads, and is dropped.
+        legacy = RunSpec.from_json_dict({"kind": "simulate", "backend": "process"}).validate()
+        assert legacy == RunSpec(kind="simulate")
 
     def test_unknown_spec_field_suggestion(self):
         with pytest.raises(SpecError, match="unknown spec field 'fault_rate'"):
@@ -162,18 +175,21 @@ class TestSweeps:
                     runs=(RunSpec(kind="stressmark"),)).validate()
 
     def test_sweep_jobs_and_backend_inherited_by_children(self):
-        sweep = RunSpec(
-            kind="sweep",
-            jobs=3,
-            backend="serial",
-            base=RunSpec(kind="stressmark"),
-            axes={"fault_rates": ("unit",)},
-            runs=(RunSpec(kind="simulate", jobs=2, backend="resilient"),),
-        )
+        # A sweep stored while specs named a backend: ``jobs`` is inherited,
+        # the backend names are dropped at every level.
+        sweep = RunSpec.from_json_dict({
+            "kind": "sweep",
+            "jobs": 3,
+            "backend": "serial",
+            "base": {"kind": "stressmark"},
+            "axes": {"fault_rates": ["unit"]},
+            "runs": [{"kind": "simulate", "jobs": 2, "backend": "resilient"}],
+        })
         axis_child, explicit_child = sweep.expand()
-        assert axis_child.jobs == 3 and axis_child.backend == "serial"
+        assert axis_child.jobs == 3
         # Children with their own settings keep them.
-        assert explicit_child.jobs == 2 and explicit_child.backend == "resilient"
+        assert explicit_child.jobs == 2
+        assert all(child.to_json_dict()["backend"] == "" for child in (axis_child, explicit_child))
 
 
 class TestRunResult:
@@ -208,3 +224,23 @@ class TestRunResult:
     def test_json_output_is_plain_data(self):
         result = RunResult(spec=RunSpec(kind="simulate"), rows=[{"a": 1.0}])
         json.loads(result.to_json())  # must not raise
+
+
+class TestDigestStability:
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_DIGESTS))
+    def test_example_spec_digest_is_pinned(self, name):
+        assert RunSpec.load(EXAMPLE_SPECS / name).digest == EXAMPLE_DIGESTS[name]
+
+    def test_backend_named_at_any_level_digests_as_its_twin(self):
+        twin = {"kind": "simulate", "name": "legacy", "workloads": ["crc32_proxy"]}
+        plain = {"kind": "sweep", "name": "s", "base": twin, "axes": {"seed": [1, 2]}, "runs": [twin]}
+        named = {
+            **plain,
+            "backend": "resilient",
+            "base": {**twin, "backend": "serial"},
+            "runs": [{**twin, "backend": "process"}],
+        }
+        assert RunSpec.from_json_dict({**twin, "backend": "serial"}).digest == (
+            RunSpec.from_json_dict(twin).digest
+        )
+        assert RunSpec.from_json_dict(named).validate().digest == RunSpec.from_json_dict(plain).digest

@@ -49,6 +49,13 @@ class TestParser:
         assert args.scale == "default"
         assert args.fault_rates == "rhc"
 
+    def test_loadtest_verb_is_gone(self, capsys):
+        """The service is benchmarked by perfbench's ``serve_mixed``, not a verb."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loadtest"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'loadtest'" in capsys.readouterr().err
+
 
 class TestCheapCommands:
     def test_list(self, capsys):
@@ -79,7 +86,7 @@ class TestCheapCommands:
         assert "fault-rate models" in output and "edr" in output
         assert "workload suites" in output and "mibench" in output
         assert "experiment scales" in output and "paper" in output
-        assert "evaluation backends" in output and "resilient" in output
+        assert "evaluation backends" not in output
         assert "kernel backends" not in output
 
     def test_list_shows_tracked_structures(self, capsys):

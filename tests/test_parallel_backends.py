@@ -29,6 +29,16 @@ def _square(value: int) -> int:
     return value * value
 
 
+class _Scale:
+    """Picklable callable whose state the caller may change between maps."""
+
+    def __init__(self, factor: int) -> None:
+        self.factor = factor
+
+    def __call__(self, value: int) -> int:
+        return self.factor * value
+
+
 class TestResolveJobs:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "8")
@@ -65,13 +75,13 @@ class TestSerialBackend:
 
     def test_evaluate_individuals_returns_payloads(self):
         individuals = [Individual(genome={"a": 10, "b": 0, "c": 0.0})]
-        outcomes = SerialBackend().evaluate_individuals(sphere_fitness, individuals)
+        outcomes = SerialBackend().evaluate_batch(sphere_fitness, individuals)
         assert outcomes == [(10.0, {"echo": 10})]
         # The serial path mutates the caller's individual in place.
         assert individuals[0].payload["echo"] == 10
 
     def test_empty_batch(self):
-        assert SerialBackend().evaluate_individuals(sphere_fitness, []) == []
+        assert SerialBackend().evaluate_batch(sphere_fitness, []) == []
 
 
 class TestProcessPoolBackend:
@@ -85,11 +95,11 @@ class TestProcessPoolBackend:
         individuals = [
             Individual(genome={"a": a, "b": 50 - a, "c": a / 50.0}) for a in range(6)
         ]
-        serial = SerialBackend().evaluate_individuals(
+        serial = SerialBackend().evaluate_batch(
             sphere_fitness, [ind.copy() for ind in individuals]
         )
         with ResilientPoolBackend(jobs=2) as backend:
-            parallel = backend.evaluate_individuals(
+            parallel = backend.evaluate_batch(
                 sphere_fitness, [ind.copy() for ind in individuals]
             )
         assert serial == parallel
@@ -100,6 +110,14 @@ class TestProcessPoolBackend:
             pids = [worker.process.pid for worker in backend._workers]
             backend.map(_square, [3, 4])
             assert [worker.process.pid for worker in backend._workers] == pids
+
+    def test_workers_run_the_callable_each_task_carries(self):
+        """Workers keep no copy of a callable: a changed evaluator is seen."""
+        scale = _Scale(2)
+        with ResilientPoolBackend(jobs=2) as backend:
+            assert backend.map(scale, [1, 2, 3]) == [2, 4, 6]
+            scale.factor = 10
+            assert backend.map(scale, [1, 2, 3]) == [10, 20, 30]
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,11 @@
 """Concurrent store-access tests: multiple writers, one store directory.
 
 The serve daemon and an offline ``repro run --store`` can share one store
-directory, so both backends must survive genuinely concurrent appends —
+directory, so its JSONL records must survive genuinely concurrent appends —
 including two writers racing to persist the *same* digest.  Each test
-forks real processes (threads would share the JSONL file handle and the
-sqlite connection, hiding the races that matter) and then checks that
-every record survived intact and ``repro fsck`` stays clean.
+forks real processes (threads would share the JSONL file handle, hiding
+the races that matter) and then checks that every record survived intact
+and ``repro fsck`` stays clean.
 """
 
 from __future__ import annotations
@@ -29,22 +29,22 @@ def _result(name: str) -> RunResult:
     return RunResult(spec=spec, rows=[{"name": name, "value": 2.25}])
 
 
-def _writer(root: str, backend: str, index: int, barrier) -> None:
+def _writer(root: str, index: int, barrier) -> None:
     """One writer process: the shared digest first, then unique records."""
-    with open_store(root, backend=backend) as store:
+    with open_store(root) as store:
         barrier.wait(timeout=30.0)  # line every writer up on the race
         store.put(_result("shared"))
         for record in range(RECORDS):
             store.put(_result(f"writer-{index}-{record}"))
 
 
-def _race(tmp_path, backend: str):
+def _race(tmp_path):
     root = tmp_path / "store"
-    open_store(root, backend=backend).close()  # settle meta.json up front
+    open_store(root).close()  # settle meta.json up front
     context = multiprocessing.get_context()
     barrier = context.Barrier(WRITERS)
     processes = [
-        context.Process(target=_writer, args=(str(root), backend, index, barrier))
+        context.Process(target=_writer, args=(str(root), index, barrier))
         for index in range(WRITERS)
     ]
     for process in processes:
@@ -55,9 +55,10 @@ def _race(tmp_path, backend: str):
     return root
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+# JSONL is the one record format; the parameter keeps the test ids.
+@pytest.mark.parametrize("backend", ["jsonl"])
 def test_concurrent_writers_all_records_survive(tmp_path, backend):
-    root = _race(tmp_path, backend)
+    root = _race(tmp_path)
     with open_store(root) as store:
         digests = store.digests()
         # Every unique record plus exactly one entry for the shared digest.
@@ -70,9 +71,9 @@ def test_concurrent_writers_all_records_survive(tmp_path, backend):
                 assert store.get(_result(name).spec_digest).rows[0]["name"] == name
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+@pytest.mark.parametrize("backend", ["jsonl"])
 def test_concurrent_writers_leave_store_fsck_clean(tmp_path, backend):
-    root = _race(tmp_path, backend)
+    root = _race(tmp_path)
     report = fsck_store(root)
     assert report.clean, [finding.describe() for finding in report.findings]
     assert report.intact_results >= WRITERS * RECORDS + 1
@@ -81,7 +82,7 @@ def test_concurrent_writers_leave_store_fsck_clean(tmp_path, backend):
 
 def test_same_digest_append_race_keeps_one_coherent_record(tmp_path):
     """The duplicate-digest race appends identical JSONL lines, never torn ones."""
-    root = _race(tmp_path, "jsonl")
+    root = _race(tmp_path)
     lines = (root / "results.jsonl").read_text().splitlines()
     assert all(line.startswith('{"schema_version"') for line in lines)
     shared_digest = _result("shared").spec_digest

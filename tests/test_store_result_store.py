@@ -1,9 +1,10 @@
-"""Tests for the persistent result store (JSONL and sqlite backends)."""
+"""Tests for the persistent result store (JSONL records, ``meta.json``)."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sqlite3
 
 import pytest
 
@@ -13,10 +14,22 @@ from repro.store import (
     ResultStore,
     StoreError,
     atomic_write_text,
+    fsck_store,
     merge_stores,
     open_store,
 )
-from repro.store.result_store import JSONL_FILE, META_FILE
+from repro.store.result_store import JSONL_FILE, META_FILE, SQLITE_FILE
+
+
+def legacy_digest(spec: RunSpec, **fields: object) -> str:
+    """The digest a spec had while it carried ``fields`` (since dropped)."""
+    document = dict(spec.to_json_dict(), **fields)
+    return hashlib.sha256(json.dumps(document, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
+def unchanged(path, before) -> bool:
+    after = path.stat()
+    return (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 def make_result(name: str = "r", seconds: float = 1.0) -> RunResult:
@@ -47,10 +60,21 @@ class PinnedResult(RunResult):
         return data
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+class BackendNamedResult(RunResult):
+    """A result as written while specs could name an evaluation backend."""
+
+    def to_json_dict(self) -> dict:
+        data = super().to_json_dict()
+        data["spec"]["backend"] = "process"
+        return data
+
+
+# JSONL is the one record format; the parameter is the name meta.json
+# records for it.
+@pytest.mark.parametrize("backend", ["jsonl"])
 class TestBackends:
     def test_put_get_round_trip(self, tmp_path, backend):
-        with ResultStore(tmp_path / "store", backend=backend) as store:
+        with ResultStore(tmp_path / "store") as store:
             result = make_result()
             digest = store.put(result)
             assert digest == result.spec_digest
@@ -63,29 +87,32 @@ class TestBackends:
 
     def test_persists_across_reopen(self, tmp_path, backend):
         root = tmp_path / "store"
-        # A result stored while the ``process`` evaluation backend existed:
-        # loading validates no registry names, so it still reads back.
-        legacy = RunResult(spec=RunSpec(kind="simulate", name="legacy", backend="process"))
-        with ResultStore(root, backend=backend) as store:
+        # A result stored while specs could name an evaluation backend (here
+        # the long-gone ``process``) reloads as its twin's spec, under the
+        # digest it was stored with.
+        twin = RunSpec(kind="simulate", name="legacy")
+        named_digest = legacy_digest(twin, backend="process")
+        legacy = BackendNamedResult(spec=twin, provenance={"spec_digest": named_digest})
+        with ResultStore(root) as store:
             digest = store.put(make_result())
-            legacy_digest = store.put(legacy)
+            assert store.put(legacy) == named_digest
         with open_store(root) as reopened:
-            assert reopened.backend_name == backend
+            assert json.loads((root / META_FILE).read_text())["backend"] == backend
             assert reopened.get(digest).rows == make_result().rows
-            assert reopened.get(legacy_digest).spec.backend == "process"
+            assert reopened.document(named_digest)["spec"]["backend"] == "process"
+            loaded = reopened.get(named_digest)
+            assert loaded.spec == twin
+            assert loaded.spec_digest == named_digest
 
     def test_result_pinning_a_kernel_backend_reloads(self, tmp_path, backend):
         """A result stored while specs could pin a kernel backend reloads: its
         spec drops the field, and it keeps the digest it was stored under."""
         root = tmp_path / "store"
         twin = make_result("pinned")
-        pinned_spec = dict(twin.spec.to_json_dict(), kernel_backend="interpreted")
-        pinned_digest = hashlib.sha256(
-            json.dumps(pinned_spec, separators=(",", ":")).encode("utf-8")
-        ).hexdigest()
+        pinned_digest = legacy_digest(twin.spec, kernel_backend="interpreted")
         legacy = PinnedResult(spec=twin.spec, rows=twin.rows,
                               provenance={"spec_digest": pinned_digest})
-        with ResultStore(root, backend=backend) as store:
+        with ResultStore(root) as store:
             assert store.put(legacy) == pinned_digest
         with open_store(root) as reopened:
             assert reopened.document(pinned_digest)["spec"]["kernel_backend"] == "interpreted"
@@ -95,12 +122,12 @@ class TestBackends:
             assert loaded.rows == twin.rows
 
     def test_missing_digest_is_none(self, tmp_path, backend):
-        with ResultStore(tmp_path / "store", backend=backend) as store:
+        with ResultStore(tmp_path / "store") as store:
             assert store.get("0" * 64) is None
             assert "0" * 64 not in store
 
     def test_reput_same_result_is_noop(self, tmp_path, backend):
-        with ResultStore(tmp_path / "store", backend=backend) as store:
+        with ResultStore(tmp_path / "store") as store:
             store.put(make_result(seconds=1.0))
             # Identical modulo timing: first write wins, no conflict.
             store.put(make_result(seconds=9.0))
@@ -108,7 +135,7 @@ class TestBackends:
             assert store.get(make_result().spec_digest).timing == {"seconds": 1.0}
 
     def test_conflicting_result_raises(self, tmp_path, backend):
-        with ResultStore(tmp_path / "store", backend=backend) as store:
+        with ResultStore(tmp_path / "store") as store:
             store.put(make_result())
             different = make_result()
             different.rows = [{"program": "crc32_proxy", "ser_qs": 0.9}]
@@ -116,7 +143,7 @@ class TestBackends:
                 store.put(different)
 
     def test_digests_sorted(self, tmp_path, backend):
-        with ResultStore(tmp_path / "store", backend=backend) as store:
+        with ResultStore(tmp_path / "store") as store:
             for name in ("a", "b", "c"):
                 store.put(make_result(name))
             assert store.digests() == sorted(store.digests())
@@ -124,24 +151,19 @@ class TestBackends:
 
 
 class TestBackendSelection:
-    def test_default_is_jsonl(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        assert store.backend_name == "jsonl"
-        store.close()
-
     def test_meta_records_backend(self, tmp_path):
-        ResultStore(tmp_path / "store", backend="sqlite").close()
+        ResultStore(tmp_path / "store").close()
         meta = json.loads((tmp_path / "store" / META_FILE).read_text())
-        assert meta == {"schema_version": SCHEMA_VERSION, "backend": "sqlite"}
+        assert meta == {"schema_version": SCHEMA_VERSION, "backend": "jsonl"}
 
-    def test_reopen_with_conflicting_backend_raises(self, tmp_path):
-        ResultStore(tmp_path / "store", backend="sqlite").close()
-        with pytest.raises(StoreError, match="created with the 'sqlite' backend"):
-            ResultStore(tmp_path / "store", backend="jsonl")
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="unknown store backend"):
-            ResultStore(tmp_path / "store", backend="csv")
+    def test_reopen_leaves_meta_untouched(self, tmp_path):
+        root = tmp_path / "store"
+        with ResultStore(root) as store:
+            store.put(make_result())
+        before = (root / META_FILE).stat()
+        with open_store(root) as reopened:
+            reopened.put(make_result("more"))
+        assert unchanged(root / META_FILE, before)
 
     def test_store_path_must_be_directory(self, tmp_path):
         file_path = tmp_path / "not_a_dir"
@@ -155,6 +177,43 @@ class TestBackendSelection:
         atomic_write_text(root / META_FILE, json.dumps({"schema_version": 99, "backend": "jsonl"}))
         with pytest.raises(StoreError, match="schema 99"):
             ResultStore(root)
+
+
+def sqlite_store(root, meta: bool):
+    """A store as the retired sqlite record format wrote it."""
+    root.mkdir()
+    connection = sqlite3.connect(str(root / SQLITE_FILE))
+    connection.execute(
+        "CREATE TABLE results (digest TEXT PRIMARY KEY,"
+        " schema_version INTEGER NOT NULL, payload TEXT NOT NULL)"
+    )
+    connection.execute("INSERT INTO results VALUES (?, ?, ?)", ("0" * 64, SCHEMA_VERSION, "{}"))
+    connection.commit()
+    connection.close()
+    if meta:
+        atomic_write_text(root / META_FILE, json.dumps({"schema_version": SCHEMA_VERSION, "backend": "sqlite"}))
+    return root
+
+
+@pytest.mark.parametrize("meta", [False, True], ids=["no-meta", "meta"])
+class TestRetiredSqliteFormat:
+    """A sqlite store is refused with the way out, never misread as empty."""
+
+    def test_open_raises(self, tmp_path, meta):
+        root = sqlite_store(tmp_path / "store", meta)
+        with pytest.raises(StoreError, match="'sqlite' format.*repro merge"):
+            open_store(root)
+        assert (root / META_FILE).exists() == meta
+        assert not (root / JSONL_FILE).exists()
+
+    def test_fsck_reports_a_finding(self, tmp_path, meta):
+        root = sqlite_store(tmp_path / "store", meta)
+        report = fsck_store(root)
+        assert [finding.problem for finding in report.findings] == [
+            f"store {root} keeps its results in the 'sqlite' format, which this build no "
+            f"longer reads; convert it with an older build that still reads it: "
+            f"'repro merge NEW_STORE {root}' there writes a JSONL store"
+        ]
 
 
 class TestJsonlRobustness:
@@ -248,10 +307,11 @@ class TestMerge:
             merge_stores(tmp_path / "dest", [tmp_path / "a", tmp_path / "typo"])
         assert not (tmp_path / "typo").exists()
 
-    def test_merge_into_cross_backend_destination(self, tmp_path):
-        with ResultStore(tmp_path / "src", backend="jsonl") as src:
+    def test_merge_leaves_source_meta_untouched(self, tmp_path):
+        with ResultStore(tmp_path / "src") as src:
             src.put(make_result())
-        merged, added = merge_stores(tmp_path / "dest", [tmp_path / "src"], backend="sqlite")
-        assert added == 1
-        assert merged.backend_name == "sqlite"
+        before = (tmp_path / "src" / META_FILE).stat()
+        merged, added = merge_stores(tmp_path / "dest", [tmp_path / "src"])
         merged.close()
+        assert added == 1
+        assert unchanged(tmp_path / "src" / META_FILE, before)
