@@ -132,9 +132,9 @@ class Session:
         # workers keep no per-task state, so one pool serves any number of
         # distinct evaluators without recycling workers.
         self._backends: dict[tuple[int, FailurePolicy], "EvaluationBackend"] = {}
-        # A wrapped context serves every spec at its (scale, jobs) pair — it
-        # already owns a live backend.  Its own store configuration is left
-        # untouched.
+        # A wrapped context serves every spec at its (scale, jobs) pair whose
+        # retry policy its live backend runs.  Its own store configuration is
+        # left untouched.
         self._wrapped = context
 
     @property
@@ -261,9 +261,15 @@ class Session:
         spec = self.coerce(spec)
         scale = self.resolve_scale(spec)
         jobs = self.resolve_jobs(spec)
-        if self._wrapped is not None and (scale, jobs) == (self._wrapped.scale, self._wrapped.jobs):
-            return self._wrapped
-        policy = FailurePolicy(retry=self.resolve_retry(spec))
+        retry = self.resolve_retry(spec)
+        wrapped = self._wrapped
+        if wrapped is not None and (scale, jobs) == (wrapped.scale, wrapped.jobs):
+            # Only if its backend runs the spec's retry policy (a serial
+            # backend, which retries nothing, runs any).
+            policy = getattr(wrapped.backend, "policy", None)
+            if policy is None or policy.retry == retry:
+                return wrapped
+        policy = FailurePolicy(retry=retry)
         key = (scale, jobs, policy)
         context = self._contexts.get(key)
         if context is None:

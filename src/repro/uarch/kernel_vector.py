@@ -21,30 +21,35 @@ before the loop runs:
   order (the memory RNG stream is separate from the branch/front-end
   streams, so pre-resolving it wholesale cannot perturb any other stream).
 
-The timing loop itself (:func:`vector_run`, a statement-for-statement
-transcription of the interpreted reference loop) then runs against a
-:class:`VectorHierarchy` — the memory hierarchy's replacement,
-lifetime and residency state flattened to per-slot integer columns with one
-inlined ``access`` method.  Warm-up is deterministic, draws no RNG and runs
-entirely at cycle 0, so the state ``MemoryHierarchy.warm_region`` leaves
-behind for a program's one ``WarmupRegion`` is a closed-form function of
-it: each run's hierarchy starts from a five-number warm plan per cache and
-fills a cache set from that closed form the first time an access reaches
-it, so a run pays only for the sets it touches.
+The timing loop itself (:func:`vector_run`, the interpreted reference loop's
+timing, cycle for cycle) then runs against a :class:`VectorHierarchy` — the
+memory hierarchy's replacement, lifetime and residency state flattened to
+per-slot integer columns with one inlined ``access`` method.  Warm-up is
+deterministic, draws no RNG and runs entirely at cycle 0, so the state
+``MemoryHierarchy.warm_region`` leaves behind for a program's one
+``WarmupRegion`` is a closed-form function of it: each run's hierarchy
+starts from a five-number warm plan per cache and fills a cache set from
+that closed form the first time an access reaches it, so a run pays only for
+the sets it touches.
 
 Everything on the AVF path stays integer-exact: word lifetime state packs
 ``cycle * 8 + event_code * 2 + write_ace`` into one int, residency credits
 are integer sums, and end-of-run credit for still-live ACE writes is the
 closed form ``count * final_cycle - sum(start_cycles)`` maintained
-incrementally — so results are bit-identical to the interpreted reference
-(enforced by the differential matrix in
+incrementally.  The core structures' occupancy and ACE bit-cycles are not
+summed op by op at all: the loop keeps each op's dispatch, issue, complete
+and commit cycle, and after it each total is a closed form over per-slot
+column sums, in integer half bit-cycles, converted to float once and
+guarded to stay where a float holds it and the interpreter's op-by-op float
+sum exactly (:data:`EXACT_HALVES`).  Results are bit-identical to the
+interpreted reference (enforced by the differential matrix in
 ``tests/test_kernel_differential.py`` and the kernel-smoke and batch-smoke
 byte-compares).
 
 Programs the lowering cannot express (bodies over :data:`MAX_KERNEL_BODY`,
-runs over :data:`VECTOR_MAX_OPS`, more than one warm-up region) run the
-interpreted reference instead, one program at a time, counted in
-``STATS.fallbacks``.
+runs over :data:`VECTOR_MAX_OPS`, more than one warm-up region, totals past
+:data:`EXACT_HALVES`) run the interpreted reference instead, one program at
+a time, counted in ``STATS.fallbacks``.
 """
 
 from __future__ import annotations
@@ -895,26 +900,71 @@ def warm_signature(program: "Program") -> tuple:
 
 # ------------------------------------------------------------------ running
 
+#: Ops a window of the cycle columns holds before they fold into per-slot
+#: sums at the next iteration boundary, so a long run's columns stay bounded
+#: by the window.  GA genomes and the workload proxies never fold.
+FOLD_OPS = 1 << 15
+
+#: Every accounting total is an exact integer in half bit-cycles.  Below this
+#: many, a float holds it and every partial sum of the interpreter's op-by-op
+#: float additions exactly; a run past it takes the interpreter.
+EXACT_HALVES = 1 << 53
+
+#: The packed issue ring keeps one int per cycle with four fields of this many
+#: bits: ops issued, memory ports, multipliers and ALUs in use.  A field for a
+#: limit ``w`` starts at ``_RING_GUARD - w``, so it is full exactly when its
+#: guard bit is set.
+_RING_FIELD = 7
+_RING_GUARD = 1 << (_RING_FIELD - 1)
+
+
+def _add_slot_sums(slot_sums: list, column: list, start: int) -> None:
+    """Add ``sum(column[start + s :: body_len])`` to ``slot_sums[s]`` for every
+    body slot ``s`` (``body_len = len(slot_sums)``).
+
+    A column starts at an iteration boundary, so every ``body_len``-th op
+    from ``start + s`` is an instance of slot ``s``, a last partial iteration
+    included.
+    """
+    body_len = len(slot_sums)
+    for slot in range(body_len):
+        slot_sums[slot] += sum(column[start + slot::body_len])
+
 
 def vector_run(core, program: "Program", max_instructions: int):
     """Simulate one program on operand columns.
 
     The reference loop of :meth:`OutOfOrderCore.run_interpreted
-    <repro.uarch.pipeline.OutOfOrderCore.run_interpreted>` statement for
-    statement, except that every per-op stochastic or object-dispatched input
-    is a column read from :func:`build_columns` — front-end stall, branch
-    outcome, resolved address parts — and the memory hierarchy is the flat
-    :class:`VectorHierarchy` warmed with the program's one region.
+    <repro.uarch.pipeline.OutOfOrderCore.run_interpreted>`, except that every
+    per-op stochastic or object-dispatched input is a column read from
+    :func:`build_columns` — front-end stall, branch outcome, resolved address
+    parts — and the memory hierarchy is the flat :class:`VectorHierarchy`
+    warmed with the program's one region.
 
-    Bit-identity contract: identical float addition order, RNG draw order
-    and probe cycles as the interpreted reference; every ACE product stays
-    left-associated exactly as the reference writes it.  The structural
-    queues are replaced by append-only commit columns with drain cursors —
-    valid because commit cycles are monotone non-decreasing (each op's commit
-    is clamped to ``last_commit_cycle``), so the reference's rename heap pops
-    in exactly append order; the IQ keeps a real heap (issue cycles are not
-    monotone).  Raises :class:`Unvectorizable` for programs the column
-    lowering cannot express; :func:`run_many` then runs the interpreter.
+    Bit-identity contract: the reference's RNG draw order, probe cycles and
+    per-op cycles.  The loop adds no float.  It records each op's dispatch,
+    issue, complete and commit cycle in columns; after the loop every core
+    structure's occupancy and ACE bit-cycles are closed forms over per-slot
+    column sums (FU and store-buffer time is static per slot, register
+    lifetimes are summed in the loop), exact integers in half bit-cycles
+    because every operand fraction is 0, 0.5 or 1, each converted to float
+    once.  Each term the interpreter adds is a non-negative multiple of 0.5,
+    so while a total stays below :data:`EXACT_HALVES` half-units none of its
+    float partial sums rounds and both give the same float.  A run past that
+    bound, a non-integer ``bits_per_entry``, FU latency or drain, or another
+    fraction raises :class:`Unvectorizable` and takes the interpreter.
+
+    The structural queues are commit columns pre-sized with ``rob_entries``
+    / ``lq_entries`` / ``sq_entries`` / ``free_rename`` zeros, so each
+    constraint is one indexed compare with the entry that many back: commit
+    cycles are monotone (each commit is clamped to the last), and the
+    reference's rename heap never holds more than ``free_rename`` commits.
+    The IQ keeps a real heap (issue cycles are not monotone), drained only
+    when it holds ``iq_entries`` issues: dispatch is monotone, so an issue
+    at or before one dispatch is at or before every later one.  The five
+    issue rings are two: the cycle tag and one packed count per cycle.
+    Raises :class:`Unvectorizable` for programs the column lowering cannot
+    express; :func:`run_many` then runs the interpreter.
     """
     if max_instructions <= 0:
         raise ValueError("max_instructions must be positive")
@@ -949,6 +999,34 @@ def vector_run(core, program: "Program", max_instructions: int):
         ace_prefix.append(ace_total)
         branch_prefix.append(branch_total)
 
+    ledger = VulnerabilityLedger(config)
+    accounts = ledger.accounts
+    rob_bits = accounts[StructureName.ROB].bits_per_entry
+    iq_bits = accounts[StructureName.IQ].bits_per_entry
+    lqt_bits = accounts[StructureName.LQ_TAG].bits_per_entry
+    lqd_bits = accounts[StructureName.LQ_DATA].bits_per_entry
+    sqt_bits = accounts[StructureName.SQ_TAG].bits_per_entry
+    sqd_bits = accounts[StructureName.SQ_DATA].bits_per_entry
+    rf_bits = accounts[StructureName.RF].bits_per_entry
+    fu_bits = accounts[StructureName.FU].bits_per_entry
+    sb_account = accounts.get(StructureName.SB)
+    track_sb = sb_account is not None
+    sb_bits = sb_account.bits_per_entry if track_sb else 0
+    sb_drain = config.store_buffer_drain_cycles if track_sb else 0
+    integers = [rob_bits, iq_bits, lqt_bits, lqd_bits, sqt_bits, sqd_bits, rf_bits, fu_bits,
+                sb_bits, sb_drain] + [info[14] for info in body_infos if info[7]]
+    if not all(isinstance(value, int) for value in integers):
+        raise Unvectorizable("a bits-per-entry, FU latency or drain time is not an integer")
+    if any(info[13] not in (0.5, 1.0) for info in body_infos):  # so data fractions are 0, .5, 1
+        raise Unvectorizable("an operand width fraction is not 0.5 or 1")
+    ring_limits = (config.issue_width, config.memory_issue_width, config.int_multipliers,
+                   config.int_alus)
+    if not all(isinstance(limit, int) and 0 <= limit <= _RING_GUARD for limit in ring_limits):
+        raise Unvectorizable("an issue width does not fit the packed ring's fields")
+    ring_fresh = sum(
+        (_RING_GUARD - limit) << (field * _RING_FIELD) for field, limit in enumerate(ring_limits)
+    )
+
     latency_bound = max(config.multiply_latency, config.divide_latency, config.alu_latency)
     if max_override > latency_bound:
         latency_bound = max_override
@@ -959,10 +1037,7 @@ def vector_run(core, program: "Program", max_instructions: int):
     ring_size = 1 << (min(max(window_bound, 1024), 1 << 17) - 1).bit_length()
     ring_mask = ring_size - 1
     ring_tag = [-1] * ring_size
-    ring_issue = [0] * ring_size
-    ring_mem = [0] * ring_size
-    ring_alu = [0] * ring_size
-    ring_mul = [0] * ring_size
+    ring_count = [0] * ring_size
 
     iterations_total = program.iterations
     last_iteration = iterations_total - 1
@@ -983,319 +1058,263 @@ def vector_run(core, program: "Program", max_instructions: int):
     (region,) = warm_signature(program) or (None,)
     hierarchy = VectorHierarchy(config, region)
 
-    ledger = VulnerabilityLedger(config)
-    accounts = ledger.accounts
-    rob_bits = accounts[StructureName.ROB].bits_per_entry
-    iq_bits = accounts[StructureName.IQ].bits_per_entry
-    lqt_bits = accounts[StructureName.LQ_TAG].bits_per_entry
-    lqd_bits = accounts[StructureName.LQ_DATA].bits_per_entry
-    sqt_bits = accounts[StructureName.SQ_TAG].bits_per_entry
-    sqd_bits = accounts[StructureName.SQ_DATA].bits_per_entry
-    rf_bits = accounts[StructureName.RF].bits_per_entry
-    fu_bits = accounts[StructureName.FU].bits_per_entry
-    sb_account = accounts.get(StructureName.SB)
-    track_sb = sb_account is not None
-    sb_bits = sb_account.bits_per_entry if track_sb else 0
-    sb_drain = float(config.store_buffer_drain_cycles)
+    # What the loop reads per body slot: class flags, the destination's ACE
+    # width in halves (0: un-ACE), the memory columns read at issue and at
+    # commit, and the ring's full mask, increment and fresh count.
+    slots = []
+    for index, (_, is_memory, is_nop, is_lq, is_store, is_branch, is_mul, _, writes_reg,
+                dest, srcs, ace, _, width_frac, fixed_latency, pattern, *_) in enumerate(
+                    body_infos):
+        shift = (1 if is_memory else 2 if is_mul else 3) * _RING_FIELD
+        slots.append((
+            is_nop, is_lq, is_store, is_branch, writes_reg, dest, srcs, ace,
+            int(2 * width_frac) if ace else 0, fixed_latency, memory_cols[index],
+            memory_cols[index] if is_store and pattern is not None else None,
+            _RING_GUARD | _RING_GUARD << shift, 1 | 1 << shift, ring_fresh + (1 | 1 << shift),
+        ))
 
     dispatch_width = config.dispatch_width
-    issue_width = config.issue_width
     commit_width = config.commit_width
-    memory_issue_width = config.memory_issue_width
-    int_alus = config.int_alus
-    int_multipliers = config.int_multipliers
     rob_entries = config.rob_entries
     iq_entries = config.iq_entries
-    lq_entries = config.lq_entries
-    sq_entries = config.sq_entries
-    free_rename = config.free_rename_registers
     mispredict_penalty = config.branch_misprediction_penalty
 
-    # Append-only commit columns + drain cursors replace the reference
-    # deques/rename-heap (commit cycles are monotone); the IQ issue heap
-    # stays a real heap.
-    commit_col = []
-    commit_append = commit_col.append
-    lq_commit_col = []
-    lq_commit_append = lq_commit_col.append
-    sq_commit_col = []
-    sq_commit_append = sq_commit_col.append
-    write_commit_col = []
-    write_commit_append = write_commit_col.append
-    iq_issue_heap = []
+    # Cycle columns of the current fold window.  The commit columns start
+    # with one zero per ROB, LQ, SQ or free rename entry, so the entry that
+    # many back is always there (a zero never binds: dispatch >= 1).
+    dispatch_col = []
+    issue_col = []
+    complete_col = []
+    commit_col = [0] * rob_entries
+    lq_commit_col = [0] * config.lq_entries
+    sq_commit_col = [0] * config.sq_entries
+    write_commit_col = [0] * config.free_rename_registers
+    dispatch_sums = [0] * body_len
+    issue_sums = [0] * body_len
+    complete_sums = [0] * body_len
+    commit_sums = [0] * body_len
+    iq_heap = []
+    iq_len = 0
     op_index = 0
     lq_count = 0
     sq_count = 0
     write_count = 0
-    rename_drained = 0
-    iq_len = 0
     branch_index = 0
 
+    # Registers past the architected set start un-ACE: nothing reads their
+    # lifetime before a write, and integer sums do not depend on the order
+    # registers close in.
     architected = config.architected_registers
     num_regs = max(ARCH_REG_COUNT, architected)
-    reg_present = [True] * architected + [False] * (num_regs - architected)
-    reg_complete = [0] * num_regs
-    reg_width = [1.0] * num_regs
-    reg_ace = [True] * num_regs
+    reg_halves = [2] * architected + [0] * (num_regs - architected)
     reg_last_read = [-1] * num_regs
     reg_ready = [0] * num_regs
-    extra_regs = []
-
-    rob_occ = rob_ace = 0.0
-    iq_occ = iq_ace = 0.0
-    lqt_occ = lqt_ace = 0.0
-    lqd_occ = lqd_ace = 0.0
-    sqt_occ = sqt_ace = 0.0
-    sqd_occ = sqd_ace = 0.0
-    rf_occ = rf_ace = 0.0
-    fu_occ = fu_ace = 0.0
-    sb_occ = sb_ace = 0.0
+    rf_occ = rf_halves = 0
 
     hierarchy_access = hierarchy.access
     heappush = heapq.heappush
     heappop = heapq.heappop
 
     branch_mispredictions = 0
-    min_dispatch_cycle = 1
     fetch_resume_cycle = 0
     last_commit_cycle = 0
-    final_cycle = 1
-    disp_cycle = -1
+    disp_cycle = 1
     disp_count = 0
     commit_count = 0
 
     # Full iterations run the whole body; a budget ending mid-iteration adds
-    # one last iteration of ``tail_ops`` ops.
-    for iteration in range(full_iters + (1 if tail_ops else 0)):
-        for body_index in range(body_len if iteration < full_iters else tail_ops):
-            (_, is_memory, is_nop, is_lq, is_store, is_branch, is_mul,
-             is_arith, writes_reg, dest, srcs, ace, data_frac, width_frac,
-             fixed_latency, pattern, taken_probability, loop_closing,
-             pc) = body_infos[body_index]
-            dispatch = min_dispatch_cycle
-            if fetch_resume_cycle > dispatch:
-                dispatch = fetch_resume_cycle
-            if has_frontend:
-                dispatch += frontend_col[op_index]
-            if op_index >= rob_entries and commit_col[op_index - rob_entries] > dispatch:
-                dispatch = commit_col[op_index - rob_entries]
-            if is_lq:
-                if lq_count >= lq_entries and lq_commit_col[lq_count - lq_entries] > dispatch:
-                    dispatch = lq_commit_col[lq_count - lq_entries]
-            elif is_store:
-                if sq_count >= sq_entries and sq_commit_col[sq_count - sq_entries] > dispatch:
-                    dispatch = sq_commit_col[sq_count - sq_entries]
-            if writes_reg:
-                while (rename_drained < write_count
-                       and write_commit_col[rename_drained] <= dispatch):
-                    rename_drained += 1
-                if write_count - rename_drained >= free_rename:
-                    if write_commit_col[rename_drained] > dispatch:
-                        dispatch = write_commit_col[rename_drained]
-                    while (rename_drained < write_count
-                           and write_commit_col[rename_drained] <= dispatch):
-                        rename_drained += 1
-            if not is_nop:
-                while iq_len and iq_issue_heap[0] <= dispatch:
-                    heappop(iq_issue_heap)
-                    iq_len -= 1
-                if iq_len >= iq_entries:
-                    if iq_issue_heap[0] > dispatch:
-                        dispatch = iq_issue_heap[0]
-                    while iq_len and iq_issue_heap[0] <= dispatch:
-                        heappop(iq_issue_heap)
+    # one last iteration of ``tail_ops`` ops.  The columns fold after each
+    # window of iterations.
+    iterations = full_iters + (1 if tail_ops else 0)
+    window = -(-FOLD_OPS // body_len)
+    for window_start in range(0, iterations, window):
+        for iteration in range(window_start, min(window_start + window, iterations)):
+            for (is_nop, is_lq, is_store, is_branch, writes_reg, dest, srcs, ace,
+                 dest_halves, fixed_latency, column, store_col, full, inc,
+                 fresh) in (slots if iteration < full_iters else slots[:tail_ops]):
+                dispatch = disp_cycle
+                if fetch_resume_cycle > dispatch:
+                    dispatch = fetch_resume_cycle
+                if has_frontend:
+                    dispatch += frontend_col[op_index]
+                if commit_col[op_index] > dispatch:
+                    dispatch = commit_col[op_index]
+                if is_lq:
+                    if lq_commit_col[lq_count] > dispatch:
+                        dispatch = lq_commit_col[lq_count]
+                elif is_store:
+                    if sq_commit_col[sq_count] > dispatch:
+                        dispatch = sq_commit_col[sq_count]
+                if writes_reg and write_commit_col[write_count] > dispatch:
+                    dispatch = write_commit_col[write_count]
+                if not is_nop and iq_len >= iq_entries:
+                    while iq_len and iq_heap[0] <= dispatch:
+                        heappop(iq_heap)
                         iq_len -= 1
-            if dispatch == disp_cycle:
-                if disp_count >= dispatch_width:
-                    dispatch += 1
+                    if iq_len >= iq_entries:
+                        dispatch = iq_heap[0]
+                if dispatch == disp_cycle:
+                    if disp_count >= dispatch_width:
+                        dispatch += 1
+                        disp_cycle = dispatch
+                        disp_count = 1
+                    else:
+                        disp_count += 1
+                else:
                     disp_cycle = dispatch
                     disp_count = 1
+                if is_nop:
+                    issue = complete = dispatch
                 else:
-                    disp_count += 1
-            else:
-                disp_cycle = dispatch
-                disp_count = 1
-            min_dispatch_cycle = dispatch
-            if is_nop:
-                issue = dispatch
-                complete = dispatch
-                latency = 0
-            else:
-                issue = dispatch + 1
-                for src in srcs:
-                    ready = reg_ready[src]
-                    if ready > issue:
-                        issue = ready
-                while True:
+                    issue = dispatch + 1
+                    for src in srcs:
+                        ready = reg_ready[src]
+                        if ready > issue:
+                            issue = ready
                     slot = issue & ring_mask
-                    if ring_tag[slot] == issue:
-                        if ring_issue[slot] >= issue_width:
-                            issue += 1
-                            continue
-                        if is_memory:
-                            if ring_mem[slot] >= memory_issue_width:
-                                issue += 1
-                                continue
-                        elif is_mul:
-                            if ring_mul[slot] >= int_multipliers:
-                                issue += 1
-                                continue
-                        elif ring_alu[slot] >= int_alus:
-                            issue += 1
-                            continue
-                    break
-                if issue - dispatch >= ring_size:
-                    ring_size, ring_mask, ring_tag, ring_issue, ring_mem, ring_alu, \
-                        ring_mul = OutOfOrderCore._grow_rings(
-                            issue - dispatch, dispatch, ring_size,
-                            ring_tag, ring_issue, ring_mem, ring_alu, ring_mul,
+                    while ring_tag[slot] == issue and ring_count[slot] & full:
+                        issue += 1
+                        slot = issue & ring_mask
+                    if issue - dispatch >= ring_size:
+                        ring_size, ring_mask, ring_tag, ring_count = OutOfOrderCore._grow_rings(
+                            issue - dispatch, dispatch, ring_size, ring_tag, ring_count
                         )
-                    slot = issue & ring_mask
-                if ring_tag[slot] == issue:
-                    ring_issue[slot] += 1
+                        slot = issue & ring_mask
+                    if ring_tag[slot] == issue:
+                        ring_count[slot] += inc
+                    else:
+                        ring_tag[slot] = issue
+                        ring_count[slot] = fresh
+                    if fixed_latency is None:
+                        complete = issue + hierarchy_access(column[iteration], False, issue, ace)
+                    else:
+                        complete = issue + fixed_latency
+                commit = complete + 1
+                if commit > last_commit_cycle:
+                    commit_count = 1
+                elif commit_count >= commit_width:
+                    commit = last_commit_cycle + 1
+                    commit_count = 1
                 else:
-                    ring_tag[slot] = issue
-                    ring_issue[slot] = 1
-                    ring_mem[slot] = 0
-                    ring_alu[slot] = 0
-                    ring_mul[slot] = 0
-                if is_memory:
-                    ring_mem[slot] += 1
-                elif is_mul:
-                    ring_mul[slot] += 1
-                else:
-                    ring_alu[slot] += 1
-                if fixed_latency is not None:
-                    latency = fixed_latency
-                else:
-                    latency = hierarchy_access(
-                        memory_cols[body_index][iteration], False, issue, ace
-                    )
-                complete = issue + latency
-            commit = complete + 1
-            if last_commit_cycle > commit:
-                commit = last_commit_cycle
-            if commit == last_commit_cycle and commit_count >= commit_width:
-                commit += 1
-            if commit == last_commit_cycle:
-                commit_count += 1
-            else:
-                commit_count = 1
-            last_commit_cycle = commit
-            if commit > final_cycle:
-                final_cycle = commit
-            if is_store and pattern is not None:
-                hierarchy_access(memory_cols[body_index][iteration], True, commit, ace)
-            if is_branch:
-                if mispredict_col[branch_index]:
-                    branch_mispredictions += 1
-                    resume = complete + mispredict_penalty
-                    if resume > fetch_resume_cycle:
-                        fetch_resume_cycle = resume
-                branch_index += 1
-            commit_append(commit)
-            if is_lq:
-                lq_commit_append(commit)
-                lq_count += 1
-            elif is_store:
-                sq_commit_append(commit)
-                sq_count += 1
-            if not is_nop:
-                heappush(iq_issue_heap, issue)
-                iq_len += 1
-            if writes_reg:
-                write_commit_append(commit)
-                write_count += 1
-            op_index += 1
-            duration = float(commit - dispatch)
-            rob_occ += duration
-            if ace:
-                rob_ace += duration * rob_bits
-            if not is_nop:
-                duration = float(issue - dispatch)
-                iq_occ += duration
+                    commit = last_commit_cycle
+                    commit_count += 1
+                last_commit_cycle = commit
+                if store_col is not None:
+                    hierarchy_access(store_col[iteration], True, commit, ace)
+                if is_branch:
+                    if mispredict_col[branch_index]:
+                        branch_mispredictions += 1
+                        resume = complete + mispredict_penalty
+                        if resume > fetch_resume_cycle:
+                            fetch_resume_cycle = resume
+                    branch_index += 1
+                dispatch_col.append(dispatch)
+                issue_col.append(issue)
+                complete_col.append(complete)
+                commit_col.append(commit)
+                op_index += 1
+                if is_lq:
+                    lq_commit_col.append(commit)
+                    lq_count += 1
+                elif is_store:
+                    sq_commit_col.append(commit)
+                    sq_count += 1
+                if not is_nop:
+                    heappush(iq_heap, issue)
+                    iq_len += 1
                 if ace:
-                    iq_ace += duration * iq_bits
-            if is_lq:
-                lqt_occ += float(issue - dispatch)
-                duration = float(commit - issue)
-                lqt_occ += duration
-                if ace:
-                    lqt_ace += duration * lqt_bits
-                lqd_occ += float(complete - dispatch)
-                duration = float(commit - complete)
-                lqd_occ += duration
-                if data_frac:
-                    lqd_ace += duration * lqd_bits * data_frac
-            elif is_store:
-                sqt_occ += float(issue - dispatch)
-                duration = float(commit - issue)
-                sqt_occ += duration
-                if ace:
-                    sqt_ace += duration * sqt_bits
-                sqd_occ += float(issue - dispatch)
-                if data_frac:
-                    sqd_ace += duration * sqd_bits * data_frac
-                sqd_occ += duration
-                if track_sb:
-                    sb_occ += sb_drain
-                    if data_frac:
-                        sb_ace += sb_drain * sb_bits * data_frac
-            if is_arith:
-                duration = float(latency if latency > 1 else 1)
-                fu_occ += duration
-                if ace:
-                    fu_ace += duration * fu_bits
-            if ace:
-                for src in srcs:
-                    if reg_present[src] and issue > reg_last_read[src]:
-                        reg_last_read[src] = issue
-            if writes_reg:
-                if reg_present[dest]:
-                    if reg_ace[dest]:
-                        last_read = reg_last_read[dest]
-                        if last_read > reg_complete[dest]:
-                            duration = float(last_read - reg_complete[dest])
-                            rf_occ += duration
-                            rf_ace += duration * rf_bits * reg_width[dest]
-                else:
-                    reg_present[dest] = True
-                    extra_regs.append(dest)
-                reg_complete[dest] = complete
-                reg_width[dest] = width_frac
-                reg_ace[dest] = ace
-                reg_last_read[dest] = -1
-                reg_ready[dest] = complete
+                    for src in srcs:
+                        if issue > reg_last_read[src]:
+                            reg_last_read[src] = issue
+                if writes_reg:
+                    write_commit_col.append(commit)
+                    write_count += 1
+                    if reg_halves[dest]:
+                        lifetime = reg_last_read[dest] - reg_ready[dest]
+                        if lifetime > 0:
+                            rf_occ += lifetime
+                            rf_halves += lifetime * reg_halves[dest]
+                    reg_halves[dest] = dest_halves
+                    reg_last_read[dest] = -1
+                    reg_ready[dest] = complete
 
-    # Open register lifetimes: architected registers in index order, then
-    # late-allocated ones in first-write order, as the reference does.
-    for reg in range(architected):
-        if reg_ace[reg]:
-            last_read = reg_last_read[reg]
-            if last_read > reg_complete[reg]:
-                duration = float(last_read - reg_complete[reg])
-                rf_occ += duration
-                rf_ace += duration * rf_bits * reg_width[reg]
-    for reg in extra_regs:
-        if reg_ace[reg]:
-            last_read = reg_last_read[reg]
-            if last_read > reg_complete[reg]:
-                duration = float(last_read - reg_complete[reg])
-                rf_occ += duration
-                rf_ace += duration * rf_bits * reg_width[reg]
+        # Fold the window into per-slot sums, keeping the last ROB / LQ / SQ
+        # / rename entries the constraints read.
+        _add_slot_sums(dispatch_sums, dispatch_col, 0)
+        _add_slot_sums(issue_sums, issue_col, 0)
+        _add_slot_sums(complete_sums, complete_col, 0)
+        _add_slot_sums(commit_sums, commit_col, rob_entries)
+        dispatch_col.clear()
+        issue_col.clear()
+        complete_col.clear()
+        del commit_col[:op_index]
+        if has_frontend:
+            del frontend_col[:op_index]
+        del lq_commit_col[:lq_count]
+        del sq_commit_col[:sq_count]
+        del write_commit_col[:write_count]
+        op_index = lq_count = sq_count = write_count = 0
 
-    credit = ledger.credit
-    credit(StructureName.ROB, rob_occ, rob_ace)
-    credit(StructureName.IQ, iq_occ, iq_ace)
-    credit(StructureName.LQ_TAG, lqt_occ, lqt_ace)
-    credit(StructureName.LQ_DATA, lqd_occ, lqd_ace)
-    credit(StructureName.SQ_TAG, sqt_occ, sqt_ace)
-    credit(StructureName.SQ_DATA, sqd_occ, sqd_ace)
-    credit(StructureName.RF, rf_occ, rf_ace)
-    credit(StructureName.FU, fu_occ, fu_ace)
+    # Open register lifetimes.
+    for reg in range(num_regs):
+        if reg_halves[reg]:
+            lifetime = reg_last_read[reg] - reg_ready[reg]
+            if lifetime > 0:
+                rf_occ += lifetime
+                rf_halves += lifetime * reg_halves[reg]
+
+    # Occupancy in entry-cycles and ACE time in half bit-cycles per core
+    # structure, from each slot's sums and its instance count.  A nop's
+    # issue and complete are its dispatch, so it adds no IQ time.
+    rob_occ = rob_ace = iq_occ = iq_ace = lq_occ = lqt_ace = lqd_ace = 0
+    sq_occ = sqt_ace = sqd_ace = stores = sb_ace = fu_occ = fu_ace = 0
+    for index, info in enumerate(body_infos):
+        is_lq, is_store, is_arith, ace, data_halves = (
+            info[3], info[4], info[7], info[11], int(2 * info[12])
+        )
+        dispatched, issued = dispatch_sums[index], issue_sums[index]
+        completed, committed = complete_sums[index], commit_sums[index]
+        count = full_iters + (index < tail_ops)
+        rob_occ += committed - dispatched
+        iq_occ += issued - dispatched
+        if ace:
+            rob_ace += committed - dispatched
+            iq_ace += issued - dispatched
+        if is_lq:
+            lq_occ += committed - dispatched
+            if ace:
+                lqt_ace += committed - issued
+            lqd_ace += data_halves * (committed - completed)
+        elif is_store:
+            sq_occ += committed - dispatched
+            if ace:
+                sqt_ace += committed - issued
+            sqd_ace += data_halves * (committed - issued)
+            stores += count
+            sb_ace += data_halves * count
+        if is_arith:
+            busy = count * max(info[14], 1)
+            fu_occ += busy
+            if ace:
+                fu_ace += busy
+    totals = [
+        (StructureName.ROB, rob_occ, 2 * rob_bits * rob_ace),
+        (StructureName.IQ, iq_occ, 2 * iq_bits * iq_ace),
+        (StructureName.LQ_TAG, lq_occ, 2 * lqt_bits * lqt_ace),
+        (StructureName.LQ_DATA, lq_occ, lqd_bits * lqd_ace),
+        (StructureName.SQ_TAG, sq_occ, 2 * sqt_bits * sqt_ace),
+        (StructureName.SQ_DATA, sq_occ, sqd_bits * sqd_ace),
+        (StructureName.RF, rf_occ, rf_bits * rf_halves),
+        (StructureName.FU, fu_occ, 2 * fu_bits * fu_ace),
+    ]
     if track_sb:
-        credit(StructureName.SB, sb_occ, sb_ace)
+        totals.append((StructureName.SB, sb_drain * stores, sb_drain * sb_bits * sb_ace))
+    if max(max(2 * occupancy, halves) for _, occupancy, halves in totals) >= EXACT_HALVES:
+        raise Unvectorizable("an accounting total is past the exact float range")
+    for name, occupancy, halves in totals:
+        ledger.credit(name, float(occupancy), halves / 2)
 
+    final_cycle = last_commit_cycle  # commits are monotone and at least 2
     hierarchy.finalize(final_cycle)
     install_trackers(ledger, hierarchy)
 

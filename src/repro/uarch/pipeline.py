@@ -730,37 +730,27 @@ class OutOfOrderCore:
 
     @staticmethod
     def _grow_rings(
-        span: int,
-        frontier: int,
-        ring_size: int,
-        ring_tag: list[int],
-        ring_issue: list[int],
-        ring_mem: list[int],
-        ring_alu: list[int],
-        ring_mul: list[int],
-    ) -> tuple[int, int, list[int], list[int], list[int], list[int], list[int]]:
+        span: int, frontier: int, ring_size: int, ring_tag: list[int], *columns: list[int]
+    ) -> tuple:
         """Double the issue rings until ``span`` fits; re-place live slots.
 
-        A slot is live exactly when its tagged cycle is beyond ``frontier``
-        (the current dispatch cycle): earlier cycles can never be probed
-        again because dispatch is monotone.
+        Returns ``(new_size, new_mask, new_tag, *new_columns)``: the
+        interpreter keeps four count columns, the vector plane one packed
+        column.  A slot is live exactly when its tagged cycle is beyond
+        ``frontier`` (the current dispatch cycle): earlier cycles can never
+        be probed again because dispatch is monotone.
         """
         new_size = ring_size
         while new_size <= span:
             new_size <<= 1
         new_mask = new_size - 1
         new_tag = [-1] * new_size
-        new_issue = [0] * new_size
-        new_mem = [0] * new_size
-        new_alu = [0] * new_size
-        new_mul = [0] * new_size
+        new_columns = [[0] * new_size for _ in columns]
         for slot in range(ring_size):
             tag = ring_tag[slot]
             if tag > frontier:
                 new_slot = tag & new_mask
                 new_tag[new_slot] = tag
-                new_issue[new_slot] = ring_issue[slot]
-                new_mem[new_slot] = ring_mem[slot]
-                new_alu[new_slot] = ring_alu[slot]
-                new_mul[new_slot] = ring_mul[slot]
-        return new_size, new_mask, new_tag, new_issue, new_mem, new_alu, new_mul
+                for new_column, column in zip(new_columns, columns):
+                    new_column[new_slot] = column[slot]
+        return (new_size, new_mask, new_tag, *new_columns)

@@ -8,10 +8,11 @@ per-run object holding an account per *registered* structure (see
 :mod:`repro.vuln.structures`), fed through two event surfaces:
 
 * **interval events** for core structures — ``add_interval(name, start, end,
-  ace_fraction)`` per occupancy interval, or ``credit(name, ...)`` for sums
-  the simulator batches locally (the hot loop flushes once per run; the
-  floating-point addition order is unchanged, so results stay bit-identical
-  to per-op accounting);
+  ace_fraction)`` per occupancy interval, or ``credit(name, ...)`` once per
+  run for totals the simulator keeps itself (the interpreter's local float
+  sums, in per-op addition order; the vector plane's exact integer sums,
+  converted once and guarded to equal them), so results stay bit-identical
+  to per-op accounting;
 * **lifetime events** for storage structures — ``fill`` / ``read`` /
   ``write`` / ``evict`` / ``flush`` keyed by ``(line, word)``, implementing
   the Biswas-style interval classification (Fill/Read/Write=>Read and ACE
@@ -400,9 +401,11 @@ class VulnerabilityLedger:
     ) -> None:
         """Flush locally batched occupancy/ACE sums into an account.
 
-        The simulator hot loop batches per-structure sums in local floats and
-        flushes once per run; performing the same additions here keeps the
-        result bit-identical to per-op accounting.  Negative sums raise
+        Both simulator loops flush once per run: the interpreter's local
+        float sums, added in per-op order, and the vector plane's integer
+        sums in half bit-cycles, converted to float once and kept below
+        2**53 half-units, where every such float sum is exact — so either
+        equals per-op accounting bit for bit.  Negative sums raise
         ``ValueError`` — a sign bug must not silently deflate AVF.
         """
         self.account(name).add_bit_cycles(ace_bit_cycles, occupied_entry_cycles)

@@ -2,26 +2,33 @@
 
 Every comparison checks *bit-identity*, not closeness: total cycles, commit
 counters, branch/miss statistics, and every ledger account's occupancy and
-ACE bit-cycle totals must match exactly (same float addition order, same RNG
-consumption).  Programs cover the stressmark generator's output, the
-synthetic workload proxies, and seeded randomized programs over the whole
-ISA; configurations cover the paper baseline, a constrained derivative
-(small queues, fewer architected registers than the ISA — exercising the
-kernels' non-resident register path), and the ``extended`` config (store
-buffer + L2 TLB).  The ``vector`` plane is diffed directly, one program per
-warm-up shape included, and every reason it hands a program to the
-interpreter is exercised once.  Its warm state, filled set by set from the
-footprint's closed form, is also compared with the interpreter's warmed
-object hierarchy set by set (``TestVectorWarmState``).
+ACE bit-cycle totals must match exactly (the same RNG consumption; the
+vector plane's integer sums, taken after its loop, equal to the
+interpreter's op-by-op float sums).  Programs cover the stressmark
+generator's output, the synthetic workload proxies, and seeded randomized
+programs over the whole ISA; configurations cover the paper baseline, a
+constrained derivative (small queues, fewer architected registers than the
+ISA — exercising the kernels' non-resident register path), and the
+``extended`` config (store buffer + L2 TLB).  The ``vector`` plane is
+diffed directly, one program per warm-up shape included, and every reason
+it hands a program to the interpreter is exercised once.  Its warm state,
+filled set by set from the footprint's closed form, is also compared with
+the interpreter's warmed object hierarchy set by set
+(``TestVectorWarmState``).  The accounting cases pinch the column fold,
+shrink one queue at a time, force the issue rings to grow and use odd field
+widths, so a half bit-cycle slip shows; ``TestOracleProperties`` checks two
+ACE-analysis properties on both planes.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 
 from repro.isa.instructions import (
+    InstructionClass,
     OperandWidth,
     make_alu,
     make_branch,
@@ -39,6 +46,7 @@ from repro.isa.memoryref import (
     RandomPattern,
     StridedPattern,
 )
+from repro.avf.report import build_report
 from repro.isa.program import BranchBehavior, Program, WarmupRegion
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import MemoryHierarchy
@@ -46,10 +54,17 @@ from repro.memory.tlb import TlbConfig
 from repro.stressmark.generator import StressmarkGenerator, reference_knobs
 from repro.uarch import kernel_vector
 from repro.uarch.config import MachineConfig, baseline_config, config_a, extended_config
+from repro.uarch.faultrates import (
+    FaultRateModel,
+    edr_fault_rates,
+    rhc_fault_rates,
+    unit_fault_rates,
+)
 from repro.uarch.kernel_backends import VECTOR, resolve
 from repro.uarch.pipeline import OutOfOrderCore
 from repro.utils.rng import DeterministicRng
 from repro.vuln.ledger import AceEvent, VulnerabilityLedger
+from repro.vuln.structures import STRUCTURES, StructureName
 from repro.workloads.suite import all_profiles
 from repro.workloads.synthetic import build_workload
 
@@ -185,6 +200,45 @@ WARM_SHAPES = {
     "un_ace": [_region(4096, 128 << 10, ace=False)],
     "recurrent": [_region(4096, 512 << 10, recurrent=True)],
 }
+
+
+def half_unit_config() -> MachineConfig:
+    """``extended`` with odd field widths and drain time, so a 32-bit
+    operand's share of an LQ/SQ data, register or store-buffer field is an
+    odd number of half bit-cycles and a half-unit slip shows."""
+    return extended_config().derive(
+        name="half_units", lsq_bits_per_entry=130, register_bits=63,
+        store_buffer_bits_per_entry=127, store_buffer_drain_cycles=5,
+    )
+
+
+def mixed_width_program(name: str) -> Program:
+    """32- and 64-bit ACE loads and stores beside un-ACE ops of every class."""
+    strided = StridedPattern(base=4096, stride=8, region=1 << 14)
+    chase = PointerChasePattern(base=1 << 20, stride=64, region=1 << 18)
+    narrow, wide = OperandWidth.WORD32, OperandWidth.WORD64
+    body = [
+        make_load(1, strided, srcs=[2], width=narrow),
+        make_alu(3, [1], width=narrow),
+        make_store(strided, srcs=[3], width=narrow),
+        make_load(4, chase, srcs=[4], width=wide, ace=False),
+        make_mul(5, [4], width=narrow, ace=False),
+        make_store(chase, srcs=[5], width=narrow, ace=False),
+        make_load(6, chase, srcs=[1], width=narrow),
+        make_div(7, [6], width=wide),
+        make_store(strided, srcs=[7], width=wide),
+        make_alu(8, [6, 7], width=narrow, ace=False),
+        make_prefetch(chase),
+        make_nop(),
+        make_branch(srcs=[8], taken_probability=0.9),
+    ]
+    return Program(
+        name=name,
+        body=body,
+        iterations=5_000,
+        branch_behaviors={len(body) - 1: BranchBehavior.LOOP_CLOSING},
+        warmup_regions=[WarmupRegion(base=4096, size_bytes=1 << 15, dirty=True)],
+    )
 
 
 class TestKernelDifferential:
@@ -375,10 +429,15 @@ class TestVectorKernelDifferential:
             )
 
     @pytest.mark.parametrize(
-        "reason", ["oversize_body", "over_budget", "several_warm_regions"]
+        "reason", ["oversize_body", "over_budget", "several_warm_regions", "past_exact_range"]
     )
     def test_fallback_reason(self, reason, monkeypatch):
-        """Each reason the lowering refuses a program runs the interpreter."""
+        """Each reason the lowering refuses a program runs the interpreter.
+
+        ``past_exact_range``: with the exactness bound pinched, a run's
+        accounting totals leave the range where their integer sums and the
+        interpreter's float sums agree, so the run ends in the interpreter.
+        """
         config = baseline_config()
         budget = 1_500
         program = random_program(53, f"vfallback-{reason}")
@@ -398,6 +457,8 @@ class TestVectorKernelDifferential:
             ]
             program.branch_behaviors = {}
             assert not kernel_vector.supports_vector(program)
+        elif reason == "past_exact_range":
+            monkeypatch.setattr(kernel_vector, "EXACT_HALVES", 1 << 10)
         else:
             run_length = min(budget, len(program.body) * program.iterations)
             monkeypatch.setattr(kernel_vector, "VECTOR_MAX_OPS", run_length - 1)
@@ -405,6 +466,107 @@ class TestVectorKernelDifferential:
             config, [program], budget, f"vector-fallback-{reason}", expect_vectorized=0
         )
         assert kernel_vector.STATS.fallbacks == 1
+        if reason == "past_exact_range":
+            core = OutOfOrderCore(config, seed=3)
+            with pytest.raises(kernel_vector.Unvectorizable, match="exact float range"):
+                kernel_vector.vector_run(core, program, budget)
+
+    @pytest.mark.parametrize("fold_ops", [1, 40])
+    def test_folds_mid_run(self, fold_ops, monkeypatch):
+        """Cycle columns folded into per-slot sums every few ops change no
+        result: with ``fold_ops`` 1 every iteration boundary folds, the one
+        right before a budget's tail iteration included, and the ROB, LQ,
+        SQ, rename and front-end columns carry across each fold."""
+        folds = []
+        add_slot_sums = kernel_vector._add_slot_sums
+
+        def counting(slot_sums, column, start):
+            folds.append(start)
+            add_slot_sums(slot_sums, column, start)
+
+        monkeypatch.setattr(kernel_vector, "FOLD_OPS", fold_ops)
+        monkeypatch.setattr(kernel_vector, "_add_slot_sums", counting)
+        programs = [
+            random_program(97, "vfold-a"),
+            random_program(99, "vfold-b"),
+            mixed_width_program("vfold-c"),
+        ]
+        assert any("frontend_miss_rate" in program.metadata for program in programs)
+        for config_factory in CONFIG_FACTORIES:
+            config = config_factory()
+            for budget in (1_999, 2_001):
+                folds.clear()
+                self._assert_matches_interpreter(
+                    config, programs, budget, f"vector-fold-{fold_ops}-{budget}/{config.name}"
+                )
+                assert len(folds) > 4 * len(programs), "no fold landed mid-run"
+
+    @pytest.mark.parametrize("config_factory", [extended_config, half_unit_config])
+    def test_half_unit_sums(self, config_factory):
+        """32-bit ACE loads and stores among un-ACE ops on a store-buffer
+        config: every half-unit sum (LQ/SQ data, RF, SB) is diffed."""
+        config = config_factory()
+        reference, candidate = run_both(config, mixed_width_program("vhalves"), 3_001)
+        assert_identical(reference, candidate, f"vector-halves/{config.name}")
+        totals = {
+            name: candidate.accumulators[StructureName(name)].ace_bit_cycles
+            for name in ("lq_data", "sq_data", "rf", "sb")
+        }
+        assert all(totals.values()), totals
+        if config.name == "half_units":
+            assert any(2 * total % 2 for total in totals.values()), "no odd half-unit total"
+
+    @pytest.mark.parametrize("fold_ops", [kernel_vector.FOLD_OPS, 1])
+    @pytest.mark.parametrize("constraint", ["rob", "lq", "sq", "rename", "iq"])
+    def test_each_constraint_binds_alone(self, constraint, fold_ops, monkeypatch):
+        """One structure shrunk to a few entries on ``baseline``: its
+        constraint alone holds dispatch back, and the plane matches, also
+        with its columns folded after every iteration."""
+        monkeypatch.setattr(kernel_vector, "FOLD_OPS", fold_ops)
+        base = baseline_config()
+        shrunk = {
+            "rob": {"rob_entries": 3},
+            "lq": {"lq_entries": 1},
+            "sq": {"sq_entries": 1},
+            "rename": {"rename_registers": base.architected_registers + 1},
+            "iq": {"iq_entries": 1},
+        }[constraint]
+        config = base.derive(name=f"tiny-{constraint}", **shrunk)
+        self._assert_matches_interpreter(
+            config, [random_program(97, "vtiny-a"), random_program(99, "vtiny-b")],
+            1_500, f"vector-tiny-{constraint}",
+        )
+        program = mixed_width_program(f"vtiny-{constraint}")
+        tight, candidate = run_both(config, program, 1_500)
+        assert_identical(tight, candidate, f"vector-tiny-{constraint}/mixed")
+        roomy = OutOfOrderCore(base, seed=3).run_interpreted(program, 1_500)
+        assert tight.stats.total_cycles > roomy.stats.total_cycles, "the constraint never bound"
+
+    def test_issue_rings_grow(self, monkeypatch):
+        """An op waiting past the issue ring's reach regrows it; the packed
+        count of a full cycle already booked survives the move."""
+        grown = []
+        grow_rings = OutOfOrderCore._grow_rings
+
+        def counting(span, frontier, ring_size, ring_tag, *columns):
+            grown.append(len(columns))
+            return grow_rings(span, frontier, ring_size, ring_tag, *columns)
+
+        monkeypatch.setattr(OutOfOrderCore, "_grow_rings", staticmethod(counting))
+        body = [
+            replace(make_alu(1, []), latency_override=100_000),
+            make_alu(2, [1]),
+            make_alu(3, [1]),
+            make_alu(4, [1]),
+            make_mul(5, [1]),
+            replace(make_alu(6, []), latency_override=200_000),
+            make_alu(7, [6]),
+            make_alu(8, [1]),
+            make_alu(9, [1]),
+        ]
+        program = Program(name="vgrow", body=body, iterations=40)
+        self._assert_matches_interpreter(baseline_config(), [program], 200, "vector-grow-rings")
+        assert 1 in grown, "the vector plane's packed ring never grew"
 
     def test_negative_address_error(self):
         """A negative address raises exactly what the interpreter raises."""
@@ -459,6 +621,79 @@ class TestVectorKernelDifferential:
                 results[index],
                 f"vector-backend[{index}]",
             )
+
+
+class TestOracleProperties:
+    """Two ACE-analysis properties of the simulator, checked on both planes.
+
+    Flipping an op to un-ACE changes no timing, only the ACE count, and can
+    only lower ACE time; SER is linear in the fault-rate table.
+    """
+
+    @staticmethod
+    def _planes(config, program, budget) -> dict:
+        core = OutOfOrderCore(config, seed=3)
+        (vector,) = VECTOR.run_many(core, [program], budget)
+        return {"interpreter": core.run_interpreted(program, budget), "vector": vector}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_un_ace_flip_only_lowers_ace(self, seed):
+        """One ACE op made un-ACE: among the stats only
+        ``committed_ace_instructions`` moves, down by the op's dynamic
+        count, and no account's ACE bit-cycles rise."""
+        budget = 1_200
+        program = random_program(200 + seed, f"flip-{seed}")
+        ace_ops = [index for index, instruction in enumerate(program.body) if instruction.ace]
+        flips = {DeterministicRng(seed).choice(ace_ops)}  # plus the first ACE load and store
+        for opclass in (InstructionClass.LOAD, InstructionClass.STORE):
+            flips.update([index for index in ace_ops if program.body[index].opclass is opclass][:1])
+        configs = [config_factory() for config_factory in CONFIG_FACTORIES]
+        before = {config.name: self._planes(config, program, budget) for config in configs}
+        for index in sorted(flips):
+            body = list(program.body)
+            body[index] = replace(body[index], ace=False)
+            flipped = replace(program, body=body)  # same name: same RNG streams
+            ops = min(budget, len(body) * program.iterations)
+            count = ops // len(body) + (index < ops % len(body))
+            for config in configs:
+                for plane, result in self._planes(config, flipped, budget).items():
+                    label = f"flip-{seed}[{index}]/{config.name}/{plane}"
+                    reference = before[config.name][plane]
+                    for fieldname in STAT_FIELDS:
+                        expected = getattr(reference.stats, fieldname)
+                        if fieldname == "committed_ace_instructions":
+                            expected -= count
+                        assert getattr(result.stats, fieldname) == expected, f"{label}: {fieldname}"
+                    for name, account in result.accumulators.items():
+                        assert (
+                            account.ace_bit_cycles <= reference.accumulators[name].ace_bit_cycles
+                        ), f"{label}: {name} ACE rose"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_doubled_fault_rates_double_group_ser(self, seed):
+        """Every group SER doubles exactly when every fault rate does."""
+        rng = DeterministicRng(seed)
+        drawn = FaultRateModel(
+            name="drawn",
+            rates={StructureName(name): rng.uniform(0.0, 3.0) for name in STRUCTURES.names()},
+            default_rate=rng.uniform(0.1, 2.0),
+        )
+        program = random_program(300 + seed, f"ser-{seed}")
+        for config_factory in CONFIG_FACTORIES:
+            config = config_factory()
+            for plane, result in self._planes(config, program, 1_000).items():
+                for rates in (unit_fault_rates(), rhc_fault_rates(), edr_fault_rates(), drawn):
+                    doubled = FaultRateModel(
+                        name=f"{rates.name}x2",
+                        rates={name: 2 * rate for name, rate in rates.rates.items()},
+                        default_rate=2 * rates.default_rate,
+                    )
+                    single = build_report(result, rates).group_ser
+                    double = build_report(result, doubled).group_ser
+                    label = f"ser-{seed}/{config.name}/{plane}/{rates.name}"
+                    assert any(single.values()), label
+                    for group, value in single.items():
+                        assert double[group] == 2 * value, f"{label}: {group}"
 
 
 def wide_l2_line_config() -> MachineConfig:
