@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test benchmarks bench bench-smoke specs-smoke store-smoke avf-smoke avf-golden kernel-smoke batch-smoke chaos-smoke serve-smoke serve-chaos-smoke
+.PHONY: test benchmarks bench bench-smoke specs-smoke store-smoke avf-smoke avf-golden kernel-smoke batch-smoke chaos-smoke serve-smoke serve-chaos-smoke claims-default
 
 test:
 	$(PYTHON) -m pytest tests -q
@@ -54,6 +54,14 @@ kernel-smoke:
 # plane").
 batch-smoke:
 	REPRO_BATCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_batch_smoke.py -m batch_smoke -q
+
+# Tier-2 claims gate at `default` scale (12k-op stressmarks and workloads,
+# GA 16 x 15): Table 3's ordering (best program < stressmark <= raw circuit,
+# baseline > rhc > edr), the Fig. 3/4 margins and Fig. 6's "the stressmark
+# exceeds every workload" on ROB/LQ/SQ, which tier-1 checks at `quick` (see
+# PERFORMANCE.md for its wall time).
+claims-default:
+	REPRO_BENCH_SCALE=default $(PYTHON) -m pytest benchmarks/test_table3_worstcase_estimation.py benchmarks/test_fig3_spec_baseline.py benchmarks/test_fig4_mibench_baseline.py benchmarks/test_fig6_workload_avf.py -q
 
 # Tier-2 fault-tolerance gate: a jobs=4 GA under injected worker kills and a
 # torn store write must finish byte-identical to a clean serial run, with

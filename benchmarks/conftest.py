@@ -64,10 +64,9 @@ def pytest_configure(config: pytest.Config) -> None:
     config.addinivalue_line(
         "markers",
         "batch_smoke: population-plane gate — population AVF/SER byte-compared "
-        "between the vector plane (and its batch-kernel fallback) and the "
-        "interpreter, plus batch-vs-interpreter and vector-vs-batch speedup "
-        "floors (run via `make batch-smoke` or REPRO_BATCH_SMOKE=1; see "
-        "PERFORMANCE.md)",
+        "between the vector plane (fast mode included) and the interpreter, "
+        "plus one same-run vector-over-interpreter speedup floor (run via "
+        "`make batch-smoke` or REPRO_BATCH_SMOKE=1; see PERFORMANCE.md)",
     )
     config.addinivalue_line(
         "markers",

@@ -8,7 +8,9 @@ Two checks on the plane GA populations run through (ARCHITECTURE.md,
   (precomputed operand columns, flat-array hierarchy replica) and
   through the interpreted reference loop, and the canonical per-structure
   AVF / group SER payloads are compared byte for byte at full ``repr``
-  precision — the same discipline as the AVF golden gate.
+  precision — the same discipline as the AVF golden gate.  The vector
+  side must have fast-forwarded iterations, so the compare covers fast
+  mode too.
 * **Vector throughput floor** — :func:`repro.experiments.bench.
   bench_vector_speedup` (the vector plane vs the per-genome interpreter on
   the same fresh GA-shaped batch, timed back to back) is rerun, must stay
@@ -105,6 +107,9 @@ class TestVectorParity:
         assert kernel_vector.STATS.vector_runs >= POPULATION, (
             "vector kernel never engaged — the gate compared nothing "
             f"(fallbacks: {kernel_vector.STATS.fallbacks})"
+        )
+        assert kernel_vector.STATS.iterations_fast_forwarded > 0, (
+            "no iteration was fast-forwarded — the byte-compare never covered fast mode"
         )
         _assert_identical_to_interpreter(config_name, vector_payload, "vector plane")
 

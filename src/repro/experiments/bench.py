@@ -377,7 +377,8 @@ def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
     one side's batches before the other's spread them over 5.9–10.4x.
     Both sides must produce bit-identical results (``deterministic``).  The
     recorded ``speedup`` is the number the ``batch-smoke`` tier-2 gate holds
-    future changes to.
+    future changes to; ``fast_forwarded_share`` is the share of the timed
+    vector batches' loop iterations that fast mode skipped.
     """
     from repro.uarch import kernel_vector
     from repro.uarch.kernel_backends import INTERPRETED, VECTOR
@@ -385,6 +386,7 @@ def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
     kernel_vector.clear_vector_caches()
     core, programs = _fresh_programs(batch, instructions)
     VECTOR.run_many(core, programs(0), instructions)  # untimed warm-up batch
+    kernel_vector.STATS.reset()
     fresh_batches = [programs(k * batch) for k in (1, 2, 3)]
 
     (vector_seconds, vector_results), (interpreted_seconds, interpreted_results) = (
@@ -405,6 +407,10 @@ def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
         "interpreted_ms_per_genome": 1000.0 * interpreted_seconds / batch,
         "speedup": interpreted_seconds / vector_seconds if vector_seconds > 0 else 0.0,
         "deterministic": _identical(vector_results, interpreted_results),
+        "fast_forwarded_share": (
+            kernel_vector.STATS.iterations_fast_forwarded / kernel_vector.STATS.iterations
+            if kernel_vector.STATS.iterations else 0.0
+        ),
     }
 
 

@@ -85,8 +85,12 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if min(self.fetch_width, self.dispatch_width, self.issue_width, self.commit_width) <= 0:
             raise ValueError("pipeline widths must be positive")
-        if self.rename_registers < self.architected_registers:
-            raise ValueError("rename register file must be at least as large as the architected set")
+        if self.rename_registers <= self.architected_registers:
+            raise ValueError(
+                f"rename register file must be larger than the architected set: "
+                f"{self.rename_registers} rename and {self.architected_registers} architected "
+                f"registers leave {self.rename_registers - self.architected_registers} free"
+            )
         if min(self.iq_entries, self.rob_entries, self.lq_entries, self.sq_entries) <= 0:
             raise ValueError("queue sizes must be positive")
         if self.store_buffer_entries < 0 or self.l2_tlb_entries < 0:

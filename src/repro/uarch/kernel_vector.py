@@ -46,10 +46,22 @@ interpreted reference (enforced by the differential matrix in
 ``tests/test_kernel_differential.py`` and the kernel-smoke and batch-smoke
 byte-compares).
 
+A stressmark's core timing repeats within a few iterations, long before
+its memory state does.  So the loop proves, at a full-iteration boundary,
+that the state it carries forward equals the state ``p <= REPEAT_PERIODS``
+iterations earlier moved by one cycle offset, and from there on *fast
+mode* re-makes only each block's memory accesses at the template block's
+cycles plus the offset, checking every load's latency; a skipped block's
+accounting is a closed form, and any changed input hands the loop back to
+per-op simulation from the exact state (:func:`vector_run` gives the proof
+entry by entry).  ``STATS`` counts the iterations skipped and why fast mode
+ended.
+
 Programs the lowering cannot express (bodies over :data:`MAX_KERNEL_BODY`,
 runs over :data:`VECTOR_MAX_OPS`, more than one warm-up region, totals past
 :data:`EXACT_HALVES`) run the interpreted reference instead, one program at
-a time, counted in ``STATS.fallbacks``.
+a time, counted in ``STATS.fallbacks`` and, per reason code, in
+``STATS.fallback_reasons``.
 """
 
 from __future__ import annotations
@@ -93,11 +105,28 @@ MAX_KERNEL_BODY = 4096
 
 
 class Unvectorizable(Exception):
-    """This program cannot be lowered to columns; use the interpreter."""
+    """This program cannot be lowered to columns; use the interpreter.
+
+    ``reason`` is a short code naming why, counted per code in
+    ``STATS.fallback_reasons``.
+    """
+
+    def __init__(self, reason: str, message: str) -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 class VectorStats:
-    """In-process counters (observability for tests and the smoke gate)."""
+    """In-process counters (observability for tests and the smoke gate).
+
+    ``fallback_reasons`` counts fallbacks per :class:`Unvectorizable` reason
+    code.  ``iterations`` counts the loop iterations of every vector run, a
+    last partial one included, and ``iterations_fast_forwarded`` the share of
+    them fast mode skipped; ``fast_forward_exits`` counts how fast mode
+    ended, per cause: ``load_latency`` (a load's latency left the
+    template's), ``input_slice`` (a block's mispredict or front-end slice
+    did) or ``budget`` (no whole block was left).
+    """
 
     def __init__(self) -> None:
         self.reset()
@@ -105,6 +134,10 @@ class VectorStats:
     def reset(self) -> None:
         self.vector_runs = 0
         self.fallbacks = 0
+        self.fallback_reasons: dict[str, int] = {}
+        self.iterations = 0
+        self.iterations_fast_forwarded = 0
+        self.fast_forward_exits: dict[str, int] = {}
 
 
 STATS = VectorStats()
@@ -119,14 +152,23 @@ def clear_vector_caches() -> None:
     STATS.reset()
 
 
-def supports_vector(program: "Program") -> bool:
-    """Whether the column lowering can express this program at all.
+def _unsupported(program: "Program") -> Optional[str]:
+    """The reason code the column lowering refuses this program for, or None.
 
     Oversize bodies are not worth specializing.  The warm state has a closed
     form for one warm-up region, and every generated program declares
     exactly one.
     """
-    return len(program.body) <= MAX_KERNEL_BODY and len(program.warmup_regions) <= 1
+    if len(program.body) > MAX_KERNEL_BODY:
+        return "oversize_body"
+    if len(program.warmup_regions) > 1:
+        return "several_warm_regions"
+    return None
+
+
+def supports_vector(program: "Program") -> bool:
+    """Whether the column lowering can express this program at all."""
+    return _unsupported(program) is None
 
 
 # --------------------------------------------------------------- predictor
@@ -292,7 +334,7 @@ def _memory_columns(
         issue_resolve = (not is_nop) and fixed_latency is None
         commit_resolve = is_store and pattern is not None
         if issue_resolve and commit_resolve:
-            raise Unvectorizable("op resolves its address twice per instance")
+            raise Unvectorizable("double_resolve", "op resolves its address twice per instance")
         if not (issue_resolve or commit_resolve):
             continue
         count = full_iters + (1 if index < tail_ops else 0)
@@ -318,7 +360,7 @@ def _memory_columns(
         if addresses and min(addresses) < 0:
             # The reference raises on the first negative address; the
             # interpreter fallback reproduces that exact error.
-            raise Unvectorizable("negative address stream")
+            raise Unvectorizable("negative_address", "negative address stream")
         columns[index] = [
             (address, address // page_bytes, (line := address // line_bytes) % num_sets,
              line // num_sets, address % line_bytes // word_bytes, line)
@@ -349,7 +391,7 @@ def build_columns(
     """
     total_ops = full_iters * len(body_infos) + tail_ops
     if total_ops > VECTOR_MAX_OPS:
-        raise Unvectorizable(f"{total_ops} dynamic ops exceed the column budget")
+        raise Unvectorizable("over_budget", f"{total_ops} dynamic ops exceed the column budget")
     if frontend_miss_rate > 0.0:
         draw = frontend_rng.raw().random
         frontend = [
@@ -905,6 +947,11 @@ def warm_signature(program: "Program") -> tuple:
 #: by the window.  GA genomes and the workload proxies never fold.
 FOLD_OPS = 1 << 15
 
+#: Longest period, in iterations, over which the loop looks for a repeat of
+#: its state.  Every stressmark of the survey in PERFORMANCE.md
+#: ("Fast-forward through repeating iterations") repeats with a period of 1-4.
+REPEAT_PERIODS = 8
+
 #: Every accounting total is an exact integer in half bit-cycles.  Below this
 #: many, a float holds it and every partial sum of the interpreter's op-by-op
 #: float additions exactly; a run past it takes the interpreter.
@@ -929,6 +976,176 @@ def _add_slot_sums(slot_sums: list, column: list, start: int) -> None:
     body_len = len(slot_sums)
     for slot in range(body_len):
         slot_sums[slot] += sum(column[start + slot::body_len])
+
+
+def _relative(column: list, start: int, size: int, disp: int) -> list:
+    """``column[start:start + size]`` relative to the dispatch cycle ``disp``;
+    a cycle at or below it reads 0, as it can never bind again."""
+    return [cycle - disp if cycle > disp else 0 for cycle in column[start:start + size]]
+
+
+def _block_sums(column: list, start: int, stop: int, body_len: int) -> list:
+    """Per body slot, the sum of ``column[start:stop]``'s instances of it
+    (``start`` at an iteration boundary)."""
+    return [sum(column[start + index:stop:body_len]) for index in range(body_len)]
+
+
+def _move(column: list, moved: int) -> None:
+    """Move every cycle of ``column`` ``moved`` cycles later, in place."""
+    column[:] = [cycle + moved for cycle in column]
+
+
+def _move_issues(issue_col: list, disp: int, moved: int, ring_tag: list, ring_count: list,
+                 ring_mask: int, slots: list) -> list:
+    """Move the live issues of the issue window ``issue_col`` (the last
+    ``rob_entries`` issues before an iteration boundary whose dispatch cycle
+    is ``disp``) ``moved`` cycles later in the issue ring; returns them,
+    moved, as the IQ heap.
+
+    Live means past ``disp``.  Every live ring cycle and IQ entry is the
+    issue of an op in the window, so clearing the window's live cycles
+    leaves only dead tags in the ring; each moved cycle then counts its ops
+    as the per-op loop would.  The window itself is moved by the caller.
+    """
+    body_len = len(slots)
+    for cycle in issue_col:
+        if cycle > disp:
+            ring_tag[cycle & ring_mask] = -1
+    live = []
+    for position, cycle in enumerate(issue_col, -len(issue_col)):
+        if cycle > disp:
+            cycle += moved
+            live.append(cycle)
+            slot = cycle & ring_mask
+            if ring_tag[slot] == cycle:
+                ring_count[slot] += slots[position % body_len][13]
+            else:
+                ring_tag[slot] = cycle
+                ring_count[slot] = slots[position % body_len][14]
+    live.sort()
+    return live
+
+
+def _prove_repeat(before: tuple, after: tuple, windows: list) -> Optional[tuple]:
+    """``(shift, moving_ready, moving_read)`` when the loop state marked
+    ``after`` is the state marked ``before`` moved ``shift`` cycles later,
+    else None: the proof of :func:`vector_run`'s docstring, entry by entry.
+
+    ``windows`` holds ``(column, start_before, start_after, size)`` per
+    commit and issue window.  The moving lists name the registers whose
+    ready or last-read cycle moved by ``shift``; every other one held still
+    at or below ``before``'s dispatch cycle.
+    """
+    (_, _, _, _, _, disp_a, count_a, last_a, commits_a, resume_a, ring_a,
+     _, _, _, ready_a, read_a, halves_a) = before
+    (_, _, _, _, _, disp_b, count_b, last_b, commits_b, resume_b, ring_b,
+     _, _, _, ready_b, read_b, halves_b) = after
+    shift = disp_b - disp_a
+    if (
+        shift <= 0 or count_a != count_b or commits_a != commits_b or ring_a != ring_b
+        or last_a - disp_a != last_b - disp_b or halves_a != halves_b
+        or max(resume_a - disp_a, 0) != max(resume_b - disp_b, 0)
+    ):
+        return None
+    for column, start_a, start_b, size in windows:
+        if _relative(column, start_a, size, disp_a) != _relative(column, start_b, size, disp_b):
+            return None
+    moving = ([], [])
+    for regs, old, new in zip(moving, (ready_a, read_a), (ready_b, read_b)):
+        for reg, (cycle_a, cycle_b) in enumerate(zip(old, new)):
+            if cycle_b == cycle_a + shift:
+                regs.append(reg)
+            elif cycle_b != cycle_a or cycle_a > disp_a:
+                return None
+    return shift, moving[0], moving[1]
+
+
+def _template_accesses(slots: list, start: int, period: int, rob_entries: int,
+                       issue_col: list, complete_col: list, commit_col: list) -> list:
+    """The memory accesses of the template block (``period`` iterations from
+    op ``start`` of the fold window) in the order the per-op loop made them:
+    ``(column, iteration offset, is_write, cycle, ace, latency)``, a load at
+    its issue with its latency, a store at its commit with None."""
+    body_len = len(slots)
+    accesses = []
+    for offset in range(period):
+        for index, slot in enumerate(slots):
+            op = start + offset * body_len + index
+            if slot[9] is None:  # a load or prefetch: its fixed latency is None
+                issue = issue_col[rob_entries + op]
+                accesses.append((slot[10], offset, False, issue, slot[7], complete_col[op] - issue))
+            elif slot[11] is not None:
+                accesses.append((slot[11], offset, True, commit_col[rob_entries + op], slot[7], None))
+    return accesses
+
+
+def _skip_blocks(access, accesses: list, iteration: int, period: int, full_iters: int,
+                 shift: int, mispredict_col: list, branch_index: int, mispredicts: list,
+                 frontend_col: Optional[list], frontend: Optional[list]) -> tuple:
+    """Fast mode: each block of ``period`` iterations from ``iteration`` on
+    is the template block moved a further ``shift`` cycles, so only its
+    memory accesses are made, through ``access``, at their moved cycles.
+
+    A block runs only if it ends within ``full_iters`` and its slice of the
+    mispredict column (and of the front-end column, if any) equals the
+    template's, and it counts only if each load's latency equals the
+    template's.  Returns ``(blocks, cause, calls)``: the blocks completed,
+    the exit cause (``budget``, ``input_slice`` or ``load_latency``) and,
+    for ``load_latency``, the calls already made in the block it left, as
+    ``(parts, is_write, cycle, latency)``, the last with its true latency.
+    """
+    branches = len(mispredicts)
+    ops = len(frontend) if frontend is not None else 0
+    blocks = 0
+    front = 0
+    moved = shift
+    while iteration + period <= full_iters:
+        if mispredict_col[branch_index:branch_index + branches] != mispredicts or (
+            frontend is not None and frontend_col[front:front + ops] != frontend
+        ):
+            return blocks, "input_slice", None
+        for entry in accesses:
+            column, offset, is_write, cycle, ace, latency = entry
+            actual = access(column[iteration + offset], is_write, cycle + moved, ace)
+            if actual != latency and not is_write:
+                made = accesses[:next(n for n, e in enumerate(accesses) if e is entry) + 1]
+                calls = [(made_column[iteration + made_offset], made_write, made_cycle + moved,
+                          made_latency)
+                         for made_column, made_offset, made_write, made_cycle, _, made_latency
+                         in made]
+                calls[-1] = calls[-1][:3] + (actual,)
+                return blocks, "load_latency", calls
+        blocks += 1
+        iteration += period
+        branch_index += branches
+        front += ops
+        moved += shift
+    return blocks, "budget", None
+
+
+class _Replay:
+    """The hierarchy's ``access`` while the per-op loop re-runs a block fast
+    mode left part-way: the calls fast mode already made are answered from
+    their results, in order, and must come with the same parts, kind and
+    cycle; every later call goes to the hierarchy.  No access is made twice.
+    """
+
+    __slots__ = ("calls", "access")
+
+    def __init__(self, calls: list, access) -> None:
+        self.calls = calls[::-1]
+        self.access = access
+
+    def __call__(self, parts: tuple, is_write: bool, cycle: int, ace: bool):
+        if not self.calls:
+            return self.access(parts, is_write, cycle, ace)
+        expected = self.calls.pop()
+        if expected[:3] != (parts, is_write, cycle):
+            raise RuntimeError(
+                f"fast-forward replay diverged: expected {expected[:3]!r}, "
+                f"got {(parts, is_write, cycle)!r}"
+            )
+        return expected[3]
 
 
 def vector_run(core, program: "Program", max_instructions: int):
@@ -963,6 +1180,69 @@ def vector_run(core, program: "Program", max_instructions: int):
     when it holds ``iq_entries`` issues: dispatch is monotone, so an issue
     at or before one dispatch is at or before every later one.  The five
     issue rings are two: the cycle tag and one packed count per cycle.
+
+    Fast-forward.  A stressmark's timing repeats long before its memory
+    state does, so at a full-iteration boundary ``B`` the loop proves that
+    the state it carries forward is the state at the boundary ``A`` of
+    ``p <= REPEAT_PERIODS`` iterations earlier, moved ``D = disp_cycle(B) -
+    disp_cycle(A) > 0`` cycles later (:func:`_prove_repeat`).  The state,
+    entry by entry:
+
+    * moved by exactly ``D``: ``disp_cycle``; ``last_commit_cycle``; the
+      ROB, LQ, SQ and rename windows (the last ``rob_entries``,
+      ``lq_entries``, ``sq_entries`` and ``free_rename`` commits the
+      constraints read); the issue window (the last ``rob_entries`` issues);
+    * equal: ``disp_count``, ``commit_count``, ``ring_size`` and every
+      ``reg_halves`` entry;
+    * ``fetch_resume_cycle``: moved by ``D``, or at or below the boundary's
+      ``disp_cycle`` at both;
+    * each ``reg_ready`` and ``reg_last_read`` entry: moved by ``D``, or
+      equal and at or below ``A``'s ``disp_cycle``.
+
+    A cycle at or below the boundary's ``disp_cycle`` never binds again:
+    dispatch is monotone and the loop only tests ``> dispatch`` or takes
+    ``max(dispatch + 1, ...)``, so window entries there compare as equal.
+    Registers are stricter, because they also feed the register-file
+    account: a ready or last-read cycle that holds still must be at or
+    below ``A``'s dispatch cycle, so every later read (issued past it) wins
+    the last-read maximum and a lifetime that closes takes the same
+    difference in every block.  The IQ heap and the issue ring need no entry
+    of their own: an op older than the issue window issued before the op
+    ``rob_entries`` later dispatched, at or below the boundary, so the live
+    heap entries and ring cycles (those past ``disp_cycle``) are the issue
+    window's, and the window fixes them.  That is the whole state: every
+    other local is a position in a column, an input column or an
+    accounting sum.
+
+    Why a proved state is enough: each step of the loop adds constants to
+    cycles, takes maxima or compares cycles, so moving every live cycle by
+    ``D`` moves every output by ``D``, provided each block's inputs match
+    the template block ``(A, B]``'s — its slice of the mispredict column,
+    of the front-end column when there is one, and every load's latency.
+    From ``B`` on, each block of ``p`` iterations is then the template's
+    cycles plus ``k * D`` for its ``k``, and fast mode (:func:`_skip_blocks`)
+    only re-makes its memory accesses through ``VectorHierarchy.access``, in
+    body order, a load at its template issue and a store at its template
+    commit plus ``k * D``, checking each load's latency.  It appends nothing
+    to the cycle columns.  For ``K`` skipped blocks each per-slot sum grows
+    by ``K * T + p * D * K * (K + 1) / 2`` (``T`` the slot's sum over the
+    template), and the register-file account and the mispredict count by
+    ``K`` times the template's increment; all stay integers under the same
+    :data:`EXACT_HALVES` guard.
+
+    Fast mode ends at a block whose inputs differ or which does not fit the
+    budget; the loop then materializes the state at that block's start as
+    a fold would leave it (windows, heap and moving registers moved ``K *
+    D``; the ring's live cycles, taken from the issue window, cleared and
+    written again ``K * D`` later) and goes on op by op.  A load whose
+    latency differed mid-block sends that block back to the per-op loop
+    from its start, with the accesses already made answered from their
+    results by :class:`_Replay`, which raises if the loop asks for a
+    different one.  Detection is a signature per iteration (its cycles
+    relative to its first dispatch), looked up among the last
+    ``REPEAT_PERIODS``; only a match marks the state and tries a proof
+    against a mark ``p`` iterations back in the same fold window.
+
     Raises :class:`Unvectorizable` for programs the column lowering cannot
     express; :func:`run_many` then runs the interpreter.
     """
@@ -1016,13 +1296,15 @@ def vector_run(core, program: "Program", max_instructions: int):
     integers = [rob_bits, iq_bits, lqt_bits, lqd_bits, sqt_bits, sqd_bits, rf_bits, fu_bits,
                 sb_bits, sb_drain] + [info[14] for info in body_infos if info[7]]
     if not all(isinstance(value, int) for value in integers):
-        raise Unvectorizable("a bits-per-entry, FU latency or drain time is not an integer")
+        raise Unvectorizable(
+            "non_integer", "a bits-per-entry, FU latency or drain time is not an integer"
+        )
     if any(info[13] not in (0.5, 1.0) for info in body_infos):  # so data fractions are 0, .5, 1
-        raise Unvectorizable("an operand width fraction is not 0.5 or 1")
+        raise Unvectorizable("width_fraction", "an operand width fraction is not 0.5 or 1")
     ring_limits = (config.issue_width, config.memory_issue_width, config.int_multipliers,
                    config.int_alus)
     if not all(isinstance(limit, int) and 0 <= limit <= _RING_GUARD for limit in ring_limits):
-        raise Unvectorizable("an issue width does not fit the packed ring's fields")
+        raise Unvectorizable("ring_field", "an issue width does not fit the packed ring's fields")
     ring_fresh = sum(
         (_RING_GUARD - limit) << (field * _RING_FIELD) for field, limit in enumerate(ring_limits)
     )
@@ -1065,30 +1347,35 @@ def vector_run(core, program: "Program", max_instructions: int):
     for index, (_, is_memory, is_nop, is_lq, is_store, is_branch, is_mul, _, writes_reg,
                 dest, srcs, ace, _, width_frac, fixed_latency, pattern, *_) in enumerate(
                     body_infos):
-        shift = (1 if is_memory else 2 if is_mul else 3) * _RING_FIELD
+        field_shift = (1 if is_memory else 2 if is_mul else 3) * _RING_FIELD
         slots.append((
             is_nop, is_lq, is_store, is_branch, writes_reg, dest, srcs, ace,
             int(2 * width_frac) if ace else 0, fixed_latency, memory_cols[index],
             memory_cols[index] if is_store and pattern is not None else None,
-            _RING_GUARD | _RING_GUARD << shift, 1 | 1 << shift, ring_fresh + (1 | 1 << shift),
+            _RING_GUARD | _RING_GUARD << field_shift, 1 | 1 << field_shift,
+            ring_fresh + (1 | 1 << field_shift),
         ))
 
     dispatch_width = config.dispatch_width
     commit_width = config.commit_width
     rob_entries = config.rob_entries
     iq_entries = config.iq_entries
+    lq_entries = config.lq_entries
+    sq_entries = config.sq_entries
+    free_rename = config.free_rename_registers
     mispredict_penalty = config.branch_misprediction_penalty
 
-    # Cycle columns of the current fold window.  The commit columns start
-    # with one zero per ROB, LQ, SQ or free rename entry, so the entry that
-    # many back is always there (a zero never binds: dispatch >= 1).
+    # Cycle columns of the current fold window.  The issue and commit
+    # columns start with one zero per ROB entry, the LQ, SQ and rename
+    # columns with one per entry, so the window that many back is always
+    # there (a zero never binds: dispatch >= 1).
     dispatch_col = []
-    issue_col = []
+    issue_col = [0] * rob_entries
     complete_col = []
     commit_col = [0] * rob_entries
-    lq_commit_col = [0] * config.lq_entries
-    sq_commit_col = [0] * config.sq_entries
-    write_commit_col = [0] * config.free_rename_registers
+    lq_commit_col = [0] * lq_entries
+    sq_commit_col = [0] * sq_entries
+    write_commit_col = [0] * free_rename
     dispatch_sums = [0] * body_len
     issue_sums = [0] * body_len
     complete_sums = [0] * body_len
@@ -1122,138 +1409,250 @@ def vector_run(core, program: "Program", max_instructions: int):
     disp_count = 0
     commit_count = 0
 
+    # Fast-forward: the signatures of the last full iterations, newest
+    # first; the state marked at each candidate boundary of this fold
+    # window, by iteration; the replay of a block fast mode left part-way.
+    recent = []
+    marks = {}
+    replay = None
+    replay_end = 0
+    fast_forwarded = 0
+    exits = {}
+
     # Full iterations run the whole body; a budget ending mid-iteration adds
-    # one last iteration of ``tail_ops`` ops.  The columns fold after each
-    # window of iterations.
+    # one last iteration of ``tail_ops`` ops.  The columns fold at the first
+    # iteration boundary past ``FOLD_OPS`` ops, and before fast mode.
     iterations = full_iters + (1 if tail_ops else 0)
-    window = -(-FOLD_OPS // body_len)
-    for window_start in range(0, iterations, window):
-        for iteration in range(window_start, min(window_start + window, iterations)):
-            for (is_nop, is_lq, is_store, is_branch, writes_reg, dest, srcs, ace,
-                 dest_halves, fixed_latency, column, store_col, full, inc,
-                 fresh) in (slots if iteration < full_iters else slots[:tail_ops]):
-                dispatch = disp_cycle
-                if fetch_resume_cycle > dispatch:
-                    dispatch = fetch_resume_cycle
-                if has_frontend:
-                    dispatch += frontend_col[op_index]
-                if commit_col[op_index] > dispatch:
-                    dispatch = commit_col[op_index]
-                if is_lq:
-                    if lq_commit_col[lq_count] > dispatch:
-                        dispatch = lq_commit_col[lq_count]
-                elif is_store:
-                    if sq_commit_col[sq_count] > dispatch:
-                        dispatch = sq_commit_col[sq_count]
-                if writes_reg and write_commit_col[write_count] > dispatch:
-                    dispatch = write_commit_col[write_count]
-                if not is_nop and iq_len >= iq_entries:
-                    while iq_len and iq_heap[0] <= dispatch:
-                        heappop(iq_heap)
-                        iq_len -= 1
-                    if iq_len >= iq_entries:
-                        dispatch = iq_heap[0]
-                if dispatch == disp_cycle:
-                    if disp_count >= dispatch_width:
-                        dispatch += 1
-                        disp_cycle = dispatch
-                        disp_count = 1
-                    else:
-                        disp_count += 1
-                else:
+    iteration = 0
+    while iteration < iterations:
+        for (is_nop, is_lq, is_store, is_branch, writes_reg, dest, srcs, ace,
+             dest_halves, fixed_latency, column, store_col, full, inc,
+             fresh) in (slots if iteration < full_iters else slots[:tail_ops]):
+            dispatch = disp_cycle
+            if fetch_resume_cycle > dispatch:
+                dispatch = fetch_resume_cycle
+            if has_frontend:
+                dispatch += frontend_col[op_index]
+            if commit_col[op_index] > dispatch:
+                dispatch = commit_col[op_index]
+            if is_lq:
+                if lq_commit_col[lq_count] > dispatch:
+                    dispatch = lq_commit_col[lq_count]
+            elif is_store:
+                if sq_commit_col[sq_count] > dispatch:
+                    dispatch = sq_commit_col[sq_count]
+            if writes_reg and write_commit_col[write_count] > dispatch:
+                dispatch = write_commit_col[write_count]
+            if not is_nop and iq_len >= iq_entries:
+                while iq_len and iq_heap[0] <= dispatch:
+                    heappop(iq_heap)
+                    iq_len -= 1
+                if iq_len >= iq_entries:
+                    dispatch = iq_heap[0]
+            if dispatch == disp_cycle:
+                if disp_count >= dispatch_width:
+                    dispatch += 1
                     disp_cycle = dispatch
                     disp_count = 1
-                if is_nop:
-                    issue = complete = dispatch
                 else:
-                    issue = dispatch + 1
-                    for src in srcs:
-                        ready = reg_ready[src]
-                        if ready > issue:
-                            issue = ready
+                    disp_count += 1
+            else:
+                disp_cycle = dispatch
+                disp_count = 1
+            if is_nop:
+                issue = complete = dispatch
+            else:
+                issue = dispatch + 1
+                for src in srcs:
+                    ready = reg_ready[src]
+                    if ready > issue:
+                        issue = ready
+                slot = issue & ring_mask
+                while ring_tag[slot] == issue and ring_count[slot] & full:
+                    issue += 1
                     slot = issue & ring_mask
-                    while ring_tag[slot] == issue and ring_count[slot] & full:
-                        issue += 1
-                        slot = issue & ring_mask
-                    if issue - dispatch >= ring_size:
-                        ring_size, ring_mask, ring_tag, ring_count = OutOfOrderCore._grow_rings(
-                            issue - dispatch, dispatch, ring_size, ring_tag, ring_count
-                        )
-                        slot = issue & ring_mask
-                    if ring_tag[slot] == issue:
-                        ring_count[slot] += inc
-                    else:
-                        ring_tag[slot] = issue
-                        ring_count[slot] = fresh
-                    if fixed_latency is None:
-                        complete = issue + hierarchy_access(column[iteration], False, issue, ace)
-                    else:
-                        complete = issue + fixed_latency
-                commit = complete + 1
-                if commit > last_commit_cycle:
-                    commit_count = 1
-                elif commit_count >= commit_width:
-                    commit = last_commit_cycle + 1
-                    commit_count = 1
+                if issue - dispatch >= ring_size:
+                    ring_size, ring_mask, ring_tag, ring_count = OutOfOrderCore._grow_rings(
+                        issue - dispatch, dispatch, ring_size, ring_tag, ring_count
+                    )
+                    slot = issue & ring_mask
+                if ring_tag[slot] == issue:
+                    ring_count[slot] += inc
                 else:
-                    commit = last_commit_cycle
-                    commit_count += 1
-                last_commit_cycle = commit
-                if store_col is not None:
-                    hierarchy_access(store_col[iteration], True, commit, ace)
-                if is_branch:
-                    if mispredict_col[branch_index]:
-                        branch_mispredictions += 1
-                        resume = complete + mispredict_penalty
-                        if resume > fetch_resume_cycle:
-                            fetch_resume_cycle = resume
-                    branch_index += 1
-                dispatch_col.append(dispatch)
-                issue_col.append(issue)
-                complete_col.append(complete)
-                commit_col.append(commit)
-                op_index += 1
-                if is_lq:
-                    lq_commit_col.append(commit)
-                    lq_count += 1
-                elif is_store:
-                    sq_commit_col.append(commit)
-                    sq_count += 1
-                if not is_nop:
-                    heappush(iq_heap, issue)
-                    iq_len += 1
-                if ace:
-                    for src in srcs:
-                        if issue > reg_last_read[src]:
-                            reg_last_read[src] = issue
-                if writes_reg:
-                    write_commit_col.append(commit)
-                    write_count += 1
-                    if reg_halves[dest]:
-                        lifetime = reg_last_read[dest] - reg_ready[dest]
-                        if lifetime > 0:
-                            rf_occ += lifetime
-                            rf_halves += lifetime * reg_halves[dest]
-                    reg_halves[dest] = dest_halves
-                    reg_last_read[dest] = -1
-                    reg_ready[dest] = complete
+                    ring_tag[slot] = issue
+                    ring_count[slot] = fresh
+                if fixed_latency is None:
+                    complete = issue + hierarchy_access(column[iteration], False, issue, ace)
+                else:
+                    complete = issue + fixed_latency
+            commit = complete + 1
+            if commit > last_commit_cycle:
+                commit_count = 1
+            elif commit_count >= commit_width:
+                commit = last_commit_cycle + 1
+                commit_count = 1
+            else:
+                commit = last_commit_cycle
+                commit_count += 1
+            last_commit_cycle = commit
+            if store_col is not None:
+                hierarchy_access(store_col[iteration], True, commit, ace)
+            if is_branch:
+                if mispredict_col[branch_index]:
+                    branch_mispredictions += 1
+                    resume = complete + mispredict_penalty
+                    if resume > fetch_resume_cycle:
+                        fetch_resume_cycle = resume
+                branch_index += 1
+            dispatch_col.append(dispatch)
+            issue_col.append(issue)
+            complete_col.append(complete)
+            commit_col.append(commit)
+            op_index += 1
+            if is_lq:
+                lq_commit_col.append(commit)
+                lq_count += 1
+            elif is_store:
+                sq_commit_col.append(commit)
+                sq_count += 1
+            if not is_nop:
+                heappush(iq_heap, issue)
+                iq_len += 1
+            if ace:
+                for src in srcs:
+                    if issue > reg_last_read[src]:
+                        reg_last_read[src] = issue
+            if writes_reg:
+                write_commit_col.append(commit)
+                write_count += 1
+                if reg_halves[dest]:
+                    lifetime = reg_last_read[dest] - reg_ready[dest]
+                    if lifetime > 0:
+                        rf_occ += lifetime
+                        rf_halves += lifetime * reg_halves[dest]
+                reg_halves[dest] = dest_halves
+                reg_last_read[dest] = -1
+                reg_ready[dest] = complete
+        iteration += 1
 
-        # Fold the window into per-slot sums, keeping the last ROB / LQ / SQ
-        # / rename entries the constraints read.
-        _add_slot_sums(dispatch_sums, dispatch_col, 0)
-        _add_slot_sums(issue_sums, issue_col, 0)
-        _add_slot_sums(complete_sums, complete_col, 0)
-        _add_slot_sums(commit_sums, commit_col, rob_entries)
-        dispatch_col.clear()
-        issue_col.clear()
-        complete_col.clear()
-        del commit_col[:op_index]
-        if has_frontend:
-            del frontend_col[:op_index]
-        del lq_commit_col[:lq_count]
-        del sq_commit_col[:sq_count]
-        del write_commit_col[:write_count]
-        op_index = lq_count = sq_count = write_count = 0
+        if replay is not None:
+            if not replay.calls:
+                hierarchy_access = hierarchy.access
+                replay = None
+            elif iteration >= replay_end:
+                raise RuntimeError("a replayed block left recorded accesses unmade")
+
+        # Candidate test: this iteration's cycles relative to its first
+        # dispatch equal one of the last REPEAT_PERIODS iterations'.  Only
+        # then is the state marked, and a mark ``period`` iterations back
+        # (in this fold window, with a whole block left) tried as a proof.
+        mark = proof = None
+        if iteration < full_iters:
+            first = dispatch_col[op_index - body_len]
+            signature = (disp_cycle - first, last_commit_cycle - first,
+                         sum(commit_col[rob_entries + op_index - body_len:]) - body_len * first)
+            if signature in recent:
+                mark = (op_index, lq_count, sq_count, write_count, branch_index, disp_cycle,
+                        disp_count, last_commit_cycle, commit_count, fetch_resume_cycle,
+                        ring_size, rf_occ, rf_halves, branch_mispredictions,
+                        reg_ready[:], reg_last_read[:], reg_halves[:])
+                for period, earlier in enumerate(recent, 1):
+                    before = marks.get(iteration - period)
+                    if earlier == signature and before is not None and (
+                            iteration + period <= full_iters):
+                        proof = _prove_repeat(before, mark, [
+                            (commit_col, before[0], op_index, rob_entries),
+                            (issue_col, before[0], op_index, rob_entries),
+                            (lq_commit_col, before[1], lq_count, lq_entries),
+                            (sq_commit_col, before[2], sq_count, sq_entries),
+                            (write_commit_col, before[3], write_count, free_rename),
+                        ])
+                        if proof is not None:
+                            break
+            recent.insert(0, signature)
+            del recent[REPEAT_PERIODS:]
+            marks.pop(iteration - REPEAT_PERIODS, None)
+
+        if proof is not None:
+            # The template block (A, B] is still in the columns: its per-slot
+            # sums, memory accesses, input slices and accounting increments.
+            shift, moving_ready, moving_read = proof
+            start = before[0]
+            templates = (
+                _block_sums(dispatch_col, start, op_index, body_len),
+                _block_sums(issue_col, rob_entries + start, rob_entries + op_index, body_len),
+                _block_sums(complete_col, start, op_index, body_len),
+                _block_sums(commit_col, rob_entries + start, rob_entries + op_index, body_len),
+            )
+            accesses = _template_accesses(
+                slots, start, period, rob_entries, issue_col, complete_col, commit_col
+            )
+            template_mispredicts = mispredict_col[before[4]:branch_index]
+            template_frontend = frontend_col[start:op_index] if has_frontend else None
+            increments = (rf_occ - before[11], rf_halves - before[12],
+                          branch_mispredictions - before[13])
+
+        if proof is not None or op_index >= FOLD_OPS or iteration == iterations:
+            # Fold the window into per-slot sums, keeping the last ROB / LQ /
+            # SQ / rename commits and ROB issues the constraints read.
+            _add_slot_sums(dispatch_sums, dispatch_col, 0)
+            _add_slot_sums(issue_sums, issue_col, rob_entries)
+            _add_slot_sums(complete_sums, complete_col, 0)
+            _add_slot_sums(commit_sums, commit_col, rob_entries)
+            dispatch_col.clear()
+            complete_col.clear()
+            del issue_col[:op_index]
+            del commit_col[:op_index]
+            if has_frontend:
+                del frontend_col[:op_index]
+            del lq_commit_col[:lq_count]
+            del sq_commit_col[:sq_count]
+            del write_commit_col[:write_count]
+            op_index = lq_count = sq_count = write_count = 0
+            marks.clear()
+
+        if proof is not None:
+            blocks, cause, calls = _skip_blocks(
+                hierarchy.access, accesses, iteration, period, full_iters, shift,
+                mispredict_col, branch_index, template_mispredicts,
+                frontend_col, template_frontend,
+            )
+            exits[cause] = exits.get(cause, 0) + 1
+            if blocks:
+                # Materialize the state at the first block not skipped.
+                fast_forwarded += blocks * period
+                iteration += blocks * period
+                branch_index += blocks * len(template_mispredicts)
+                if has_frontend:
+                    del frontend_col[:blocks * len(template_frontend)]
+                rise = period * shift * blocks * (blocks + 1) // 2
+                for slot_sums, template in zip(
+                        (dispatch_sums, issue_sums, complete_sums, commit_sums), templates):
+                    for index in range(body_len):
+                        slot_sums[index] += blocks * template[index] + rise
+                rf_occ += blocks * increments[0]
+                rf_halves += blocks * increments[1]
+                branch_mispredictions += blocks * increments[2]
+                moved = blocks * shift
+                iq_heap = _move_issues(issue_col, disp_cycle, moved, ring_tag, ring_count,
+                                       ring_mask, slots)
+                iq_len = len(iq_heap)
+                for window in (issue_col, commit_col, lq_commit_col, sq_commit_col,
+                               write_commit_col):
+                    _move(window, moved)
+                for reg in moving_ready:
+                    reg_ready[reg] += moved
+                for reg in moving_read:
+                    reg_last_read[reg] += moved
+                if fetch_resume_cycle > disp_cycle:
+                    fetch_resume_cycle += moved
+                last_commit_cycle += moved
+                disp_cycle += moved
+            if calls is not None:
+                replay = hierarchy_access = _Replay(calls, hierarchy.access)
+                replay_end = iteration + period
+        elif mark is not None:  # positions as any fold at this boundary left them
+            marks[iteration] = (op_index, lq_count, sq_count, write_count) + mark[4:]
 
     # Open register lifetimes.
     for reg in range(num_regs):
@@ -1310,7 +1709,9 @@ def vector_run(core, program: "Program", max_instructions: int):
     if track_sb:
         totals.append((StructureName.SB, sb_drain * stores, sb_drain * sb_bits * sb_ace))
     if max(max(2 * occupancy, halves) for _, occupancy, halves in totals) >= EXACT_HALVES:
-        raise Unvectorizable("an accounting total is past the exact float range")
+        raise Unvectorizable(
+            "past_exact_range", "an accounting total is past the exact float range"
+        )
     for name, occupancy, halves in totals:
         ledger.credit(name, float(occupancy), halves / 2)
 
@@ -1334,6 +1735,11 @@ def vector_run(core, program: "Program", max_instructions: int):
         hierarchy.dtlb_misses / hierarchy.dtlb_accesses if hierarchy.dtlb_accesses else 0.0
     )
 
+    STATS.iterations += iterations
+    STATS.iterations_fast_forwarded += fast_forwarded
+    for cause, count in exits.items():
+        STATS.fast_forward_exits[cause] = STATS.fast_forward_exits.get(cause, 0) + count
+
     return SimulationResult(
         program_name=program.name,
         config=config,
@@ -1347,23 +1753,25 @@ def run_many(core, programs, max_instructions: int = 50_000):
     """Evaluate ``programs`` through the vector plane, aligned with the input.
 
     Programs the lowering cannot express run the interpreted reference
-    instead, counted in ``STATS.fallbacks``; empty bodies run it inline
-    without counting.
+    instead, counted in ``STATS.fallbacks`` and per reason code in
+    ``STATS.fallback_reasons``; empty bodies run it inline without counting.
     """
     results = []
     for program in programs:
         if not program.body:
             results.append(core.run_interpreted(program, max_instructions, True))
             continue
-        if supports_vector(program):
+        reason = _unsupported(program)
+        if reason is None:
             try:
                 result = vector_run(core, program, max_instructions)
-            except Unvectorizable:
-                pass
+            except Unvectorizable as refused:
+                reason = refused.reason
             else:
                 STATS.vector_runs += 1
                 results.append(result)
                 continue
         STATS.fallbacks += 1
+        STATS.fallback_reasons[reason] = STATS.fallback_reasons.get(reason, 0) + 1
         results.append(core.run_interpreted(program, max_instructions, True))
     return results

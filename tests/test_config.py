@@ -103,6 +103,14 @@ class TestDeriveAndValidation:
         with pytest.raises(ValueError):
             MachineConfig(rename_registers=16)
 
+    def test_no_free_rename_register_rejected(self):
+        """As many rename as architected registers leaves none free for an
+        in-flight result; both simulator planes would index an empty rename
+        window on the first register write."""
+        with pytest.raises(ValueError, match="leave 0 free"):
+            baseline_config().derive(rename_registers=32)
+        assert baseline_config().derive(rename_registers=33).free_rename_registers == 1
+
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):
             MachineConfig(issue_width=0)

@@ -17,7 +17,13 @@ the interpreter's warmed object hierarchy set by set
 (``TestVectorWarmState``).  The accounting cases pinch the column fold,
 shrink one queue at a time, force the issue rings to grow and use odd field
 widths, so a half bit-cycle slip shows; ``TestOracleProperties`` checks two
-ACE-analysis properties on both planes.
+ACE-analysis properties on both planes.  ``TestFastForward`` runs the
+vector loop's fast mode on all four configurations — budgets ending on and
+inside blocks, a load latency changing mid-block, the program's last
+iteration, sparse front-end stalls, folds around fast mode, each queue
+constraint binding, ring growth, periods of two iterations or more — and
+asserts each case skipped iterations and matched the interpreter; one case
+checks that a timing repeat the state does not share is refused.
 """
 
 from __future__ import annotations
@@ -466,6 +472,7 @@ class TestVectorKernelDifferential:
             config, [program], budget, f"vector-fallback-{reason}", expect_vectorized=0
         )
         assert kernel_vector.STATS.fallbacks == 1
+        assert kernel_vector.STATS.fallback_reasons == {reason: 1}
         if reason == "past_exact_range":
             core = OutOfOrderCore(config, seed=3)
             with pytest.raises(kernel_vector.Unvectorizable, match="exact float range"):
@@ -621,6 +628,285 @@ class TestVectorKernelDifferential:
                 results[index],
                 f"vector-backend[{index}]",
             )
+
+
+def _looped(name: str, body: list, iterations: int = 4_000, metadata=None) -> Program:
+    """``body`` closed by an always-taken loop branch, warmed like a stressmark."""
+    body = body + [make_branch(srcs=[body[-1].dest], taken_probability=1.0)]
+    return Program(
+        name=name, body=body, iterations=iterations,
+        branch_behaviors={len(body) - 1: BranchBehavior.LOOP_CLOSING},
+        warmup_regions=[WarmupRegion(base=1 << 20, size_bytes=1 << 15, dirty=True)],
+        metadata=metadata or {},
+    )
+
+
+def repeating_program(name: str, extra_alus: int = 0, iterations: int = 4_000,
+                      metadata=None, independent_pairs: int = 0) -> Program:
+    """A stressmark-shaped loop whose timing repeats within a few iterations:
+    a pointer chase over its warmed 32 KB (a DL1 hit every time), and a
+    line-cover store that walks 1 MB past it, so the store misses (its
+    latency is never observed) and the miss rates read every access made.
+    ``extra_alus`` lengthens the body, which changes the period;
+    ``independent_pairs`` adds loads and stores that wait for nothing, so
+    several are in flight at once."""
+    chase = PointerChasePattern(base=1 << 20, stride=64, region=1 << 15)
+    cover = LineCoverPattern(base=1 << 20, line_bytes=64, region=1 << 20, slot=0, slots=1)
+    body = [make_load(1, chase, srcs=[2]), make_alu(2, [1]), make_store(cover, srcs=[2])]
+    for pair in range(independent_pairs):
+        page = StridedPattern(base=(1 << 20) + 4096 * (pair + 1), stride=8, region=4096)
+        body += [make_load(12 + pair, page, srcs=[]), make_store(page, srcs=[12 + pair])]
+    body += [make_mul(3, [2]), make_alu(4, [3, 1])]
+    body += [make_alu(5 + index, [4]) for index in range(extra_alus)]
+    return _looped(name, body, iterations, metadata)
+
+
+def leaving_program(name: str) -> Program:
+    """The chase plus a strided load that leaves the warmed region after 512
+    iterations: its latency changes at the second access of a block."""
+    chase = PointerChasePattern(base=1 << 20, stride=64, region=1 << 15)
+    strided = StridedPattern(base=1 << 20, stride=64, region=1 << 22)
+    body = [make_load(1, chase, srcs=[2]), make_alu(2, [1]), make_load(3, strided, srcs=[2]),
+            make_alu(4, [3])]
+    return _looped(name, body)
+
+
+def cold_chain_program(name: str) -> Program:
+    """A 500-cycle op per iteration beside short independent chains: each
+    iteration's cycles relative to its first dispatch repeat from the
+    second, while the ROB is still filling behind the long op."""
+    body = [replace(make_alu(1, []), latency_override=500)] + [
+        make_alu(2 + index, [2 + index]) for index in range(4)
+    ]
+    return _looped(name, body)
+
+
+class TestFastForward:
+    """Fast mode against the interpreter: every case runs on all four
+    configurations, asserts that iterations were fast-forwarded and that the
+    result equals the interpreter's.  A spy on ``_skip_blocks`` records each
+    fast-mode episode as ``(first iteration, period, shift, blocks, cause,
+    calls made)``."""
+
+    @pytest.fixture
+    def episodes(self, monkeypatch):
+        recorded = []
+        skip_blocks = kernel_vector._skip_blocks
+
+        def recording(access, accesses, iteration, period, full_iters, shift, *inputs):
+            blocks, cause, calls = skip_blocks(
+                access, accesses, iteration, period, full_iters, shift, *inputs
+            )
+            recorded.append((iteration, period, shift, blocks, cause,
+                             None if calls is None else len(calls)))
+            return blocks, cause, calls
+
+        monkeypatch.setattr(kernel_vector, "_skip_blocks", recording)
+        return recorded
+
+    @staticmethod
+    def _run(config, program, budget, label):
+        reference, candidate = run_both(config, program, budget)
+        assert_identical(reference, candidate, label)
+        assert kernel_vector.STATS.iterations_fast_forwarded > 0, f"{label}: nothing skipped"
+        return candidate
+
+    @pytest.mark.parametrize("config_factory", CONFIG_FACTORIES)
+    def test_budget_ends_on_and_inside_blocks(self, config_factory, episodes):
+        """Budgets ending on a block boundary, mid-block and mid-iteration,
+        with a period of two iterations or more on every config."""
+        config = config_factory()
+        periods = set()
+        for extra in (1, 2, 3):
+            program = repeating_program(f"ff-ends-{extra}", extra_alus=extra)
+            body_len = len(program.body)
+            episodes.clear()
+            self._run(config, program, 12_000, f"ff-ends-{extra}/{config.name}")
+            (first, period, *_), *_ = episodes
+            periods.add(period)
+            iterations = first + 20 * period
+            budgets = {"block_boundary": iterations * body_len,
+                       "mid_block": (iterations + 1) * body_len,
+                       "mid_iteration": iterations * body_len + 3}
+            for where, budget in budgets.items():
+                episodes.clear()
+                self._run(config, program, budget, f"ff-{where}-{extra}/{config.name}")
+                assert [episode[4] for episode in episodes] == ["budget"]
+                assert episodes[0][:2] == (first, period)
+        assert max(periods) >= 2, periods
+
+    @pytest.mark.parametrize("config_factory", CONFIG_FACTORIES)
+    def test_load_latency_changes_mid_block(self, config_factory, episodes):
+        """A strided load leaving its warmed region ends fast mode at the
+        second access of a block; the block re-runs op by op with the
+        accesses already made answered from their results."""
+        config = config_factory()
+        self._run(config, leaving_program("ff-leaving"), 12_000, f"ff-leaving/{config.name}")
+        left = [episode for episode in episodes if episode[4] == "load_latency"]
+        assert left and all(calls >= 2 for *_, calls in left), episodes
+        assert kernel_vector.STATS.fast_forward_exits["load_latency"] == len(left)
+
+    @pytest.mark.parametrize("config_factory", CONFIG_FACTORIES)
+    def test_run_reaches_the_programs_end(self, config_factory, episodes):
+        """The last iteration's closing branch falls through and mispredicts:
+        its block's mispredict slice differs, and the loop finishes op by op."""
+        config = config_factory()
+        program = repeating_program("ff-end", iterations=300)
+        candidate = self._run(config, program, 300 * len(program.body) + 50,
+                              f"ff-end/{config.name}")
+        assert candidate.stats.committed_instructions == 300 * len(program.body)
+        assert episodes[-1][4] == "input_slice", episodes
+
+    @pytest.mark.parametrize("config_factory", CONFIG_FACTORIES)
+    def test_sparse_frontend_column(self, config_factory, episodes):
+        """Rare front-end stalls end fast mode at each stall's block; the
+        loop proves the repeat again after it."""
+        config = config_factory()
+        program = repeating_program(
+            "ff-frontend", metadata={"frontend_miss_rate": 0.003, "frontend_miss_penalty": 9}
+        )
+        self._run(config, program, 12_000, f"ff-frontend/{config.name}")
+        causes = [episode[4] for episode in episodes]
+        assert causes.count("input_slice") > 5 and causes[-1] == "budget", causes
+
+    @pytest.mark.parametrize("fold_ops", [1, 30, 400])
+    @pytest.mark.parametrize("config_factory", CONFIG_FACTORIES)
+    def test_folds_around_fast_mode(self, config_factory, fold_ops, episodes, monkeypatch):
+        """Folds before, between and after fast-mode episodes: a proof needs
+        its earlier mark in the same fold window, and a fold keeps the
+        windows it reads."""
+        events = []
+        add_slot_sums = kernel_vector._add_slot_sums
+
+        def counting(slot_sums, column, start):
+            events.append(len(episodes))
+            add_slot_sums(slot_sums, column, start)
+
+        monkeypatch.setattr(kernel_vector, "FOLD_OPS", fold_ops)
+        monkeypatch.setattr(kernel_vector, "_add_slot_sums", counting)
+        config = config_factory()
+        for program in (leaving_program("ff-fold-leaving"),
+                        repeating_program("ff-fold-frontend", metadata={
+                            "frontend_miss_rate": 0.003, "frontend_miss_penalty": 9})):
+            events.clear()
+            episodes.clear()
+            self._run(config, program, 12_003, f"ff-fold-{fold_ops}-{program.name}/{config.name}")
+            folded_at = set(events)  # episodes that had begun at each fold
+            assert 0 in folded_at and len(episodes) in folded_at, (folded_at, episodes)
+            if fold_ops < 100 and program.metadata:
+                assert len(folded_at) > 2, (folded_at, episodes)
+
+    @pytest.mark.parametrize("constraint", ["rob", "lq", "sq", "rename", "iq"])
+    @pytest.mark.parametrize("config_factory", CONFIG_FACTORIES)
+    def test_each_constraint_binds(self, config_factory, constraint, episodes):
+        """One queue shrunk so its constraint holds dispatch back, with a
+        mid-iteration budget so the moved windows, heap and ring are read
+        after fast mode."""
+        base = config_factory()
+        shrunk = {
+            "rob": {"rob_entries": 3},
+            "lq": {"lq_entries": 1},
+            "sq": {"sq_entries": 1},
+            "rename": {"rename_registers": base.architected_registers + 1},
+            "iq": {"iq_entries": 1},
+        }[constraint]
+        config = base.derive(name=f"{base.name}-tiny-{constraint}", **shrunk)
+        program = repeating_program(f"ff-tiny-{constraint}", extra_alus=2, independent_pairs=2)
+        budget = 1_200 * len(program.body) + 5
+        tight = self._run(config, program, budget, f"ff-tiny-{constraint}/{config.name}")
+        roomy = OutOfOrderCore(base, seed=3).run_interpreted(program, budget)
+        assert tight.stats.total_cycles > roomy.stats.total_cycles, "the constraint never bound"
+
+    @pytest.mark.parametrize("config_factory", CONFIG_FACTORIES)
+    def test_ring_growth_before_the_template(self, config_factory, monkeypatch):
+        """An op waiting 150,000 cycles for its producer grows the issue
+        ring in the first iteration; the repeat is proved on the grown ring."""
+        grown = []
+        grow_rings = OutOfOrderCore._grow_rings
+
+        def counting(span, frontier, ring_size, ring_tag, *columns):
+            grown.append(ring_size)
+            return grow_rings(span, frontier, ring_size, ring_tag, *columns)
+
+        monkeypatch.setattr(OutOfOrderCore, "_grow_rings", staticmethod(counting))
+        body = [replace(make_alu(1, []), latency_override=150_000), make_alu(2, [1])] + [
+            make_alu(3 + index, [3 + index]) for index in range(6)
+        ]
+        config = config_factory()
+        self._run(config, _looped("ff-grow", body), 3_000, f"ff-grow/{config.name}")
+        assert grown, "the issue ring never grew"
+
+    @pytest.mark.parametrize("config_factory", CONFIG_FACTORIES)
+    def test_timing_repeats_before_the_state_does(self, config_factory, monkeypatch):
+        """While the ROB fills behind a 500-cycle op, each iteration's cycles
+        relative to its first dispatch repeat, but the windows do not: the
+        candidate test fires and the proof refuses it."""
+        proofs = []
+        prove_repeat = kernel_vector._prove_repeat
+
+        def recording(before, after, windows):
+            proof = prove_repeat(before, after, windows)
+            proofs.append(proof is not None)
+            return proof
+
+        monkeypatch.setattr(kernel_vector, "_prove_repeat", recording)
+        config = config_factory()
+        reference, candidate = run_both(config, cold_chain_program("ff-cold"), 12_000)
+        assert_identical(reference, candidate, f"ff-cold/{config.name}")
+        assert proofs and not proofs[0], proofs
+
+    def test_proof_entry_by_entry(self):
+        """``_prove_repeat`` on hand-made marks: window cycles at or below
+        the dispatch cycle compare as equal; a register cycle must move by
+        the shift or hold still at or below the earlier dispatch cycle; a
+        live window cycle, the fetch resume cycle or the ring size that
+        differs (a ring grown inside the template block) refuses."""
+        def mark(disp, ready, read, resume=0, ring=1024):
+            #     op, lq, sq, write, branch, disp, count, last commit, commits,
+            return (0, 0, 0, 0, 0, disp, 2, disp + 9, 1,
+                    # resume, ring, rf occ, rf halves, mispredicts, registers
+                    resume, ring, 0, 0, 0, ready, read, [2, 2, 0])
+
+        column = [0, 5, 103, 0, 15, 113]  # two windows of three: live 103 and 113
+        windows = [(column, 0, 3, 3)]
+        before = mark(100, [0, 104, 7], [-1, 101, 3])
+        assert kernel_vector._prove_repeat(before, mark(110, [0, 114, 7], [-1, 111, 3]),
+                                           windows) == (10, [1], [1])
+        for ready, read in (([0, 114, 101], [-1, 111, 3]),   # a ready cycle held above disp
+                            ([0, 114, 7], [-1, 111, 102]),   # a last read that jumped
+                            ([0, 115, 7], [-1, 111, 3])):    # moved by another shift
+            assert kernel_vector._prove_repeat(before, mark(110, ready, read), windows) is None
+        held = mark(100, [0, 104, 101], [-1, 101, 3])  # still at 101, above disp 100
+        assert kernel_vector._prove_repeat(held, mark(110, [0, 114, 101], [-1, 111, 3]),
+                                           windows) is None
+        assert kernel_vector._prove_repeat(before, mark(110, [0, 114, 7], [-1, 111, 3]),
+                                           [([0, 5, 103, 0, 15, 114], 0, 3, 3)]) is None
+        assert kernel_vector._prove_repeat(before, mark(110, [0, 114, 7], [-1, 111, 3], 112),
+                                           windows) is None
+        grown = mark(110, [0, 114, 7], [-1, 111, 3], ring=2048)  # the ring grew in the block
+        assert kernel_vector._prove_repeat(before, grown, windows) is None
+
+    def test_counters(self, episodes):
+        """``iterations`` counts every iteration of a vector run, a partial
+        one included; ``iterations_fast_forwarded`` the skipped ones; and
+        ``fast_forward_exits`` one exit per episode, by cause."""
+        config = baseline_config()
+        program = repeating_program("ff-count")
+        body_len = len(program.body)
+        kernel_vector.STATS.reset()
+        core = OutOfOrderCore(config, seed=3)
+        kernel_vector.run_many(core, [program, leaving_program("ff-count-leaving")], 6_001)
+        stats = kernel_vector.STATS
+        assert stats.iterations == (6_001 // body_len + 1) + (6_001 // 5 + 1)
+        assert stats.iterations_fast_forwarded == sum(
+            period * blocks for _, period, _, blocks, _, _ in episodes
+        ) > 0
+        causes = [episode[4] for episode in episodes]
+        assert stats.fast_forward_exits == {cause: causes.count(cause) for cause in set(causes)}
+        assert set(stats.fast_forward_exits) == {"budget", "load_latency"}
+        stats.reset()
+        assert (stats.iterations, stats.iterations_fast_forwarded, stats.fast_forward_exits,
+                stats.fallback_reasons) == (0, 0, {}, {})
 
 
 class TestOracleProperties:
