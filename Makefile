@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test benchmarks bench bench-smoke specs-smoke store-smoke avf-smoke avf-golden kernel-smoke batch-smoke chaos-smoke serve-smoke serve-chaos-smoke claims-default
+.PHONY: test benchmarks bench bench-smoke specs-smoke store-smoke avf-smoke avf-golden kernel-smoke batch-smoke chaos-smoke serve-smoke serve-chaos-smoke claims-default ab-vector
 
 test:
 	$(PYTHON) -m pytest tests -q
@@ -86,3 +86,15 @@ serve-smoke:
 # "Failure semantics").
 serve-chaos-smoke:
 	REPRO_SERVE_CHAOS_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_serve_chaos_smoke.py -m serve_chaos_smoke -q
+
+# Same-process A/B of the vector loop against `kernel_vector.py` at git ref
+# REF (default HEAD), under perfbench's child environment: per group, both
+# sides' times, pairs won, mismatches (exit 1 on any), the fast-forwarded
+# share and each side's collector passes (see tools/ab_vector.py; AB_ARGS
+# passes its flags, e.g. AB_ARGS="--genomes 48 --reference-ops 0").
+REF ?= HEAD
+AB_ARGS ?=
+ab-vector:
+	mkdir -p build
+	git show $(REF):src/repro/uarch/kernel_vector.py > build/kernel_vector_ref.py
+	PYTHONHASHSEED=0 MALLOC_ARENA_MAX=1 $(PYTHON) tools/ab_vector.py build/kernel_vector_ref.py $(AB_ARGS)

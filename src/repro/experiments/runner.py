@@ -226,26 +226,40 @@ class ExperimentContext:
         return result
 
     def _record_workload_result(
-        self, config: MachineConfig, profile: WorkloadProfile, result: SimulationResult
+        self,
+        config: MachineConfig,
+        profile: WorkloadProfile,
+        result: SimulationResult,
+        pending: Optional[list] = None,
     ) -> None:
+        """Cache a fresh simulation and store it, or add it to ``pending``
+        for the caller's one ``put_many``."""
         self._workload_sim_cache[(config.name, profile.name)] = result
         if self.store is not None:
-            self.store.artifact_store().put(self._workload_artifact_key(config, profile), result)
+            item = (self._workload_artifact_key(config, profile), result)
+            if pending is None:
+                self.store.artifact_store().put(*item)
+            else:
+                pending.append(item)
 
     def run_workload(
         self,
         profile: WorkloadProfile,
         config: MachineConfig,
         fault_rates: Optional[FaultRateModel] = None,
+        pending: Optional[list] = None,
     ) -> SerReport:
-        """Simulate one workload proxy and return its SER report."""
+        """Simulate one workload proxy and return its SER report.
+
+        A fresh simulation is stored at once, or added to ``pending``.
+        """
         fault_rates = fault_rates or unit_fault_rates()
         result = self._fetch_workload_result(config, profile)
         if result is None:
             program = build_workload(profile, config, seed=self.scale.workload_seed)
             core = OutOfOrderCore(config, seed=self.scale.simulation_seed)
             result = core.run(program, max_instructions=self.scale.workload_instructions)
-            self._record_workload_result(config, profile, result)
+            self._record_workload_result(config, profile, result, pending)
         report = build_report(result, fault_rates)
         report.stats["suite"] = profile.suite.value  # type: ignore[index]
         return report
@@ -274,24 +288,34 @@ class ExperimentContext:
             profile for profile in missing
             if self._fetch_workload_result(config, profile) is None
         ]
-        if len(to_simulate) > 1 and self.backend.jobs > 1:
-            task = _WorkloadSimulationTask(
-                config=config,
-                instructions=self.scale.workload_instructions,
-                workload_seed=self.scale.workload_seed,
-                simulation_seed=self.scale.simulation_seed,
-            )
-            results = self.backend.map(task, to_simulate)
-            for profile, result in zip(to_simulate, results, strict=True):
-                # A workload the resilient backend quarantined is simply not
-                # recorded: the serial loop below re-simulates it in-process,
-                # so deterministic failures still surface with a real
-                # traceback and transient ones produce the normal report.
-                if isinstance(result, Quarantined):
-                    continue
-                self._record_workload_result(config, profile, result)
-        for profile in missing:
-            report_set.reports[profile.name] = self.run_workload(profile, config, fault_rates)
+        # Fresh simulations are stored in one transaction, also when a later
+        # one fails.
+        pending: list = []
+        try:
+            if len(to_simulate) > 1 and self.backend.jobs > 1:
+                task = _WorkloadSimulationTask(
+                    config=config,
+                    instructions=self.scale.workload_instructions,
+                    workload_seed=self.scale.workload_seed,
+                    simulation_seed=self.scale.simulation_seed,
+                )
+                results = self.backend.map(task, to_simulate)
+                for profile, result in zip(to_simulate, results, strict=True):
+                    # A workload the resilient backend quarantined is simply
+                    # not recorded: the serial loop below re-simulates it
+                    # in-process, so deterministic failures still surface
+                    # with a real traceback and transient ones produce the
+                    # normal report.
+                    if isinstance(result, Quarantined):
+                        continue
+                    self._record_workload_result(config, profile, result, pending)
+            for profile in missing:
+                report_set.reports[profile.name] = self.run_workload(
+                    profile, config, fault_rates, pending
+                )
+        finally:
+            if pending:
+                self.store.artifact_store().put_many(pending)
         self._workload_cache[cache_key] = report_set
         return report_set
 

@@ -13,13 +13,14 @@ before the loop runs:
 * **mispredict column** — one bool per dynamic branch, produced by a flat
   integer replica of the tournament predictor driven over the whole branch
   trace at once (same RNG draws, same counter updates, no object dispatch);
-* **memory columns** — per memory slot, the fully resolved address *parts*
-  ``(address, dtlb_page, dl1_set, dl1_tag, dl1_word, dl1_line)`` for every
-  iteration.  Strided / line-cover / pointer-chase / fixed patterns are
-  closed-form in the iteration and are computed in one comprehension per
-  slot; random patterns replay ``pattern.resolve`` in exact reference draw
-  order (the memory RNG stream is separate from the branch/front-end
-  streams, so pre-resolving it wholesale cannot perturb any other stream).
+* **memory columns** — per memory slot, the resolved address of every
+  iteration, a plain int (``VectorHierarchy.access`` splits it into page,
+  set, tag and word itself, so no access allocates).  Strided / line-cover
+  / pointer-chase / fixed patterns are closed-form in the iteration and
+  are computed in one comprehension per slot; random patterns replay
+  ``pattern.resolve`` in exact reference draw order (the memory RNG stream
+  is separate from the branch/front-end streams, so pre-resolving it
+  wholesale cannot perturb any other stream).
 
 The timing loop itself (:func:`vector_run`, the interpreted reference loop's
 timing, cycle for cycle) then runs against a :class:`VectorHierarchy` — the
@@ -28,9 +29,9 @@ per-slot integer columns with one inlined ``access`` method.  Warm-up is
 deterministic, draws no RNG and runs entirely at cycle 0, so the state
 ``MemoryHierarchy.warm_region`` leaves behind for a program's one
 ``WarmupRegion`` is a closed-form function of it: each run's hierarchy
-starts from a five-number warm plan per cache and fills a cache set from
-that closed form the first time an access reaches it, so a run pays only for
-the sets it touches.
+starts from a warm plan per cache (five numbers and one warmed line's word
+row) and fills a cache set from that closed form the first time an access
+reaches it, so a run pays only for the sets it touches.
 
 Everything on the AVF path stays integer-exact: word lifetime state packs
 ``cycle * 8 + event_code * 2 + write_ace`` into one int, residency credits
@@ -56,6 +57,19 @@ accounting is a closed form, and any changed input hands the loop back to
 per-op simulation from the exact state (:func:`vector_run` gives the proof
 entry by entry).  ``STATS`` counts the iterations skipped and why fast mode
 ended.
+
+Most of fast mode's accesses hit the line the access before reached (a
+stressmark's stores and cover loads land on the line its chase load just
+fetched), so the hierarchy keeps a *resident-line memo*: the DL1 line the
+last call to ``access`` reached, with its DTLB slot and DL1 slot.  That
+call has just filled or refreshed both the line and its page, and only
+another call to ``access`` can evict either (its L2, L2-TLB and write-back
+work touches neither), so the memo holds until the next one, which replaces
+it.  Fast mode makes every access to the memo line inline — a DTLB hit and
+a DL1 hit on local variables, with no lookup and no call — and calls
+``access`` for every other line (:func:`_skip_blocks`).  The memo is keyed
+on the line alone, so it is on only where a line cannot straddle two pages
+(``page_bytes % line_bytes == 0``, every stock config).
 
 Programs the lowering cannot express (bodies over :data:`MAX_KERNEL_BODY`,
 runs over :data:`VECTOR_MAX_OPS`, more than one warm-up region, totals past
@@ -305,26 +319,19 @@ def _closed_form_addresses(pattern, count: int) -> Optional[list]:
 
 
 def _memory_columns(
-    config: "MachineConfig",
     body_infos: list,
     full_iters: int,
     tail_ops: int,
     memory_rng,
 ) -> list:
-    """Resolved address-part columns per body slot (None for non-memory ops).
+    """Resolved address columns per body slot (None for non-memory ops).
 
-    Each entry is a list of ``(address, dtlb_page, dl1_set, dl1_tag,
-    dl1_word, dl1_line)`` tuples indexed by iteration.  Slots whose pattern
-    draws randomness are resolved in the exact reference order —
+    Each entry is a list of addresses indexed by iteration; the hierarchy
+    splits an address into its page, set, tag and word itself.  Slots whose
+    pattern draws randomness are resolved in the exact reference order —
     iteration-major, body order within an iteration — so the memory RNG
     stream is untouched.
     """
-    dl1 = config.dl1
-    line_bytes = dl1.line_bytes
-    num_sets = dl1.num_sets
-    word_bytes = dl1.word_bytes
-    page_bytes = config.dtlb.page_bytes
-
     columns: list = [None] * len(body_infos)
     address_lists: dict[int, list] = {}
     ordered: list[tuple] = []
@@ -361,11 +368,7 @@ def _memory_columns(
             # The reference raises on the first negative address; the
             # interpreter fallback reproduces that exact error.
             raise Unvectorizable("negative_address", "negative address stream")
-        columns[index] = [
-            (address, address // page_bytes, (line := address // line_bytes) % num_sets,
-             line // num_sets, address % line_bytes // word_bytes, line)
-            for address in addresses
-        ]
+        columns[index] = addresses
     return columns
 
 
@@ -403,7 +406,7 @@ def build_columns(
     mispredicts = _mispredict_column(
         config, body_infos, full_iters, tail_ops, last_iteration, branch_rng
     )
-    memory = _memory_columns(config, body_infos, full_iters, tail_ops, memory_rng)
+    memory = _memory_columns(body_infos, full_iters, tail_ops, memory_rng)
     return frontend, mispredicts, memory
 
 
@@ -424,7 +427,13 @@ class VectorHierarchy:
     A word's lifetime state packs ``cycle * 8 + code`` (-1 = untouched):
     FILL=0, READ=2, WRITE=4, +1 when the recorded write was ACE.
     ``state & 7 == 5`` is therefore "ACE write still live" — the only
-    terminal state that earns credit on eviction or finalize.
+    terminal state that earns credit on eviction or finalize (-1 reads 7).
+
+    ``access`` takes a plain address and splits it itself.  After each
+    call, ``memo_line`` / ``memo_dtlb`` / ``memo_dl1`` name the DL1 line it
+    reached, its DTLB slot and its DL1 slot, which stay resident until the
+    next call (the module docstring says why); ``memo_on`` is False, and
+    ``memo_line`` stays -1, where a line can straddle two pages.
 
     Set ``s`` of a cache owns slots ``s * ways`` to ``s * ways + ways - 1``.
     A set only grows until it is full, after which every miss reuses its
@@ -435,10 +444,11 @@ class VectorHierarchy:
 
     __slots__ = (
         "memory_latency", "tlb_miss_penalty", "l2_tlb_hit_latency",
-        "dl1_hit_latency", "l2_hit_latency",
-        "dl1_line_bytes", "dl1_num_sets", "dl1_assoc", "dl1_wpl", "dl1_plan",
+        "dl1_hit_latency", "l2_hit_latency", "dtlb_page_bytes",
+        "dl1_line_bytes", "dl1_num_sets", "dl1_word_bytes", "dl1_assoc", "dl1_wpl",
+        "dl1_plan", "dl1_blank",
         "l2_line_bytes", "l2_num_sets", "l2_word_bytes", "l2_assoc", "l2_wpl", "l2_plan",
-        "has_l2_tlb", "l2_tlb_page_bytes",
+        "l2_blank", "has_l2_tlb", "l2_tlb_page_bytes",
         "dl1_word_bits", "l2_word_bits", "dtlb_entry_bits", "l2_tlb_entry_bits",
         "dl1_sets", "dl1_line_no", "dl1_dirty", "dl1_dirty_ace", "dl1_lu",
         "dl1_ws", "dl1_accesses", "dl1_misses",
@@ -449,7 +459,7 @@ class VectorHierarchy:
         "dtlb_free", "dtlb_accesses", "dtlb_misses", "dtlb_ace_cycles",
         "l2_tlb_map", "l2_tlb_first", "l2_tlb_last", "l2_tlb_lu",
         "l2_tlb_rec", "l2_tlb_free", "l2_tlb_ace_cycles",
-        "load_l2_misses",
+        "load_l2_misses", "memo_on", "memo_line", "memo_dtlb", "memo_dl1",
     )
 
     # Construction writes no warmed line: every cache set starts as None and
@@ -482,12 +492,19 @@ class VectorHierarchy:
         self.dtlb_entry_bits = config.dtlb.entry_bits
         self.l2_tlb_entry_bits = l2_tlb.entry_bits if l2_tlb is not None else 0
         self.load_l2_misses = 0
+        self.dtlb_page_bytes = config.dtlb.page_bytes
+        # The resident-line memo is keyed on the DL1 line alone, so it is on
+        # only where no line straddles two pages (every stock config).
+        self.memo_on = config.dtlb.page_bytes % dl1.line_bytes == 0
+        self.memo_line = self.memo_dtlb = self.memo_dl1 = -1
 
         self.dl1_line_bytes = dl1.line_bytes
         self.dl1_num_sets = dl1.num_sets
+        self.dl1_word_bytes = dl1.word_bytes
         self.dl1_assoc = dl1.associativity
         self.dl1_wpl = dl1.words_per_line
         self.dl1_plan = _warm_plan(dl1, region)
+        self.dl1_blank = [-1] * dl1.words_per_line
         lines = dl1.num_lines
         self.dl1_sets = [None] * dl1.num_sets
         self.dl1_line_no = [0] * lines
@@ -504,6 +521,7 @@ class VectorHierarchy:
         self.l2_assoc = l2.associativity
         self.l2_wpl = l2.words_per_line
         self.l2_plan = _warm_plan(l2, region)
+        self.l2_blank = [-1] * l2.words_per_line
         self.l2_sets = [None] * l2.num_sets
         self.l2_lu = [0] * l2.num_lines
         self.l2_ws = [-1] * (l2.num_lines * l2.words_per_line)
@@ -526,7 +544,7 @@ class VectorHierarchy:
             self.dl1_plan, set_index, self.dl1_num_sets, self.dl1_assoc, self.dl1_wpl,
             self.dl1_ws,
         )
-        _, _, words, state, _ = self.dl1_plan
+        _, _, words, state, _, _ = self.dl1_plan
         dirty = words > 0 and state >= 4
         dirty_ace = words > 0 and state == 5
         for tag, slot in cache_set.items():
@@ -543,20 +561,20 @@ class VectorHierarchy:
         )
         return cache_set
 
-    def access(self, parts: tuple, is_write: bool, cycle: int, ace: bool) -> int:
-        """One memory access from precomputed parts; returns its latency."""
-        address, page, set_index, tag, word, line_number = parts
-
-        # ---- DTLB (Tlb.access with the page precomputed)
+    def access(self, address: int, is_write: bool, cycle: int, ace: bool) -> int:
+        """One memory access; returns its latency.  Leaves the memo on the
+        line it reached (when the memo is on)."""
+        # ---- DTLB (Tlb.access)
         self.dtlb_accesses += 1
+        page = address // self.dtlb_page_bytes
         dtlb_map = self.dtlb_map
-        slot = dtlb_map.get(page)
-        if slot is not None:
-            self.dtlb_lu[slot] = cycle
+        dtlb_slot = dtlb_map.get(page)
+        if dtlb_slot is not None:
+            self.dtlb_lu[dtlb_slot] = cycle
             if ace:
-                if self.dtlb_first[slot] < 0:
-                    self.dtlb_first[slot] = cycle
-                self.dtlb_last[slot] = cycle
+                if self.dtlb_first[dtlb_slot] < 0:
+                    self.dtlb_first[dtlb_slot] = cycle
+                self.dtlb_last[dtlb_slot] = cycle
             latency = 0
         else:
             self.dtlb_misses += 1
@@ -578,23 +596,28 @@ class VectorHierarchy:
                     if duration > 0:
                         self.dtlb_ace_cycles += duration
                 free.append(victim_slot)
-            slot = free.pop()
-            dtlb_map[page] = slot
+            dtlb_slot = free.pop()
+            dtlb_map[page] = dtlb_slot
             if ace:
-                self.dtlb_first[slot] = cycle
-                self.dtlb_last[slot] = cycle
+                self.dtlb_first[dtlb_slot] = cycle
+                self.dtlb_last[dtlb_slot] = cycle
             else:
-                self.dtlb_first[slot] = -1
-                self.dtlb_last[slot] = -1
-            self.dtlb_lu[slot] = cycle
-            self.dtlb_rec[slot] = False
+                self.dtlb_first[dtlb_slot] = -1
+                self.dtlb_last[dtlb_slot] = -1
+            self.dtlb_lu[dtlb_slot] = cycle
+            self.dtlb_rec[dtlb_slot] = False
             if self.has_l2_tlb and self._l2_tlb_access(address, cycle, ace):
                 latency = self.l2_tlb_hit_latency
             else:
                 latency = self.tlb_miss_penalty
 
-        # ---- DL1 (Cache.access_parts with the decomposition precomputed)
+        # ---- DL1 (Cache.access_parts)
         self.dl1_accesses += 1
+        line_bytes = self.dl1_line_bytes
+        line_number = address // line_bytes
+        set_index = line_number % self.dl1_num_sets
+        tag = line_number // self.dl1_num_sets
+        word = address % line_bytes // self.dl1_word_bytes
         cache_set = self.dl1_sets[set_index]
         if cache_set is None:
             cache_set = self._warm_dl1_set(set_index)
@@ -617,20 +640,19 @@ class VectorHierarchy:
                         victim_slot = entry_slot
                 del cache_set[victim_tag]
                 wpl = self.dl1_wpl
-                for offset in range(victim_slot * wpl, victim_slot * wpl + wpl):
-                    state = ws[offset]
-                    if state >= 0:
-                        if state & 7 == 5:
-                            start = state >> 3
-                            self.dl1_wa_count -= 1
-                            self.dl1_wa_sum -= start
-                            duration = cycle - start
-                            if duration > 0:
-                                self.dl1_ace_cycles += duration
-                        ws[offset] = -1
+                base = victim_slot * wpl
+                for state in ws[base:base + wpl]:
+                    if state & 7 == 5:  # a live ACE write (-1, untouched, is 7)
+                        start = state >> 3
+                        self.dl1_wa_count -= 1
+                        self.dl1_wa_sum -= start
+                        duration = cycle - start
+                        if duration > 0:
+                            self.dl1_ace_cycles += duration
+                ws[base:base + wpl] = self.dl1_blank
                 if self.dl1_dirty[victim_slot]:
                     evicted_dirty = True
-                    evicted_address = self.dl1_line_no[victim_slot] * self.dl1_line_bytes
+                    evicted_address = self.dl1_line_no[victim_slot] * line_bytes
                     evicted_ace = self.dl1_dirty_ace[victim_slot]
                 slot = victim_slot
             else:
@@ -668,6 +690,12 @@ class VectorHierarchy:
                 if duration > 0:
                     self.dl1_ace_cycles += duration
             ws[index] = cycle * 8 + 2 + (state & 1)
+        if self.memo_on:
+            # Line and page are resident now, and only the next call to this
+            # method can evict either: the L2 work below touches neither.
+            self.memo_line = line_number
+            self.memo_dtlb = dtlb_slot
+            self.memo_dl1 = slot
 
         latency += self.dl1_hit_latency
         if not hit:
@@ -710,17 +738,16 @@ class VectorHierarchy:
                         victim_slot = entry_slot
                 del cache_set[victim_tag]
                 wpl = self.l2_wpl
-                for offset in range(victim_slot * wpl, victim_slot * wpl + wpl):
-                    state = ws[offset]
-                    if state >= 0:
-                        if state & 7 == 5:
-                            start = state >> 3
-                            self.l2_wa_count -= 1
-                            self.l2_wa_sum -= start
-                            duration = cycle - start
-                            if duration > 0:
-                                self.l2_ace_cycles += duration
-                        ws[offset] = -1
+                base = victim_slot * wpl
+                for state in ws[base:base + wpl]:
+                    if state & 7 == 5:
+                        start = state >> 3
+                        self.l2_wa_count -= 1
+                        self.l2_wa_sum -= start
+                        duration = cycle - start
+                        if duration > 0:
+                            self.l2_ace_cycles += duration
+                ws[base:base + wpl] = self.l2_blank
                 slot = victim_slot
             else:
                 slot = set_index * self.l2_assoc + len(cache_set)
@@ -857,24 +884,25 @@ def install_trackers(ledger, hierarchy: VectorHierarchy) -> None:
 
 
 def _warm_plan(cache: "CacheConfig", region: Optional[tuple]) -> tuple:
-    """``(first_line, count, words, state, live)``: what warming ``region``
-    (``None``: nothing) leaves in one cache.
+    """``(first_line, count, words, state, live, row)``: what warming
+    ``region`` (``None``: nothing) leaves in one cache.
 
     ``MemoryHierarchy.warm_region`` walks only the tail of the region the
     cache can hold, counted in the cache's own lines: ``count`` consecutive
     lines from line number ``first_line``.  It writes the ``words`` leading
     words of each line in packed word state ``state`` at cycle 0: 5 for
-    dirty ACE data, 4 for dirty un-ACE data, 0 for clean fills.  ``count``
-    never exceeds the cache's lines, so warm-up evicts nothing and ``live``,
-    the number of live ACE words it leaves, is ``count * words`` when
-    ``state`` is 5.
+    dirty ACE data, 4 for dirty un-ACE data, 0 for clean fills; ``row`` is
+    one warmed line's packed words.  ``count`` never exceeds the cache's
+    lines, so warm-up evicts nothing and ``live``, the number of live ACE
+    words it leaves, is ``count * words`` when ``state`` is 5.
     """
+    wpl = cache.words_per_line
     if region is None:
-        return 0, 0, 0, 0, 0
+        return 0, 0, 0, 0, 0, [-1] * wpl
     base, size_bytes, dirty, ace, word_fraction, _ = region
     span = min(size_bytes, cache.size_bytes)
     count = len(range(size_bytes - span, size_bytes, cache.line_bytes))
-    words = int(round(word_fraction * cache.words_per_line))
+    words = int(round(word_fraction * wpl))
     state = (5 if ace else 4) if dirty else 0
     return (
         (base + size_bytes - span) // cache.line_bytes,
@@ -882,6 +910,7 @@ def _warm_plan(cache: "CacheConfig", region: Optional[tuple]) -> tuple:
         words,
         state,
         count * words if state == 5 else 0,
+        [state] * words + [-1] * (wpl - words),
     )
 
 
@@ -894,7 +923,7 @@ def _warm_set(plan: tuple, set_index: int, num_sets: int, ways: int, wpl: int, w
     than ``ways``, as the plan never exceeds the cache's lines), in arrival
     order (all have last use 0), in its first slots.
     """
-    first_line, count, words, state, _ = plan
+    first_line, count, words, _, _, row = plan
     offset = (set_index - first_line) % num_sets  # region index of the set's first line
     if offset >= count:
         return {}
@@ -902,7 +931,9 @@ def _warm_set(plan: tuple, set_index: int, num_sets: int, ways: int, wpl: int, w
     tag = (first_line + offset) // num_sets
     slot = set_index * ways
     if words:  # the set's slots are fresh: every word still -1
-        ws[slot * wpl:(slot + lines) * wpl] = ([state] * words + [-1] * (wpl - words)) * lines
+        ws[slot * wpl:(slot + lines) * wpl] = row if lines == 1 else row * lines
+    if lines == 1:  # every set of a cache the region covers at most once
+        return {tag: slot}
     return {tag + way: slot + way for way in range(lines)}
 
 
@@ -1084,50 +1115,119 @@ def _skip_blocks(access, accesses: list, iteration: int, period: int, full_iters
                  frontend_col: Optional[list], frontend: Optional[list]) -> tuple:
     """Fast mode: each block of ``period`` iterations from ``iteration`` on
     is the template block moved a further ``shift`` cycles, so only its
-    memory accesses are made, through ``access``, at their moved cycles.
+    memory accesses are made, at their moved cycles.
+
+    An access to the hierarchy's memo line (``access`` is its bound
+    :meth:`VectorHierarchy.access`) is made here, inline: exactly what
+    ``access`` does for a DTLB hit followed by a DL1 hit, at the DL1 hit
+    latency, its additive counters summed in locals and added back on exit.
+    Every other access calls ``access``, which moves the memo to its line.
 
     A block runs only if it ends within ``full_iters`` and its slice of the
     mispredict column (and of the front-end column, if any) equals the
     template's, and it counts only if each load's latency equals the
     template's.  Returns ``(blocks, cause, calls)``: the blocks completed,
     the exit cause (``budget``, ``input_slice`` or ``load_latency``) and,
-    for ``load_latency``, the calls already made in the block it left, as
-    ``(parts, is_write, cycle, latency)``, the last with its true latency.
+    for ``load_latency``, every access already made in the block it left,
+    inline ones included, as ``(address, is_write, cycle, latency)``, the
+    last with its true latency.
     """
+    hierarchy = access.__self__
+    line_bytes = hierarchy.dl1_line_bytes
+    word_bytes = hierarchy.dl1_word_bytes
+    wpl = hierarchy.dl1_wpl
+    hit_latency = hierarchy.dl1_hit_latency
+    tlb_lu, tlb_first, tlb_last = hierarchy.dtlb_lu, hierarchy.dtlb_first, hierarchy.dtlb_last
+    lu, ws = hierarchy.dl1_lu, hierarchy.dl1_ws
+    dirty, dirty_ace = hierarchy.dl1_dirty, hierarchy.dl1_dirty_ace
+    memo_line, memo_tlb, memo_slot = hierarchy.memo_line, hierarchy.memo_dtlb, hierarchy.memo_dl1
+    hits = wa_count = wa_sum = ace_cycles = 0
     branches = len(mispredicts)
     ops = len(frontend) if frontend is not None else 0
     blocks = 0
     front = 0
     moved = shift
+    cause, calls = "budget", None
     while iteration + period <= full_iters:
         if mispredict_col[branch_index:branch_index + branches] != mispredicts or (
             frontend is not None and frontend_col[front:front + ops] != frontend
         ):
-            return blocks, "input_slice", None
+            cause = "input_slice"
+            break
         for entry in accesses:
             column, offset, is_write, cycle, ace, latency = entry
-            actual = access(column[iteration + offset], is_write, cycle + moved, ace)
-            if actual != latency and not is_write:
-                made = accesses[:next(n for n, e in enumerate(accesses) if e is entry) + 1]
-                calls = [(made_column[iteration + made_offset], made_write, made_cycle + moved,
-                          made_latency)
-                         for made_column, made_offset, made_write, made_cycle, _, made_latency
-                         in made]
-                calls[-1] = calls[-1][:3] + (actual,)
-                return blocks, "load_latency", calls
-        blocks += 1
-        iteration += period
-        branch_index += branches
-        front += ops
-        moved += shift
-    return blocks, "budget", None
+            address = column[iteration + offset]
+            cycle += moved
+            if address // line_bytes == memo_line:
+                hits += 1
+                tlb_lu[memo_tlb] = cycle
+                if ace:
+                    if tlb_first[memo_tlb] < 0:
+                        tlb_first[memo_tlb] = cycle
+                    tlb_last[memo_tlb] = cycle
+                lu[memo_slot] = cycle
+                index = memo_slot * wpl + address % line_bytes // word_bytes
+                state = ws[index]
+                if state < 0:
+                    state = cycle * 8  # lazy fill of an untouched word
+                elif state & 7 == 5:
+                    wa_count -= 1
+                    wa_sum -= state >> 3
+                if is_write:
+                    dirty[memo_slot] = True
+                    if ace:
+                        ws[index] = cycle * 8 + 5
+                        wa_count += 1
+                        wa_sum += cycle
+                        dirty_ace[memo_slot] = True
+                    else:
+                        ws[index] = cycle * 8 + 4
+                    continue
+                if ace:
+                    duration = cycle - (state >> 3)
+                    if duration > 0:
+                        ace_cycles += duration
+                ws[index] = cycle * 8 + 2 + (state & 1)
+                if latency == hit_latency:
+                    continue
+                actual = hit_latency
+            else:
+                actual = access(address, is_write, cycle, ace)
+                memo_line, memo_tlb, memo_slot = (
+                    hierarchy.memo_line, hierarchy.memo_dtlb, hierarchy.memo_dl1
+                )
+                if is_write or actual == latency:
+                    continue
+            made = accesses[:next(n for n, e in enumerate(accesses) if e is entry) + 1]
+            calls = [(made_column[iteration + made_offset], made_write, made_cycle + moved,
+                      made_latency)
+                     for made_column, made_offset, made_write, made_cycle, _, made_latency
+                     in made]
+            calls[-1] = calls[-1][:3] + (actual,)
+            cause = "load_latency"
+            break
+        else:
+            blocks += 1
+            iteration += period
+            branch_index += branches
+            front += ops
+            moved += shift
+            continue
+        break
+    hierarchy.dtlb_accesses += hits
+    hierarchy.dl1_accesses += hits
+    hierarchy.dl1_wa_count += wa_count
+    hierarchy.dl1_wa_sum += wa_sum
+    hierarchy.dl1_ace_cycles += ace_cycles
+    return blocks, cause, calls
 
 
 class _Replay:
     """The hierarchy's ``access`` while the per-op loop re-runs a block fast
-    mode left part-way: the calls fast mode already made are answered from
-    their results, in order, and must come with the same parts, kind and
-    cycle; every later call goes to the hierarchy.  No access is made twice.
+    mode left part-way: the calls fast mode already made, inline hits
+    included, are answered from their results, in order, and must come with
+    the same address, kind and cycle; every later call goes to the
+    hierarchy.  No access is made twice.
     """
 
     __slots__ = ("calls", "access")
@@ -1136,14 +1236,14 @@ class _Replay:
         self.calls = calls[::-1]
         self.access = access
 
-    def __call__(self, parts: tuple, is_write: bool, cycle: int, ace: bool):
+    def __call__(self, address: int, is_write: bool, cycle: int, ace: bool):
         if not self.calls:
-            return self.access(parts, is_write, cycle, ace)
+            return self.access(address, is_write, cycle, ace)
         expected = self.calls.pop()
-        if expected[:3] != (parts, is_write, cycle):
+        if expected[:3] != (address, is_write, cycle):
             raise RuntimeError(
                 f"fast-forward replay diverged: expected {expected[:3]!r}, "
-                f"got {(parts, is_write, cycle)!r}"
+                f"got {(address, is_write, cycle)!r}"
             )
         return expected[3]
 
@@ -1154,8 +1254,8 @@ def vector_run(core, program: "Program", max_instructions: int):
     The reference loop of :meth:`OutOfOrderCore.run_interpreted
     <repro.uarch.pipeline.OutOfOrderCore.run_interpreted>`, except that every
     per-op stochastic or object-dispatched input is a column read from
-    :func:`build_columns` — front-end stall, branch outcome, resolved address
-    parts — and the memory hierarchy is the flat :class:`VectorHierarchy`
+    :func:`build_columns` — front-end stall, branch outcome, resolved
+    address — and the memory hierarchy is the flat :class:`VectorHierarchy`
     warmed with the program's one region.
 
     Bit-identity contract: the reference's RNG draw order, probe cycles and
@@ -1221,9 +1321,10 @@ def vector_run(core, program: "Program", max_instructions: int):
     of the front-end column when there is one, and every load's latency.
     From ``B`` on, each block of ``p`` iterations is then the template's
     cycles plus ``k * D`` for its ``k``, and fast mode (:func:`_skip_blocks`)
-    only re-makes its memory accesses through ``VectorHierarchy.access``, in
-    body order, a load at its template issue and a store at its template
-    commit plus ``k * D``, checking each load's latency.  It appends nothing
+    only re-makes its memory accesses, in body order, a load at its
+    template issue and a store at its template commit plus ``k * D``,
+    checking each load's latency: inline for the hierarchy's memo line,
+    through ``VectorHierarchy.access`` for any other.  It appends nothing
     to the cycle columns.  For ``K`` skipped blocks each per-slot sum grows
     by ``K * T + p * D * K * (K + 1) / 2`` (``T`` the slot's sum over the
     template), and the register-file account and the mispredict count by
@@ -1238,10 +1339,11 @@ def vector_run(core, program: "Program", max_instructions: int):
     latency differed mid-block sends that block back to the per-op loop
     from its start, with the accesses already made answered from their
     results by :class:`_Replay`, which raises if the loop asks for a
-    different one.  Detection is a signature per iteration (its cycles
-    relative to its first dispatch), looked up among the last
-    ``REPEAT_PERIODS``; only a match marks the state and tries a proof
-    against a mark ``p`` iterations back in the same fold window.
+    different one; no repeat is proved until all of them are answered, as
+    fast mode would make them again.  Detection is a signature per
+    iteration (its cycles relative to its first dispatch), looked up among
+    the last ``REPEAT_PERIODS``; only a match marks the state and tries a
+    proof against a mark ``p`` iterations back in the same fold window.
 
     Raises :class:`Unvectorizable` for programs the column lowering cannot
     express; :func:`run_many` then runs the interpreter.
@@ -1545,7 +1647,9 @@ def vector_run(core, program: "Program", max_instructions: int):
         # Candidate test: this iteration's cycles relative to its first
         # dispatch equal one of the last REPEAT_PERIODS iterations'.  Only
         # then is the state marked, and a mark ``period`` iterations back
-        # (in this fold window, with a whole block left) tried as a proof.
+        # (in this fold window, with a whole block left) tried as a proof —
+        # not while a replayed block still holds recorded accesses: fast
+        # mode would make them a second time.
         mark = proof = None
         if iteration < full_iters:
             first = dispatch_col[op_index - body_len]
@@ -1558,7 +1662,7 @@ def vector_run(core, program: "Program", max_instructions: int):
                         reg_ready[:], reg_last_read[:], reg_halves[:])
                 for period, earlier in enumerate(recent, 1):
                     before = marks.get(iteration - period)
-                    if earlier == signature and before is not None and (
+                    if earlier == signature and before is not None and replay is None and (
                             iteration + period <= full_iters):
                         proof = _prove_repeat(before, mark, [
                             (commit_col, before[0], op_index, rob_entries),

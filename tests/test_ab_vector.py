@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +35,16 @@ def test_the_tree_against_itself_matches():
     assert code == 0, report
     (row,) = [line.split() for line in report.splitlines() if line.startswith("ga/baseline")]
     assert row[1] == "2" and row[6] == "0", report  # programs, mismatches
+
+
+def test_each_sides_collector_passes():
+    """The last column counts each side's collector passes, ``this/other``."""
+    code, report = _run(KERNEL_VECTOR, "--genome-ops", "2000")
+    assert code == 0, report
+    header, *rows = [line.split() for line in report.splitlines()]
+    assert header[-1] == "collections", report
+    (row,) = rows
+    assert len(row) == len(header) and re.fullmatch(r"\d+/\d+", row[-1]), report
 
 
 def test_a_planted_difference_is_reported(tmp_path):

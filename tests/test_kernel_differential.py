@@ -24,6 +24,10 @@ iteration, sparse front-end stalls, folds around fast mode, each queue
 constraint binding, ring growth, periods of two iterations or more — and
 asserts each case skipped iterations and matched the interpreter; one case
 checks that a timing repeat the state does not share is refused.
+``TestResidentLineMemo`` covers fast mode's inline hits on the hierarchy's
+resident-line memo: lines straddling pages (the memo off), the memo's line
+evicted between hits, the LRU and ACE-window updates an inline hit makes,
+and the share of accesses made inline.
 """
 
 from __future__ import annotations
@@ -681,12 +685,50 @@ def cold_chain_program(name: str) -> Program:
     return _looped(name, body)
 
 
+def replayed_block_program(which: str) -> Program:
+    """Two loops, found by fuzzing, in which a repeat of a shorter period
+    shows up inside a block that fast mode left on a load latency, while
+    that block's recorded accesses are still being answered."""
+    if which == "a":
+        base = 1 << 21
+        body = [
+            make_store(PointerChasePattern(base=base, stride=128, region=1 << 14), srcs=[3, 6],
+                       ace=False),
+            make_store(FixedPattern(address=base + 376), srcs=[8], ace=False),
+            make_load(12, FixedPattern(address=base + 24)),
+            make_load(10, LineCoverPattern(base=base, line_bytes=64, region=512, slot=0, slots=2),
+                      srcs=[6, 4]),
+            make_alu(8, [8, 12]),
+            make_load(9, LineCoverPattern(base=base, line_bytes=64, region=256, slot=0, slots=2,
+                                          iteration_offset=-1)),
+            make_store(PointerChasePattern(base=base, stride=64, region=1 << 14), srcs=[10]),
+            make_branch(srcs=[5], taken_probability=1.0),
+        ]
+        region = WarmupRegion(base=base, size_bytes=256 << 10, dirty=True, word_fraction=0.0)
+    else:
+        base = 1 << 20
+        body = [
+            make_store(PointerChasePattern(base=base, stride=32768, region=1 << 17), srcs=[6]),
+            make_load(7, StridedPattern(base=base, stride=32768, region=4096)),
+            make_load(1, FixedPattern(address=base + 296), ace=False),
+            make_load(6, FixedPattern(address=base + 480), srcs=[6]),
+            make_load(11, StridedPattern(base=base, stride=8, region=512)),
+            make_store(FixedPattern(address=base + 384), srcs=[12]),
+            make_branch(srcs=[2], taken_probability=1.0),
+        ]
+        region = WarmupRegion(base=base, size_bytes=256 << 10, dirty=False, word_fraction=0.0)
+    return Program(name=f"ff-replayed-{which}", body=body, iterations=2_000,
+                   branch_behaviors={len(body) - 1: BranchBehavior.LOOP_CLOSING},
+                   warmup_regions=[region])
+
+
 class TestFastForward:
     """Fast mode against the interpreter: every case runs on all four
-    configurations, asserts that iterations were fast-forwarded and that the
-    result equals the interpreter's.  A spy on ``_skip_blocks`` records each
-    fast-mode episode as ``(first iteration, period, shift, blocks, cause,
-    calls made)``."""
+    configurations (two loops found by fuzzing, on ``constrained`` alone),
+    asserts that iterations were fast-forwarded and that the result equals
+    the interpreter's.  A spy on ``_skip_blocks`` records each fast-mode
+    episode as ``(first iteration, period, shift, blocks, cause, calls
+    made)``."""
 
     @pytest.fixture
     def episodes(self, monkeypatch):
@@ -855,6 +897,32 @@ class TestFastForward:
         assert_identical(reference, candidate, f"ff-cold/{config.name}")
         assert proofs and not proofs[0], proofs
 
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_no_repeat_proved_inside_a_replayed_block(self, which, episodes, monkeypatch):
+        """While a block fast mode left re-runs op by op, its accesses
+        already made answered from their results, no repeat is proved: fast
+        mode would make those accesses a second time."""
+        replays = []
+
+        class Recording(kernel_vector._Replay):
+            __slots__ = ()
+
+            def __init__(self, calls, access):
+                super().__init__(calls, access)
+                replays.append(self)
+
+        skip_blocks = kernel_vector._skip_blocks
+
+        def checking(*args):
+            assert not any(replay.calls for replay in replays), "fast mode inside a replay"
+            return skip_blocks(*args)
+
+        monkeypatch.setattr(kernel_vector, "_Replay", Recording)
+        monkeypatch.setattr(kernel_vector, "_skip_blocks", checking)
+        self._run(constrained_config(), replayed_block_program(which), 1_000,
+                  f"ff-replayed-{which}")
+        assert replays and len(episodes) >= 2, episodes  # fast mode again after a replay
+
     def test_proof_entry_by_entry(self):
         """``_prove_repeat`` on hand-made marks: window cycles at or below
         the dispatch cycle compare as equal; a register cycle must move by
@@ -907,6 +975,114 @@ class TestFastForward:
         stats.reset()
         assert (stats.iterations, stats.iterations_fast_forwarded, stats.fast_forward_exits,
                 stats.fallback_reasons) == (0, 0, {}, {})
+
+
+def straddling_pages_config() -> MachineConfig:
+    """``baseline`` with 96-byte pages under 64-byte DL1 lines: a line can
+    straddle two pages, so the resident-line memo must stay off."""
+    return baseline_config().derive(
+        name="straddling_pages", dtlb=TlbConfig(entries=256, page_bytes=96)
+    )
+
+
+def direct_mapped_config() -> MachineConfig:
+    """``baseline`` with a direct-mapped DL1: two lines of one set evict
+    each other on every access."""
+    base = baseline_config()
+    return base.derive(name="direct_mapped_dl1", dl1=replace(base.dl1, associativity=1))
+
+
+def alternating_lines_program(name: str, config: MachineConfig) -> Program:
+    """Loads of two lines of one DL1 set in turn, then a store to the
+    first, on a register chain: with a direct-mapped DL1 each general access
+    evicts the line the one before it reached."""
+    line = 1 << 20
+    conflicting = line + config.dl1.size_bytes // config.dl1.associativity
+    body = [
+        make_load(1, FixedPattern(address=line), srcs=[4]),
+        make_load(2, FixedPattern(address=conflicting), srcs=[1]),
+        make_load(3, FixedPattern(address=line + 8), srcs=[2]),
+        make_store(FixedPattern(address=line + 16), srcs=[3]),
+        make_alu(4, [3]),
+    ]
+    return _looped(name, body)
+
+
+def lru_program(name: str, config: MachineConfig, ace_first: bool) -> Program:
+    """A load of line X, then an inline load and store to X (the store at
+    its late commit), then loads of two more lines of X's DL1 set, each on
+    a page of its own: whether X or the line loaded after it is the least
+    recently used, in the DL1 set and in a small DTLB, rests on the inline
+    hits' last-use cycles.  ``ace_first`` False makes the first load un-ACE,
+    so with a one-entry DTLB an inline ACE hit opens X's page's ACE window."""
+    line = 1 << 22
+    way = config.dl1.size_bytes // config.dl1.associativity
+    body = [
+        make_load(1, FixedPattern(address=line), srcs=[4], ace=ace_first),
+        make_load(2, FixedPattern(address=line + 24), srcs=[1]),
+        make_store(FixedPattern(address=line + 16), srcs=[1]),
+        make_load(3, FixedPattern(address=line + way), srcs=[1]),
+        make_load(4, FixedPattern(address=line + 2 * way), srcs=[3]),
+    ]
+    return _looped(name, body)
+
+
+class TestResidentLineMemo:
+    """Fast mode makes an access to the last line a general ``access``
+    reached inline.  Each case matches the interpreter and skipped
+    iterations."""
+
+    _run = staticmethod(TestFastForward._run)
+
+    def test_lines_straddling_pages_keep_the_memo_off(self):
+        """Keyed on the line alone, the memo would take a line's second
+        page for its first; with the guard removed the L2-hit reference
+        stressmark's DTLB ACE time differs here."""
+        config = straddling_pages_config()
+        assert not kernel_vector.VectorHierarchy(config, None).memo_on
+        assert kernel_vector.VectorHierarchy(baseline_config(), None).memo_on
+        generator = StressmarkGenerator(config=config, max_instructions=12_000)
+        program = generator.codegen.generate(reference_knobs(config).derive(use_l2_miss=False))
+        self._run(config, program, 12_000, "memo-straddle/stressmark")
+
+    @pytest.mark.parametrize("budget", [2_001, 4_003, 6_002])
+    def test_the_memo_line_evicted_between_hits(self, budget):
+        """Every general access evicts the memo's line, and each budget
+        ends mid-block; a memo kept across a miss hits a line gone."""
+        config = direct_mapped_config()
+        program = alternating_lines_program("memo-evicted", config)
+        self._run(config, program, budget, f"memo-evicted/{budget}")
+
+    @pytest.mark.parametrize("entries, ace_first", [(2, True), (1, False)])
+    def test_inline_hits_update_lru_and_ace_windows(self, entries, ace_first):
+        """An inline hit refreshes the DTLB entry's and the DL1 line's last
+        use, and opens and extends the page's ACE window."""
+        base = baseline_config()
+        config = base.derive(name=f"dtlb_{entries}",
+                             dtlb=TlbConfig(entries=entries, page_bytes=base.dtlb.page_bytes))
+        program = lru_program(f"memo-lru-{entries}", config, ace_first)
+        for budget in (3_001, 6_000):
+            self._run(config, program, budget, f"memo-lru-{entries}/{budget}")
+
+    def test_inline_hits_engaged(self, monkeypatch):
+        """Under a tenth of the reference stressmark's accesses call the
+        hierarchy's ``access``; the rest are made inline."""
+        general = []
+        access = kernel_vector.VectorHierarchy.access
+
+        def counting(hierarchy, *args):
+            general.append(hierarchy)
+            return access(hierarchy, *args)
+
+        monkeypatch.setattr(kernel_vector.VectorHierarchy, "access", counting)
+        config = baseline_config()
+        generator = StressmarkGenerator(config=config, max_instructions=50_000)
+        program = generator.codegen.generate(reference_knobs(config))
+        self._run(config, program, 50_000, "memo-inline/stressmark")
+        (hierarchy,) = set(general)
+        assert len(general) < hierarchy.dtlb_accesses // 10, (
+            len(general), hierarchy.dtlb_accesses
+        )
 
 
 class TestOracleProperties:

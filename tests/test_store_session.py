@@ -149,6 +149,66 @@ class TestContextArtifacts:
             fresh_context.close()
         assert replayed.as_row() == report.as_row()
 
+    def test_a_suite_stores_its_simulations_in_one_transaction(self, tmp_path, monkeypatch):
+        """All 33 proxies' fresh simulations go to the store in one
+        ``put_many``; a second session replays the spec, and a twin that
+        differs only in fault rates, without simulating anything."""
+        from repro.store.artifacts import ArtifactStore
+
+        writes = []
+        put, put_many = ArtifactStore.put, ArtifactStore.put_many
+
+        def spy_put(store, key, value):
+            writes.append(("put", 1))
+            return put(store, key, value)
+
+        def spy_put_many(store, items):
+            items = list(items)
+            writes.append(("put_many", len(items)))
+            return put_many(store, items)
+
+        monkeypatch.setattr(ArtifactStore, "put", spy_put)
+        monkeypatch.setattr(ArtifactStore, "put_many", spy_put_many)
+        spec = RunSpec(kind="simulate", name="suite", scale_overrides={**TINY_SIM})
+        with Session(store=tmp_path / "store") as session:
+            first = session.run(spec)
+        assert len(first.rows) == 33
+        assert writes == [("put_many", 33)]
+
+        monkeypatch.setattr(
+            "repro.uarch.pipeline.OutOfOrderCore.run",
+            lambda *a, **k: (_ for _ in ()).throw(AssertionError("re-simulated")),
+        )
+        twin = RunSpec(kind="simulate", name="suite", fault_rates="rhc",
+                       scale_overrides={**TINY_SIM})
+        with Session(store=tmp_path / "store") as session:
+            assert session.run(spec).rows == first.rows
+            assert len(session.run(twin).rows) == 33
+
+    def test_a_failing_proxy_keeps_the_ones_before_it(self, tmp_path, monkeypatch):
+        """The batched write runs also when a later simulation raises."""
+        from repro.experiments.runner import ExperimentContext, ExperimentScale
+        from repro.uarch.config import baseline_config
+        from repro.uarch.pipeline import OutOfOrderCore
+
+        run = OutOfOrderCore.run
+        calls = []
+
+        def failing_third(core, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("simulation failed")
+            return run(core, *args, **kwargs)
+
+        monkeypatch.setattr(OutOfOrderCore, "run", failing_third)
+        scale = ExperimentScale.quick().derive(**TINY_SIM)
+        with open_store(tmp_path / "store") as store:
+            context = ExperimentContext(scale, store=store)
+            with pytest.raises(RuntimeError, match="simulation failed"):
+                context.workload_reports(baseline_config())
+            context.close()
+            assert len(store.artifact_store().keys()) == 2
+
     def test_checkpoint_cleared_after_completed_search(self, tmp_path):
         with Session(store=tmp_path / "store") as session:
             session.run(stressmark_spec())

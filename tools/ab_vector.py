@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Same-process A/B of the vector loop against another ``kernel_vector.py``.
 
-Usage, from the repository root::
+Usage, from the repository root (``make ab-vector [REF=<git ref>]`` does
+both steps under perfbench's child environment)::
 
     git show HEAD:src/repro/uarch/kernel_vector.py > kv_parent.py
     PYTHONPATH=src python tools/ab_vector.py kv_parent.py [--genomes 192] [--extended 24]
@@ -19,8 +20,10 @@ back after ``gc.collect()``, the first side alternating from program to
 program, and their stats and every account's ``(occupied_entry_cycles,
 ace_bit_cycles)`` must be equal.  Times are ``time.process_time`` seconds.
 The script prints, per group, each side's total, the ratio (this tree over
-the other), the pairs this tree won and the share of this tree's loop
-iterations that fast mode skipped, and exits 1 on any mismatch.
+the other), the pairs this tree won, the share of this tree's loop
+iterations that fast mode skipped and, last, each side's collector passes
+while it ran (``this/other``, counted with ``gc.callbacks``), so an
+allocation change shows here too; it exits 1 on any mismatch.
 Cross-process timings are too noisy on a shared host to see a loop change;
 this one process is the comparison to trust.
 """
@@ -67,6 +70,8 @@ class GroupResult:
     mismatches: int = 0
     iterations: int = 0
     fast_forwarded: int = 0
+    this_collections: int = 0
+    other_collections: int = 0
 
     @property
     def ratio(self) -> float:
@@ -128,33 +133,48 @@ def proxies(config, seed: int) -> list:
 def run_group(name: str, other, programs: list, instructions: int,
               out=sys.stdout) -> GroupResult:
     """Time both modules' ``vector_run`` on every ``(config, program)``;
-    diff the results."""
+    diff the results and count each side's collector passes."""
     result = GroupResult(name)
     cores = {}
-    for index, (config, program) in enumerate(programs):
-        if config.name not in cores:
-            cores[config.name] = OutOfOrderCore(config, seed=SIMULATION_SEED)
-        core = cores[config.name]
-        gc.collect()
-        times = {}
-        results = {}
-        order = (kernel_vector, other) if index % 2 == 0 else (other, kernel_vector)
-        stats = kernel_vector.STATS
-        iterations, fast_forwarded = stats.iterations, stats.iterations_fast_forwarded
-        for module in order:
-            start = time.process_time()
-            results[module] = module.vector_run(core, program, instructions)
-            times[module] = time.process_time() - start
-        result.iterations += stats.iterations - iterations
-        result.fast_forwarded += stats.iterations_fast_forwarded - fast_forwarded
-        found = differences(results[other], results[kernel_vector])
-        if found:
-            result.mismatches += 1
-            print(f"MISMATCH {name}[{index}] {program.name}: {', '.join(found)}", file=out)
-        result.programs += 1
-        result.this_s += times[kernel_vector]
-        result.other_s += times[other]
-        result.won += times[kernel_vector] < times[other]
+    passes = [0]
+
+    def count_pass(phase, info):
+        if phase == "start":
+            passes[0] += 1
+
+    gc.callbacks.append(count_pass)
+    try:
+        for index, (config, program) in enumerate(programs):
+            if config.name not in cores:
+                cores[config.name] = OutOfOrderCore(config, seed=SIMULATION_SEED)
+            core = cores[config.name]
+            gc.collect()
+            times = {}
+            collections = {}
+            results = {}
+            order = (kernel_vector, other) if index % 2 == 0 else (other, kernel_vector)
+            stats = kernel_vector.STATS
+            iterations, fast_forwarded = stats.iterations, stats.iterations_fast_forwarded
+            for module in order:
+                before = passes[0]
+                start = time.process_time()
+                results[module] = module.vector_run(core, program, instructions)
+                times[module] = time.process_time() - start
+                collections[module] = passes[0] - before
+            result.iterations += stats.iterations - iterations
+            result.fast_forwarded += stats.iterations_fast_forwarded - fast_forwarded
+            found = differences(results[other], results[kernel_vector])
+            if found:
+                result.mismatches += 1
+                print(f"MISMATCH {name}[{index}] {program.name}: {', '.join(found)}", file=out)
+            result.programs += 1
+            result.this_s += times[kernel_vector]
+            result.other_s += times[other]
+            result.won += times[kernel_vector] < times[other]
+            result.this_collections += collections[kernel_vector]
+            result.other_collections += collections[other]
+    finally:
+        gc.callbacks.remove(count_pass)
     return result
 
 
@@ -193,11 +213,12 @@ def main(argv=None, out=sys.stdout) -> int:
                                 out=out))
 
     print(f"{'group':<20} {'programs':>8} {'this_s':>9} {'other_s':>9} {'ratio':>7} "
-          f"{'won':>7} {'mismatches':>10} {'fast_share':>10}", file=out)
+          f"{'won':>7} {'mismatches':>10} {'fast_share':>10} {'collections':>11}", file=out)
     for group in groups:
+        collections = f"{group.this_collections}/{group.other_collections}"
         print(f"{group.name:<20} {group.programs:>8} {group.this_s:>9.3f} {group.other_s:>9.3f} "
               f"{group.ratio:>7.3f} {f'{group.won}/{group.programs}':>7} {group.mismatches:>10} "
-              f"{group.fast_share:>10.3f}", file=out)
+              f"{group.fast_share:>10.3f} {collections:>11}", file=out)
     return 1 if any(group.mismatches for group in groups) else 0
 
 
