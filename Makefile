@@ -3,8 +3,9 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: test benchmarks bench bench-smoke specs-smoke store-smoke avf-smoke avf-golden kernel-smoke batch-smoke chaos-smoke serve-smoke serve-chaos-smoke claims-default ab-vector
 
+# Tier-1: collects tests/, benchmarks/ and perfbench/ (see ROADMAP.md).
 test:
-	$(PYTHON) -m pytest tests -q
+	$(PYTHON) -m pytest -x -q
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks -q

@@ -2,12 +2,13 @@
 
 Every benchmark regenerates one of the paper's tables or figures.  The
 expensive artefacts (the 33 workload simulations and the GA-generated
-stressmarks per fault-rate scenario) are shared through a session-scoped
-:class:`ExperimentContext` so the full harness runs in minutes at the default
-``quick`` scale.  Set ``REPRO_BENCH_SCALE=default`` for a higher-fidelity run
-(see EXPERIMENTS.md for the scales used in the recorded results) and
-``REPRO_JOBS=N`` to fan the independent simulations out over N worker
-processes (results are identical for any worker count).
+stressmarks per fault-rate scenario) are shared through one session-scoped
+:class:`~repro.api.session.Session` (``bench_session``) so the full harness
+runs in minutes at the default ``quick`` scale.  Set
+``REPRO_BENCH_SCALE=default`` for a higher-fidelity run (see EXPERIMENTS.md
+for the scales used in the recorded results) and ``REPRO_JOBS=N`` to fan the
+independent simulations out over N worker processes (results are identical
+for any worker count).
 
 The active scale and job count are printed once per session in the pytest
 header so recorded figures are attributable to their settings.
@@ -19,11 +20,12 @@ import os
 
 import pytest
 
-from repro.experiments.runner import ExperimentContext, ExperimentScale
+from repro.api.session import Session
+from repro.experiments.runner import ExperimentScale
 from repro.parallel.backends import resolve_jobs
 
 
-def _scale_from_environment() -> ExperimentScale:
+def _requested_scale() -> ExperimentScale:
     name = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
     if name == "default":
         return ExperimentScale.default()
@@ -92,7 +94,7 @@ def pytest_configure(config: pytest.Config) -> None:
 
 
 def pytest_report_header(config: pytest.Config) -> str:
-    scale = _scale_from_environment()
+    scale = _requested_scale()
     return (
         f"repro benchmarks: scale={scale.name} "
         f"(workload={scale.workload_instructions} / stressmark={scale.stressmark_instructions} insns, "
@@ -102,11 +104,10 @@ def pytest_report_header(config: pytest.Config) -> str:
 
 @pytest.fixture(scope="session")
 def bench_scale() -> ExperimentScale:
-    return _scale_from_environment()
+    return _requested_scale()
 
 
 @pytest.fixture(scope="session")
-def bench_context(bench_scale: ExperimentScale):
-    context = ExperimentContext(bench_scale, jobs=resolve_jobs())
-    yield context
-    context.close()
+def bench_session(bench_scale: ExperimentScale):
+    with Session(scale=bench_scale, jobs=resolve_jobs()) as session:
+        yield session

@@ -8,16 +8,17 @@ the paper's evidence that the GA result is near the true worst case.
 
 from __future__ import annotations
 
+from repro.api.spec import RunSpec
 from repro.avf.analysis import StructureGroup, instantaneous_worst_case_bound
 from repro.uarch.config import baseline_config, config_a
 
 from _bench_utils import print_series
 
 
-def test_instantaneous_bound_vs_stressmark(benchmark, bench_context):
+def test_instantaneous_bound_vs_stressmark(benchmark, bench_session):
     bound = benchmark(instantaneous_worst_case_bound, baseline_config())
 
-    stressmark = bench_context.stressmark()
+    stressmark = bench_session.stressmark_result(RunSpec(kind="stressmark"))
     sustained = stressmark.report.ser(StructureGroup.QS)
 
     print_series(

@@ -14,8 +14,8 @@ from repro.experiments.figures import figure3
 from _bench_utils import print_series
 
 
-def test_figure3_stressmark_vs_spec2006(benchmark, bench_context):
-    result = benchmark.pedantic(figure3, args=(bench_context,), iterations=1, rounds=1)
+def test_figure3_stressmark_vs_spec2006(benchmark, bench_session):
+    result = benchmark.pedantic(figure3, args=(bench_session,), iterations=1, rounds=1)
 
     print_series("Figure 3: SER (units/bit), stressmark vs SPEC CPU2006",
                  [row.as_dict() for row in result.rows])

@@ -8,8 +8,8 @@ from repro.experiments.figures import figure4
 from _bench_utils import print_series
 
 
-def test_figure4_stressmark_vs_mibench(benchmark, bench_context):
-    result = benchmark.pedantic(figure4, args=(bench_context,), iterations=1, rounds=1)
+def test_figure4_stressmark_vs_mibench(benchmark, bench_session):
+    result = benchmark.pedantic(figure4, args=(bench_session,), iterations=1, rounds=1)
 
     print_series("Figure 4: SER (units/bit), stressmark vs MiBench",
                  [row.as_dict() for row in result.rows])

@@ -13,8 +13,8 @@ from repro.experiments.figures import figure5
 from _bench_utils import print_series
 
 
-def test_figure5_ga_knobs_and_convergence(benchmark, bench_context):
-    result = benchmark.pedantic(figure5, args=(bench_context,), iterations=1, rounds=1)
+def test_figure5_ga_knobs_and_convergence(benchmark, bench_session):
+    result = benchmark.pedantic(figure5, args=(bench_session,), iterations=1, rounds=1)
 
     print_series("Figure 5a: final knob settings",
                  [{"knob": key, "value": value} for key, value in result.knob_table.items()])

@@ -9,8 +9,8 @@ from repro.workloads.profiles import WorkloadSuite
 from _bench_utils import print_series
 
 
-def test_figure6_per_structure_avf(benchmark, bench_context):
-    results = benchmark.pedantic(figure6, args=(bench_context,), iterations=1, rounds=1)
+def test_figure6_per_structure_avf(benchmark, bench_session):
+    results = benchmark.pedantic(figure6, args=(bench_session,), iterations=1, rounds=1)
 
     for suite, label in (
         (WorkloadSuite.SPEC_INT, "Figure 6a: SPEC CPU2006 INT"),

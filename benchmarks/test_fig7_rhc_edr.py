@@ -8,8 +8,8 @@ from repro.experiments.figures import figure7
 from _bench_utils import print_series
 
 
-def test_figure7_rhc_and_edr_ser(benchmark, bench_context):
-    results = benchmark.pedantic(figure7, args=(bench_context,), iterations=1, rounds=1)
+def test_figure7_rhc_and_edr_ser(benchmark, bench_session):
+    results = benchmark.pedantic(figure7, args=(bench_session,), iterations=1, rounds=1)
 
     for label, title in (("rhc", "Figure 7a: Config RHC"), ("edr", "Figure 7b: Config EDR")):
         print_series(title, [row.as_dict() for row in results[label].rows])

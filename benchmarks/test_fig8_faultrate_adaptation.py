@@ -14,8 +14,8 @@ from repro.uarch.structures import StructureName
 from _bench_utils import print_series
 
 
-def test_figure8_adaptation_to_fault_rates(benchmark, bench_context):
-    result = benchmark.pedantic(figure8, args=(bench_context,), iterations=1, rounds=1)
+def test_figure8_adaptation_to_fault_rates(benchmark, bench_session):
+    result = benchmark.pedantic(figure8, args=(bench_session,), iterations=1, rounds=1)
 
     print_series(
         "Figure 8a: circuit-level fault rates (units/bit)",

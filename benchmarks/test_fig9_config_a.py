@@ -8,8 +8,8 @@ from repro.experiments.figures import figure9
 from _bench_utils import print_series
 
 
-def test_figure9_configuration_a(benchmark, bench_context):
-    result = benchmark.pedantic(figure9, args=(bench_context,), iterations=1, rounds=1)
+def test_figure9_configuration_a(benchmark, bench_session):
+    result = benchmark.pedantic(figure9, args=(bench_session,), iterations=1, rounds=1)
 
     print_series(
         "Figure 9a: stressmark SER per structure group",

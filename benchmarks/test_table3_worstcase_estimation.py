@@ -14,8 +14,8 @@ from repro.experiments.tables import table3
 from _bench_utils import print_series
 
 
-def test_table3_worst_case_estimation_methodologies(benchmark, bench_context):
-    result = benchmark.pedantic(table3, args=(bench_context,), iterations=1, rounds=1)
+def test_table3_worst_case_estimation_methodologies(benchmark, bench_session):
+    result = benchmark.pedantic(table3, args=(bench_session,), iterations=1, rounds=1)
 
     print_series(
         "Table III: worst-case core SER estimation (units/bit)",

@@ -20,10 +20,11 @@ Two result surfaces exist:
   used by the figure/table drivers, which need full reports rather than
   flattened rows.
 
-Construction arguments *pin* settings: ``Session(scale=..., jobs=...)``
-makes those win over whatever a spec says (the CLI uses this for
-``--scale``/``--jobs``); a Session built around an existing
-``ExperimentContext`` reuses that context's scale, backend and caches.
+Run settings come from the spec, or from a construction argument that
+*pins* them: ``Session(scale=..., jobs=..., retry=...)`` makes those win
+over whatever a spec says (the CLI uses this for ``--scale`` / ``--jobs`` /
+``--retries`` / ``--task-timeout``).  The Session is the only place they are
+resolved, and it owns every worker pool its contexts use.
 
 ``Session(store=...)`` attaches a persistent
 :class:`~repro.store.result_store.ResultStore` (a path creates/opens one and
@@ -64,7 +65,7 @@ from repro.experiments.runner import ExperimentContext, ExperimentScale, Workloa
 from repro.memory.cache import CacheConfig
 from repro.memory.tlb import TlbConfig
 from repro.parallel.backends import EvaluationBackend, create_backend, resolve_jobs
-from repro.parallel.resilience import FailurePolicy, RetryPolicy
+from repro.parallel.resilience import RetryPolicy
 from repro.stressmark.fitness import FitnessFunction
 from repro.stressmark.generator import StressmarkResult
 from repro.uarch.config import MachineConfig
@@ -91,8 +92,8 @@ class ResolvedRun:
 class Session:
     """Facade resolving and executing :class:`RunSpec` requests.
 
-    Contexts (and their caches) are memoized per ``(scale, jobs, failure
-    policy)`` and backends per ``(jobs, failure policy)``, so the runs of a
+    Contexts (and their caches) are memoized per ``(scale, jobs, retry
+    policy)`` and backends per ``(jobs, retry policy)``, so the runs of a
     sweep share warm workers, workload simulations and stressmark searches
     exactly like the figure drivers always have.  Use as a context manager,
     or call :meth:`close`, to release worker processes.
@@ -102,19 +103,16 @@ class Session:
         self,
         scale: Optional[Union[ExperimentScale, str]] = None,
         jobs: Optional[int] = None,
-        context: Optional[ExperimentContext] = None,
         store: Optional[Union["ResultStore", str, Path]] = None,
         resume: bool = False,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         if isinstance(scale, str):
             scale = SCALES.create(scale)
-        self._pinned_scale: Optional[ExperimentScale] = scale or (context.scale if context else None)
-        self._pinned_jobs: Optional[int] = jobs if jobs is not None else (
-            context.jobs if context is not None else None
-        )
+        self._pinned_scale: Optional[ExperimentScale] = scale
+        self._pinned_jobs: Optional[int] = jobs
         # Retry precedence: pinned (CLI --retries/--task-timeout) > spec
-        # fields > REPRO_RETRY_* environment > library defaults.
+        # fields > RetryPolicy() defaults.
         self._pinned_retry: Optional[RetryPolicy] = retry
         self._resume = bool(resume)
         self._store: Optional["ResultStore"] = None
@@ -126,16 +124,11 @@ class Session:
             self._store = open_store(store)
         self._closed = False
         self._contexts: dict[tuple, ExperimentContext] = {}
-        self._owned: list[ExperimentContext] = []
-        # One worker pool per (jobs, failure policy), shared by every context
+        # One worker pool per (jobs, retry policy), shared by every context
         # the session creates (sweep points at different scales included):
         # workers keep no per-task state, so one pool serves any number of
         # distinct evaluators without recycling workers.
-        self._backends: dict[tuple[int, FailurePolicy], "EvaluationBackend"] = {}
-        # A wrapped context serves every spec at its (scale, jobs) pair whose
-        # retry policy its live backend runs.  Its own store configuration is
-        # left untouched.
-        self._wrapped = context
+        self._backends: dict[tuple[int, RetryPolicy], "EvaluationBackend"] = {}
 
     @property
     def store(self) -> Optional["ResultStore"]:
@@ -208,16 +201,15 @@ class Session:
         return resolve_jobs(spec.jobs)
 
     def resolve_retry(self, spec: RunSpec) -> RetryPolicy:
-        """The retry policy a spec runs under (pinned > spec > environment)."""
+        """The retry policy a spec runs under (pinned > spec > defaults)."""
         if self._pinned_retry is not None:
             return self._pinned_retry
-        policy = RetryPolicy.from_env()
         overrides: dict[str, object] = {}
         if spec.retries is not None:
             overrides["max_attempts"] = spec.retries
         if spec.task_timeout is not None:
             overrides["timeout"] = float(spec.task_timeout)
-        return policy.derive(**overrides) if overrides else policy
+        return RetryPolicy(**overrides)
 
     def resolve_profiles(self, spec: RunSpec) -> tuple[WorkloadProfile, ...]:
         """Workload profiles of a simulate spec, in deterministic order."""
@@ -241,18 +233,18 @@ class Session:
 
     # -------------------------------------------------------------- contexts
 
-    def _shared_backend(self, jobs: int, policy: FailurePolicy) -> "EvaluationBackend":
-        """The session's shared evaluation backend for a (jobs, policy) pair."""
-        backend = self._backends.get((jobs, policy))
+    def _shared_backend(self, jobs: int, retry: RetryPolicy) -> "EvaluationBackend":
+        """The session's shared evaluation backend for a (jobs, retry) pair."""
+        backend = self._backends.get((jobs, retry))
         if backend is None:
-            backend = create_backend(jobs, policy=policy)
-            self._backends[(jobs, policy)] = backend
+            backend = create_backend(jobs, retry=retry)
+            self._backends[(jobs, retry)] = backend
         return backend
 
     def context_for(self, spec: SpecLike) -> ExperimentContext:
         """The (cached) ExperimentContext executing a spec's scale/jobs/retry policy.
 
-        Every context shares the session-owned backend of its (jobs, failure
+        Every context shares the session-owned backend of its (jobs, retry
         policy) pair, so a sweep's points (and the GA generations inside
         each) reuse warm workers instead of respawning them.
         """
@@ -262,23 +254,14 @@ class Session:
         scale = self.resolve_scale(spec)
         jobs = self.resolve_jobs(spec)
         retry = self.resolve_retry(spec)
-        wrapped = self._wrapped
-        if wrapped is not None and (scale, jobs) == (wrapped.scale, wrapped.jobs):
-            # Only if its backend runs the spec's retry policy (a serial
-            # backend, which retries nothing, runs any).
-            policy = getattr(wrapped.backend, "policy", None)
-            if policy is None or policy.retry == retry:
-                return wrapped
-        policy = FailurePolicy(retry=retry)
-        key = (scale, jobs, policy)
+        key = (scale, jobs, retry)
         context = self._contexts.get(key)
         if context is None:
             context = ExperimentContext(
-                scale, backend=self._shared_backend(jobs, policy), store=self._store,
+                scale, backend=self._shared_backend(jobs, retry), store=self._store,
                 resume=self._resume,
             )
             self._contexts[key] = context
-            self._owned.append(context)
         return context
 
     # ------------------------------------------------------- rich accessors
@@ -457,7 +440,7 @@ class Session:
     # -------------------------------------------------------------- lifetime
 
     def close(self) -> None:
-        """Release every context (and worker pool) this session created.
+        """Release every worker pool (and the store) this session owns.
 
         Idempotent: a second ``close`` (server shutdown racing a signal
         handler, ``with`` block around an explicit ``close()``) is a no-op
@@ -467,9 +450,6 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        for context in self._owned:
-            context.close()
-        self._owned.clear()
         self._contexts.clear()
         for backend in self._backends.values():
             backend.close()

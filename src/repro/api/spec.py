@@ -68,8 +68,9 @@ class RunSpec:
     evaluation backend: one job runs in-process, more run the resilient
     worker pool.  ``retries`` / ``task_timeout`` tune that pool's
     :class:`~repro.parallel.resilience.RetryPolicy` (max attempts per item,
-    per-item deadline in seconds); unset means the ``REPRO_RETRY_*``
-    environment (or library defaults) applies.
+    per-item deadline in seconds); unset means ``RetryPolicy()``'s defaults
+    apply, and a Session pinning a policy (CLI ``--retries`` /
+    ``--task-timeout``) overrides both.
     Sweep-only fields: ``base``, ``axes``, ``runs``.
     """
 

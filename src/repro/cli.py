@@ -42,8 +42,9 @@ interrupted GA search from its per-generation checkpoint.
 ``--retries N`` / ``--task-timeout S`` tune the fault-tolerant worker pool
 every ``--jobs > 1`` run uses: each simulation/GA evaluation gets up to N
 attempts (with capped exponential backoff) and S seconds per attempt before
-its worker is declared hung and replaced.  Defaults come from the
-``REPRO_RETRY_*`` environment, then the library (3 attempts, no deadline).
+its worker is declared hung and replaced.  They win over a spec's
+``retries`` / ``task_timeout``; unset everywhere, a run gets 3 attempts and
+no deadline.
 
 ``repro serve`` starts the evaluation daemon (one warm shared fabric, many
 clients — see EXPERIMENTS.md, "Evaluation service"); ``repro run SPEC
@@ -322,12 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(1-based; sweep command only, requires --store)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="attempts per simulation/GA evaluation before the item "
-                             "is quarantined (worker pool, --jobs > 1; "
-                             "default: $REPRO_RETRY_MAX_ATTEMPTS, then 3)")
+                             "is quarantined (worker pool, --jobs > 1; wins over "
+                             "a spec's retries; default: 3)")
     parser.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
                         help="per-attempt deadline before a worker is declared hung "
-                             "and replaced (worker pool, --jobs > 1; "
-                             "default: $REPRO_RETRY_TIMEOUT, then unlimited)")
+                             "and replaced (worker pool, --jobs > 1; wins over "
+                             "a spec's task_timeout; default: unlimited)")
     parser.add_argument("--repair", action="store_true",
                         help="fsck command only: repair salvageable damage in place "
                              "(truncate torn JSONL tails, drop unloadable checkpoints, "
@@ -438,7 +439,7 @@ def _retry_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace):
     if args.task_timeout is not None:
         overrides["timeout"] = args.task_timeout
     try:
-        return RetryPolicy.from_env().derive(**overrides)
+        return RetryPolicy(**overrides)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -5,25 +5,23 @@ figure of the paper and returns it as plain data structures (lists of rows /
 series) that the benchmark harness prints and the tests assert on.  The
 figures never plot — the *rows/series* are the reproduction artefact.
 
-Since the RunSpec/Session redesign each driver is a thin consumer of a
-canned :class:`~repro.api.spec.RunSpec` (see :mod:`repro.api.presets`): the
-spec declares the scenario matrix, the :class:`~repro.api.session.Session`
-resolves and executes it (sharing simulations across figures through the
-experiment context), and the driver only reshapes the resulting reports
-into the paper's presentation.
+Each driver is a thin consumer of a canned :class:`~repro.api.spec.RunSpec`
+(see :mod:`repro.api.presets`): the spec declares the scenario matrix, the
+:class:`~repro.api.session.Session` passed in resolves and executes it
+(sharing simulations across figures through its experiment contexts), and
+the driver only reshapes the resulting reports into the paper's
+presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.api.presets import children_of_kind, preset_spec
 from repro.api.session import Session
 from repro.api.spec import RunSpec
 from repro.avf.analysis import StructureGroup
 from repro.avf.report import SerReport
-from repro.experiments.runner import ExperimentContext, ExperimentScale
 from repro.uarch.structures import StructureName
 from repro.workloads.profiles import WorkloadSuite
 
@@ -42,17 +40,6 @@ def core_structures_of(report: SerReport) -> tuple[StructureName, ...]:
     ``extended`` config) automatically join the per-structure AVF figures.
     """
     return tuple(s for s in report.structure_avf if s.is_core)
-
-
-def _session(
-    context: Optional[ExperimentContext],
-    scale: Optional[ExperimentScale],
-    session: Optional[Session],
-) -> Session:
-    """The Session executing a driver (wrapping a legacy context if given)."""
-    if session is not None:
-        return session
-    return Session(context=context or ExperimentContext(scale))
 
 
 @dataclass
@@ -131,22 +118,14 @@ def _comparison(figure: str, session: Session, spec: RunSpec) -> SerComparisonRe
 # --------------------------------------------------------------- Figure 3/4
 
 
-def figure3(
-    context: Optional[ExperimentContext] = None,
-    scale: Optional[ExperimentScale] = None,
-    session: Optional[Session] = None,
-) -> SerComparisonResult:
+def figure3(session: Session) -> SerComparisonResult:
     """Figure 3: stressmark vs SPEC CPU2006 SER on the baseline configuration."""
-    return _comparison("figure3", _session(context, scale, session), preset_spec("figure3"))
+    return _comparison("figure3", session, preset_spec("figure3"))
 
 
-def figure4(
-    context: Optional[ExperimentContext] = None,
-    scale: Optional[ExperimentScale] = None,
-    session: Optional[Session] = None,
-) -> SerComparisonResult:
+def figure4(session: Session) -> SerComparisonResult:
     """Figure 4: stressmark vs MiBench SER on the baseline configuration."""
-    return _comparison("figure4", _session(context, scale, session), preset_spec("figure4"))
+    return _comparison("figure4", session, preset_spec("figure4"))
 
 
 # ----------------------------------------------------------------- Figure 5
@@ -164,15 +143,9 @@ class Figure5Result:
     evaluations: int
 
 
-def figure5(
-    context: Optional[ExperimentContext] = None,
-    scale: Optional[ExperimentScale] = None,
-    session: Optional[Session] = None,
-    spec: Optional[RunSpec] = None,
-) -> Figure5Result:
+def figure5(session: Session) -> Figure5Result:
     """Figure 5: GA-generated stressmark for the baseline configuration."""
-    session = _session(context, scale, session)
-    result = session.stressmark_result(spec or preset_spec("figure5"))
+    result = session.stressmark_result(preset_spec("figure5"))
     return Figure5Result(
         knob_table=result.knob_table(),
         average_fitness_per_generation=result.ga_result.average_fitness_trace(),
@@ -203,13 +176,8 @@ class Figure6Result:
         return stressmark >= max(others) if others else True
 
 
-def figure6(
-    context: Optional[ExperimentContext] = None,
-    scale: Optional[ExperimentScale] = None,
-    session: Optional[Session] = None,
-) -> dict[WorkloadSuite, Figure6Result]:
+def figure6(session: Session) -> dict[WorkloadSuite, Figure6Result]:
     """Figure 6 (a, b, c): per-structure AVF for SPEC INT, SPEC FP, MiBench."""
-    session = _session(context, scale, session)
     spec = preset_spec("figure6")
     stressmark = session.stressmark_result(children_of_kind(spec, "stressmark")[0])
     simulate_spec = children_of_kind(spec, "simulate")[0]
@@ -240,13 +208,8 @@ def figure6(
 # ----------------------------------------------------------------- Figure 7
 
 
-def figure7(
-    context: Optional[ExperimentContext] = None,
-    scale: Optional[ExperimentScale] = None,
-    session: Optional[Session] = None,
-) -> dict[str, SerComparisonResult]:
+def figure7(session: Session) -> dict[str, SerComparisonResult]:
     """Figure 7: SER of workloads and stressmark on the RHC and EDR configurations."""
-    session = _session(context, scale, session)
     spec = preset_spec("figure7")
     results: dict[str, SerComparisonResult] = {}
     for label in spec.axes["fault_rates"]:
@@ -278,13 +241,8 @@ class Figure8Result:
 FIGURE8_SCENARIOS = {"baseline": "unit", "rhc": "rhc", "edr": "edr"}
 
 
-def figure8(
-    context: Optional[ExperimentContext] = None,
-    scale: Optional[ExperimentScale] = None,
-    session: Optional[Session] = None,
-) -> Figure8Result:
+def figure8(session: Session) -> Figure8Result:
     """Figure 8: stressmark adaptation to the RHC and EDR fault-rate models."""
-    session = _session(context, scale, session)
     spec = preset_spec("figure8")
     children = {child.fault_rates: child for child in spec.expand()}
 
@@ -335,13 +293,8 @@ class Figure9Result:
     knob_tables: dict[str, dict[str, object]]
 
 
-def figure9(
-    context: Optional[ExperimentContext] = None,
-    scale: Optional[ExperimentScale] = None,
-    session: Optional[Session] = None,
-) -> Figure9Result:
+def figure9(session: Session) -> Figure9Result:
     """Figure 9: stressmark generation for a different microarchitecture."""
-    session = _session(context, scale, session)
     spec = preset_spec("figure9")
     group_ser: dict[str, dict[StructureGroup, float]] = {}
     structure_avf: dict[str, dict[StructureName, float]] = {}

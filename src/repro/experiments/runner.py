@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.avf.report import SerReport, build_report
 from repro.ga.engine import GAParameters
-from repro.parallel.backends import EvaluationBackend, create_backend, resolve_jobs
+from repro.parallel.backends import EvaluationBackend, SerialBackend
 from repro.parallel.resilience import Quarantined
 from repro.stressmark.fitness import FitnessFunction
 from repro.stressmark.generator import StressmarkGenerator, StressmarkResult, reference_knobs
@@ -152,9 +152,11 @@ class ExperimentContext:
     configuration, and Figures 5, 7 and 8 reuse the stressmark GA runs, so
     the context memoises both keyed by (configuration, fault-rate model).
 
-    ``jobs`` > 1 (or ``REPRO_JOBS``) fans the independent workload
-    simulations and the stressmark GA evaluations out across worker
-    processes; reports and caches are always assembled in deterministic
+    ``backend`` (default :class:`~repro.parallel.backends.SerialBackend`)
+    runs the independent workload simulations and the stressmark GA
+    evaluations; a :class:`~repro.api.session.Session` passes the worker
+    pool it owns for the spec's ``jobs``, and the context never creates or
+    closes one.  Reports and caches are always assembled in deterministic
     order, so results are identical for any worker count.
 
     ``store`` (a :class:`~repro.store.result_store.ResultStore`) makes the
@@ -171,33 +173,20 @@ class ExperimentContext:
     def __init__(
         self,
         scale: Optional[ExperimentScale] = None,
-        jobs: Optional[int] = None,
         backend: Optional[EvaluationBackend] = None,
         store: Optional[object] = None,
         resume: bool = False,
     ) -> None:
         self.scale = scale or ExperimentScale.quick()
-        self.jobs = resolve_jobs(jobs) if backend is None else backend.jobs
+        self.backend = backend or SerialBackend()
         self.store = store
         self.resume = resume
-        self._backend = backend
-        # A context closes only the backend it creates; a backend passed in
-        # (the Session hands one pool to every context of a sweep) is closed
-        # by its owner.
-        self._owns_backend = backend is None
         # AVF is independent of the circuit-level fault rates, so workload
         # simulations are cached per configuration and re-reported under each
         # fault-rate model without re-simulating.
         self._workload_sim_cache: dict[tuple[str, str], object] = {}
         self._workload_cache: dict[tuple[str, str], WorkloadReportSet] = {}
         self._stressmark_cache: dict[tuple, StressmarkResult] = {}
-
-    @property
-    def backend(self) -> EvaluationBackend:
-        """The evaluation backend (created lazily from ``jobs``)."""
-        if self._backend is None:
-            self._backend = create_backend(self.jobs)
-        return self._backend
 
     # ----------------------------------------------------------- workloads
 
@@ -326,7 +315,6 @@ class ExperimentContext:
         config: Optional[MachineConfig] = None,
         fault_rates: Optional[FaultRateModel] = None,
         fitness: Optional[FitnessFunction] = None,
-        allow_l2_hit_generator: bool = True,
         ga_seed: Optional[int] = None,
     ) -> StressmarkResult:
         """GA-generated stressmark for one (configuration, fault-rate) pair, cached.
@@ -343,7 +331,7 @@ class ExperimentContext:
         if cached is not None:
             return cached
 
-        knob_space = KnobSpace(config, allow_l2_hit_generator=allow_l2_hit_generator)
+        knob_space = KnobSpace(config)
         ga_parameters = (
             self.scale.ga_parameters() if ga_seed is None else self.scale.ga_parameters(ga_seed)
         )
@@ -354,6 +342,9 @@ class ExperimentContext:
         if self.store is not None:
             from repro.store.artifacts import artifact_key
 
+            # The trailing True is the knob space's allow_l2_hit_generator,
+            # the value every search runs with; it stays in the key so stores
+            # written while it was a parameter keep replaying.
             artifact_key_str = artifact_key(
                 "stressmark",
                 config,
@@ -363,7 +354,7 @@ class ExperimentContext:
                 self.scale.stressmark_instructions,
                 self.scale.simulation_seed,
                 self.scale.seed_ga_with_reference,
-                allow_l2_hit_generator,
+                True,
             )
             replayed = self.store.artifact_store().get(artifact_key_str)
             if replayed is not None:
@@ -407,11 +398,6 @@ class ExperimentContext:
         """Drop all cached results."""
         self._workload_cache.clear()
         self._stressmark_cache.clear()
-
-    def close(self) -> None:
-        """Release the evaluation backend's worker processes, if owned."""
-        if self._backend is not None and self._owns_backend:
-            self._backend.close()
 
 
 def max_group_ser(reports: Iterable[SerReport], group) -> float:

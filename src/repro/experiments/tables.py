@@ -9,14 +9,11 @@ simulation per fault-rate scenario, executed by the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.api.presets import children_of_kind, preset_spec
 from repro.api.session import Session
 from repro.avf.analysis import StructureGroup, group_structures
 from repro.avf.report import SerReport
-from repro.experiments.figures import _session
-from repro.experiments.runner import ExperimentContext, ExperimentScale
 from repro.uarch.config import MachineConfig, baseline_config, config_a
 from repro.uarch.faultrates import FaultRateModel
 from repro.uarch.structures import core_structure_accumulators
@@ -135,11 +132,7 @@ def _raw_circuit_ser(config: MachineConfig, fault_rates: FaultRateModel) -> floa
 TABLE3_SCENARIOS = {"baseline": "unit", "rhc": "rhc", "edr": "edr"}
 
 
-def table3(
-    context: Optional[ExperimentContext] = None,
-    scale: Optional[ExperimentScale] = None,
-    session: Optional[Session] = None,
-) -> Table3Result:
+def table3(session: Session) -> Table3Result:
     """Table III: worst-case core SER estimation methodologies compared.
 
     For each fault-rate scenario (baseline unit rates, RHC, EDR) the table
@@ -147,7 +140,6 @@ def table3(
     (name and core SER), the "sum of highest per-structure SER" estimate and
     the raw circuit-level bound.
     """
-    session = _session(context, scale, session)
     spec = preset_spec("table3")
     stress_specs = {child.fault_rates: child for child in children_of_kind(spec, "stressmark")}
     simulate_specs = {child.fault_rates: child for child in children_of_kind(spec, "simulate")}

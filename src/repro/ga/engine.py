@@ -15,7 +15,7 @@ from repro.ga.individual import Individual, best_of, population_diversity
 from repro.ga.operators import cataclysm, crossover, migrate, mutate, tournament_selection
 from repro.parallel.backends import EvaluationBackend, SerialBackend
 from repro.parallel.cache import FitnessCache, genome_digest
-from repro.parallel.resilience import Quarantined, TaskFailedError
+from repro.parallel.resilience import Quarantined
 from repro.utils.rng import DeterministicRng
 
 
@@ -122,9 +122,6 @@ class GeneticAlgorithm:
     :class:`~repro.parallel.cache.FitnessCache`).  The default creates a
     private cache per engine; pass ``False`` to disable memoization (for
     non-deterministic evaluators) or share a preconfigured cache across runs.
-
-    ``on_evaluated`` is called once per newly evaluated individual — cache
-    hits included — in deterministic population order, in the main process.
     """
 
     def __init__(
@@ -135,7 +132,6 @@ class GeneticAlgorithm:
         on_generation: Optional[Callable[[GenerationStats, list[Individual]], None]] = None,
         backend: Optional[EvaluationBackend] = None,
         fitness_cache: Union[FitnessCache, bool, None] = None,
-        on_evaluated: Optional[Callable[[Individual], None]] = None,
     ) -> None:
         self.space = space
         self.evaluator = evaluator
@@ -150,7 +146,6 @@ class GeneticAlgorithm:
             self.fitness_cache = FitnessCache(max_entries=4096)
         else:
             self.fitness_cache = fitness_cache
-        self.on_evaluated = on_evaluated
 
     # ----------------------------------------------------------------- API
 
@@ -220,9 +215,9 @@ class GeneticAlgorithm:
             start_generation = 0
 
         for generation in range(start_generation, params.generations):
-            # On KeyboardInterrupt (or an aborting worker failure) mid-
-            # generation, persist the loop state *before* this generation's
-            # evaluation so a resume re-runs only the in-flight generation.
+            # On KeyboardInterrupt mid-generation, persist the loop state
+            # *before* this generation's evaluation so a resume re-runs only
+            # the in-flight generation.
             # The RNG is untouched during evaluation and the population is
             # exactly what the end of the previous generation produced, so
             # checkpointing "generation - 1" here is equivalent to the
@@ -230,7 +225,7 @@ class GeneticAlgorithm:
             # also exists when the interrupt precedes any completed one.
             try:
                 result.evaluations += self._evaluate(population)
-            except (KeyboardInterrupt, TaskFailedError):
+            except KeyboardInterrupt:
                 if checkpoint is not None:
                     self._save_checkpoint(
                         checkpoint, settings_digest, generation - 1, rng,
@@ -279,7 +274,7 @@ class GeneticAlgorithm:
 
         try:
             result.evaluations += self._evaluate(population)
-        except (KeyboardInterrupt, TaskFailedError):
+        except KeyboardInterrupt:
             if checkpoint is not None:
                 self._save_checkpoint(
                     checkpoint, settings_digest, params.generations - 1, rng,
@@ -434,14 +429,12 @@ class GeneticAlgorithm:
             # for the persistent cache) instead of one per genome.
             cache.store_many(to_store)
 
-        # All-time-best tracking and callbacks run in population order in the
-        # main process, so results are identical for any backend/worker count.
+        # All-time-best tracking runs in population order in the main process,
+        # so results are identical for any backend/worker count.
         for individual in pending:
             if self._all_time_best is None or individual.fitness > self._all_time_best.fitness:
                 self._all_time_best = individual.copy()
                 self._all_time_best.payload = dict(individual.payload)
-            if self.on_evaluated is not None:
-                self.on_evaluated(individual)
         return len(to_run)
 
     def _generation_stats(

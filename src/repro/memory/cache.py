@@ -67,8 +67,8 @@ class CacheAccessResult:
 
 
 @dataclass
-class CacheStats:
-    """Hit/miss counters."""
+class CacheAccessStats:
+    """Hit/miss counters of one simulated cache."""
 
     accesses: int = 0
     hits: int = 0
@@ -95,7 +95,7 @@ class Cache:
 
     def __init__(self, config: CacheConfig, tracker: Optional[LifetimeTracker] = None) -> None:
         self.config = config
-        self.stats = CacheStats()
+        self.stats = CacheAccessStats()
         self.lifetime = tracker if tracker is not None else LifetimeTracker(
             word_bits=config.word_bytes * 8
         )

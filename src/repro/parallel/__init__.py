@@ -12,18 +12,15 @@ from repro.parallel.backends import (
     resolve_jobs,
 )
 from repro.parallel.cache import (
-    CacheStats,
     FitnessCache,
     evaluation_context_digest,
     genome_digest,
 )
 from repro.parallel.resilience import (
-    FailurePolicy,
     FailureStats,
     Quarantined,
     ResilientPoolBackend,
     RetryPolicy,
-    TaskFailedError,
 )
 
 __all__ = [
@@ -32,14 +29,11 @@ __all__ = [
     "SerialBackend",
     "ResilientPoolBackend",
     "RetryPolicy",
-    "FailurePolicy",
     "FailureStats",
     "Quarantined",
-    "TaskFailedError",
     "create_backend",
     "resolve_jobs",
     "FitnessCache",
-    "CacheStats",
     "genome_digest",
     "evaluation_context_digest",
 ]

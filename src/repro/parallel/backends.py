@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TypeVa
 from repro.testing.chaos import chaos_hook
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.resilience import FailurePolicy
+    from repro.parallel.resilience import RetryPolicy
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -191,17 +191,17 @@ class SerialBackend(EvaluationBackend):
 
 def create_backend(
     jobs: Optional[int] = None,
-    policy: Optional["FailurePolicy"] = None,
+    retry: Optional["RetryPolicy"] = None,
 ) -> EvaluationBackend:
     """Backend for ``jobs`` workers (resolving ``None`` via ``REPRO_JOBS``).
 
     ``jobs > 1`` returns the fault-tolerant
-    :class:`~repro.parallel.resilience.ResilientPoolBackend` (``policy``
-    defaults to the ``REPRO_RETRY_*`` environment); one job runs serially.
+    :class:`~repro.parallel.resilience.ResilientPoolBackend` running
+    ``retry`` (default ``RetryPolicy()``); one job runs serially.
     """
     resolved = resolve_jobs(jobs)
     if resolved <= 1:
         return SerialBackend()
     from repro.parallel.resilience import ResilientPoolBackend
 
-    return ResilientPoolBackend(resolved, policy=policy)
+    return ResilientPoolBackend(resolved, retry=retry)

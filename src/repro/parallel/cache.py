@@ -18,26 +18,7 @@ can mutate their view without corrupting the cache.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Hit/miss counters of a fitness cache."""
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
 
 
 def genome_digest(genome: Mapping[str, object], context_digest: str = "") -> str:
@@ -64,8 +45,6 @@ class FitnessCache:
         self.context_digest = context_digest
         self.max_entries = max_entries
         self._entries: dict[str, tuple[float, dict]] = {}
-        self._hits = 0
-        self._misses = 0
 
     # ---------------------------------------------------------------- keys
 
@@ -81,19 +60,17 @@ class FitnessCache:
     def lookup_key(self, key: str) -> Optional[tuple[float, dict]]:
         entry = self._entries.get(key)
         if entry is None:
-            self._misses += 1
             return None
-        self._hits += 1
         fitness, payload = entry
         return fitness, dict(payload)
 
     def lookup_many(self, keys: Sequence[str]) -> dict[str, tuple[float, dict]]:
         """Cached entries for several keys at once (hits only).
 
-        Hit/miss counters advance exactly as per-key lookups would, so
-        batched callers observe the same statistics.  Persistent subclasses
-        override this to resolve all in-memory misses against disk in one
-        round-trip instead of one query per genome.
+        Persistent subclasses override this to resolve all in-memory misses
+        against disk in one round-trip instead of one query per genome.  The
+        GA engine counts hits and misses itself
+        (:attr:`~repro.ga.engine.GAResult.cache_hits` / ``cache_misses``).
         """
         found: dict[str, tuple[float, dict]] = {}
         for key in keys:
@@ -125,15 +102,9 @@ class FitnessCache:
 
     # ------------------------------------------------------------- utility
 
-    @property
-    def stats(self) -> CacheStats:
-        return CacheStats(hits=self._hits, misses=self._misses)
-
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
+        """Drop every entry."""
         self._entries.clear()
-        self._hits = 0
-        self._misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)

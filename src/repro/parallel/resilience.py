@@ -18,10 +18,9 @@ pipes and supervises every attempt:
   ``max_delay``), up to ``max_attempts`` attempts.
 * **Quarantine** — an item that exhausts its attempts is *recorded* as
   :class:`Quarantined` in the result slot instead of raising, so one
-  poisonous genome/workload cannot abort the surrounding search (disable
-  via ``FailurePolicy.quarantine=False`` to raise :class:`TaskFailedError`).
+  poisonous genome/workload cannot abort the surrounding search.
 * **Graceful degradation** — repeated pool-level failures (more worker
-  losses than ``FailurePolicy.max_pool_failures``) fall the backend back to
+  losses than :data:`MAX_POOL_FAILURES`) fall the backend back to
   in-process serial execution with a warning instead of dying.
 
 Determinism is preserved in every path: results are placed by input index,
@@ -31,17 +30,16 @@ serial path calls ``fn(item)`` exactly like
 bit-identical to a clean serial run (the ``chaos-smoke`` gate enforces
 this).
 
-``RetryPolicy`` fields are configurable per run (RunSpec
-``retries``/``task_timeout``, CLI ``--retries``/``--task-timeout``) or
-globally via ``REPRO_RETRY_MAX_ATTEMPTS`` / ``REPRO_RETRY_BASE_DELAY`` /
-``REPRO_RETRY_TIMEOUT``.
+The :class:`RetryPolicy` a pool runs is set per run by the RunSpec
+(``retries`` / ``task_timeout``) or pinned by the CLI (``--retries`` /
+``--task-timeout``); the :class:`~repro.api.session.Session` resolves it
+and owns the pools.
 """
 
 from __future__ import annotations
 
 import heapq
 import multiprocessing
-import os
 import time
 import warnings
 from dataclasses import dataclass, fields as dataclass_fields, replace
@@ -53,20 +51,15 @@ from repro.parallel.backends import EvaluationBackend, _run_task
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Environment variables consulted by :meth:`RetryPolicy.from_env`.
-RETRY_MAX_ATTEMPTS_ENV_VAR = "REPRO_RETRY_MAX_ATTEMPTS"
-RETRY_BASE_DELAY_ENV_VAR = "REPRO_RETRY_BASE_DELAY"
-RETRY_TIMEOUT_ENV_VAR = "REPRO_RETRY_TIMEOUT"
+#: Worker losses a pool survives before it degrades to in-process serial
+#: evaluation.
+MAX_POOL_FAILURES = 8
 
 #: Upper bound on one supervision wait so liveness is re-checked regularly.
 _MAX_WAIT_SECONDS = 0.5
 
 #: Grace period for a worker to exit after the stop sentinel / SIGTERM.
 _JOIN_GRACE_SECONDS = 2.0
-
-
-class TaskFailedError(RuntimeError):
-    """An item exhausted its retry attempts and quarantine is disabled."""
 
 
 @dataclass(frozen=True)
@@ -99,53 +92,8 @@ class RetryPolicy:
         return min(self.max_delay, self.base_delay * (2.0 ** (attempt - 1)))
 
     def derive(self, **overrides: object) -> "RetryPolicy":
-        """A copy with fields overridden (spec/CLI layering)."""
+        """A copy with fields overridden."""
         return replace(self, **overrides)  # type: ignore[arg-type]
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Defaults overridden by the ``REPRO_RETRY_*`` environment variables."""
-        kwargs: dict[str, object] = {}
-        attempts = os.environ.get(RETRY_MAX_ATTEMPTS_ENV_VAR, "").strip()
-        if attempts:
-            try:
-                kwargs["max_attempts"] = int(attempts)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{RETRY_MAX_ATTEMPTS_ENV_VAR} must be an integer, got {attempts!r}"
-                ) from exc
-        for name, env_var in (("base_delay", RETRY_BASE_DELAY_ENV_VAR),
-                              ("timeout", RETRY_TIMEOUT_ENV_VAR)):
-            text = os.environ.get(env_var, "").strip()
-            if text:
-                try:
-                    kwargs[name] = float(text)
-                except ValueError as exc:
-                    raise ValueError(f"{env_var} must be a number, got {text!r}") from exc
-        return cls(**kwargs)  # type: ignore[arg-type]
-
-
-@dataclass(frozen=True)
-class FailurePolicy:
-    """How the evaluation fabric reacts when the retry schedule is exhausted.
-
-    ``quarantine`` records permanently failing items on the result instead
-    of raising; ``degrade_to_serial`` falls back to in-process execution
-    after ``max_pool_failures`` worker losses instead of aborting the run.
-    """
-
-    retry: RetryPolicy = RetryPolicy()
-    quarantine: bool = True
-    degrade_to_serial: bool = True
-    max_pool_failures: int = 8
-
-    def __post_init__(self) -> None:
-        if self.max_pool_failures < 1:
-            raise ValueError("max_pool_failures must be at least 1")
-
-    @classmethod
-    def from_env(cls) -> "FailurePolicy":
-        return cls(retry=RetryPolicy.from_env())
 
 
 @dataclass(frozen=True)
@@ -274,11 +222,11 @@ class ResilientPoolBackend(EvaluationBackend):
     any sequence of map calls and evaluators.
     """
 
-    def __init__(self, jobs: int, policy: Optional[FailurePolicy] = None) -> None:
+    def __init__(self, jobs: int, retry: Optional[RetryPolicy] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.jobs = int(jobs)
-        self.policy = policy or FailurePolicy.from_env()
+        self.retry = retry or RetryPolicy()
         self.stats = FailureStats()
         self._workers: list[_Worker] = []
         self._pool_failures = 0
@@ -338,7 +286,7 @@ class ResilientPoolBackend(EvaluationBackend):
         self.stats.worker_restarts += 1
         self._pool_failures += 1
         index = self._workers.index(worker)
-        if self._pool_failures > self.policy.max_pool_failures and self.policy.degrade_to_serial:
+        if self._pool_failures > MAX_POOL_FAILURES:
             self._degrade()
             return
         self._workers[index] = _Worker()
@@ -346,7 +294,7 @@ class ResilientPoolBackend(EvaluationBackend):
     def _degrade(self) -> None:
         warnings.warn(
             f"resilient pool lost {self._pool_failures} workers "
-            f"(> max_pool_failures={self.policy.max_pool_failures}); "
+            f"(> MAX_POOL_FAILURES={MAX_POOL_FAILURES}); "
             f"degrading to in-process serial evaluation",
             RuntimeWarning,
             stacklevel=3,
@@ -361,7 +309,7 @@ class ResilientPoolBackend(EvaluationBackend):
         No chaos hooks — ``fn(item)`` exactly as the serial reference
         executes it, so degraded results stay bit-identical.
         """
-        retry = self.policy.retry
+        retry = self.retry
         attempts = 0
         while True:
             try:
@@ -377,10 +325,8 @@ class ResilientPoolBackend(EvaluationBackend):
                 self.stats.retries += 1
                 time.sleep(retry.delay_for(attempts))
 
-    def _exhausted(self, error: str, attempts: int):
-        """Quarantine (or raise for) an item that used up its attempts."""
-        if not self.policy.quarantine:
-            raise TaskFailedError(f"item failed {attempts} attempt(s): {error}")
+    def _exhausted(self, error: str, attempts: int) -> Quarantined:
+        """Quarantine an item that used up its attempts."""
         warnings.warn(
             f"quarantined item after {attempts} failed attempt(s): {error}",
             RuntimeWarning,
@@ -469,7 +415,7 @@ class _MapRun:
             worker = idle.pop()
             payload = (self.fn, self.items[seq])
             try:
-                worker.dispatch(seq, payload, backend.policy.retry.timeout)
+                worker.dispatch(seq, payload, backend.retry.timeout)
             except (OSError, ValueError, BrokenPipeError):
                 # The worker died while idle; the item never started, so
                 # re-queue it without charging an attempt.
@@ -490,7 +436,7 @@ class _MapRun:
             elif worker.process.sentinel in signalled or not worker.process.is_alive():
                 self._worker_lost(worker, "worker process died mid-task")
             elif worker.deadline is not None and now >= worker.deadline:
-                timeout_s = self.backend.policy.retry.timeout
+                timeout_s = self.backend.retry.timeout
                 self._worker_lost(worker, f"task exceeded its {timeout_s}s deadline")
 
     def _wait_timeout(self, busy: list[_Worker]) -> float:
@@ -531,18 +477,11 @@ class _MapRun:
 
     def _fail(self, seq: int, error: str) -> None:
         backend = self.backend
-        retry = backend.policy.retry
+        retry = backend.retry
         self.attempts[seq] += 1
         backend.stats.failures += 1
         if self.attempts[seq] >= retry.max_attempts:
-            try:
-                outcome = backend._exhausted(error, self.attempts[seq])
-            except TaskFailedError:
-                # Aborting the map: no result may leak into a later call, so
-                # tear the pool down (it respawns lazily on the next map).
-                backend._stop_workers(graceful=False)
-                raise
-            self._complete(seq, outcome)
+            self._complete(seq, backend._exhausted(error, self.attempts[seq]))
             return
         backend.stats.retries += 1
         ready_at = time.monotonic() + retry.delay_for(self.attempts[seq])

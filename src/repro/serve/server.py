@@ -59,7 +59,6 @@ from typing import Optional, Union
 
 from repro.api.registry import RegistryError
 from repro.api.spec import RunSpec, SpecError
-from repro.parallel.resilience import TaskFailedError
 from repro.serve import jobs as jobstates
 from repro.serve.journal import JOURNAL_FILE, JobJournal, JournalError
 from repro.serve.jobs import Job, JobTable, QueueFullError
@@ -522,8 +521,10 @@ class ReproServer:
     def _verb_shutdown(self, connection: socket.socket, peer: str, request: dict) -> None:
         drain = bool(request.get("drain", False))
         logger.info("repro serve: shutdown requested by %s (drain=%s)", peer, drain)
-        send_frame(connection, {"ok": True, "stopping": True, "drain": drain})
+        # Stop before acknowledging: once the client holds the ack, the
+        # evaluation loop must take no further queued job.
         self.stop(drain=drain)
+        send_frame(connection, {"ok": True, "stopping": True, "drain": drain})
 
     def _lookup(self, connection: socket.socket, request: dict):
         job_id = request.get("job_id")
@@ -599,9 +600,6 @@ class ReproServer:
         if error is None:
             result = outcome["result"]
             self.table.finish(job, result.to_json_dict())
-        elif isinstance(error, TaskFailedError):
-            logger.warning("repro serve: job %s quarantined: %s", job.job_id, error)
-            self.table.fail(job, str(error), quarantined=True)
         else:
             logger.warning("repro serve: job %s failed: %s", job.job_id, error)
             self.table.fail(job, f"{type(error).__name__}: {error}")

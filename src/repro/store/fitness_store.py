@@ -41,43 +41,34 @@ class PersistentFitnessCache(FitnessCache):
         else:
             self._store = ArtifactStore(store)
             self._owns_store = True
-        self.disk_hits = 0
 
     # -------------------------------------------------------------- lookups
 
     def lookup_key(self, key: str) -> Optional[tuple[float, dict]]:
-        entry = self._entries.get(key)
+        entry = super().lookup_key(key)
         if entry is not None:
-            self._hits += 1
-            fitness, payload = entry
-            return fitness, dict(payload)
+            return entry
         stored = self._store.get(key)
-        if stored is not None:
-            fitness, payload = stored
-            # Promote to the in-memory layer without re-writing disk.
-            super().store_key(key, fitness, payload)
-            self._hits += 1
-            self.disk_hits += 1
-            return float(fitness), dict(payload)
-        self._misses += 1
-        return None
+        if stored is None:
+            return None
+        fitness, payload = stored
+        # Promote to the in-memory layer without re-writing disk.
+        super().store_key(key, fitness, payload)
+        return float(fitness), dict(payload)
 
     def lookup_many(self, keys: Sequence[str]) -> dict[str, tuple[float, dict]]:
         """Batched lookup: memory first, then one disk round-trip for misses.
 
         The GA engine calls this once per generation, so a population's worth
         of cache probes costs a single ``SELECT ... WHERE key IN`` instead of
-        one query per genome.  Counters (hits/misses/disk_hits) advance
-        exactly as the equivalent per-key lookups would.
+        one query per genome.
         """
         found: dict[str, tuple[float, dict]] = {}
         missing: list[str] = []
         for key in keys:
-            entry = self._entries.get(key)
+            entry = FitnessCache.lookup_key(self, key)
             if entry is not None:
-                self._hits += 1
-                fitness, payload = entry
-                found[key] = (fitness, dict(payload))
+                found[key] = entry
             else:
                 missing.append(key)
         if missing:
@@ -85,13 +76,10 @@ class PersistentFitnessCache(FitnessCache):
             for key in missing:
                 entry = stored.get(key)
                 if entry is None:
-                    self._misses += 1
                     continue
                 fitness, payload = entry
                 # Promote to the in-memory layer without re-writing disk.
                 FitnessCache.store_key(self, key, fitness, payload)
-                self._hits += 1
-                self.disk_hits += 1
                 found[key] = (float(fitness), dict(payload))
         return found
 

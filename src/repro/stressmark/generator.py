@@ -8,14 +8,14 @@ candidate after the configured number of generations is the AVF stressmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.avf.report import SerReport, build_report
 from repro.ga.engine import GAParameters, GAResult, GeneticAlgorithm
 from repro.ga.individual import Individual
 from repro.isa.program import Program
-from repro.parallel.backends import EvaluationBackend, create_backend, resolve_jobs
+from repro.parallel.backends import EvaluationBackend, SerialBackend
 from repro.parallel.cache import FitnessCache, evaluation_context_digest
 from repro.stressmark.codegen import CodeGenerator
 from repro.stressmark.fitness import FitnessFunction
@@ -46,15 +46,6 @@ class StressmarkResult:
     def knob_table(self) -> dict[str, object]:
         """Knob settings in the paper's table format (Figure 5a / 8c / 8d / 9b)."""
         return self.knobs.as_table()
-
-
-@dataclass
-class EvaluationRecord:
-    """One evaluated candidate (kept for ablation studies and tests)."""
-
-    knobs: StressmarkKnobs
-    fitness: float
-    report: SerReport
 
 
 class StressmarkEvaluator:
@@ -119,10 +110,10 @@ class StressmarkEvaluator:
 class StressmarkGenerator:
     """Automated AVF stressmark generation for one machine configuration.
 
-    ``jobs`` (default: the ``REPRO_JOBS`` environment variable, then 1)
-    selects how many worker processes evaluate GA candidates concurrently;
-    alternatively pass a preconfigured ``backend``.  Results are identical
-    for any worker count.
+    ``backend`` (default :class:`~repro.parallel.backends.SerialBackend`)
+    evaluates GA candidates; pass a worker pool to fan them out (the
+    :class:`~repro.api.session.Session` owns the pools, the generator never
+    creates or closes one).  Results are identical for any worker count.
 
     ``fitness_store`` (an :class:`~repro.store.artifacts.ArtifactStore`)
     makes the GA's fitness cache persistent: evaluations are written through
@@ -141,8 +132,6 @@ class StressmarkGenerator:
         ga_parameters: Optional[GAParameters] = None,
         max_instructions: int = 8_000,
         simulation_seed: int = 1,
-        keep_history: bool = False,
-        jobs: Optional[int] = None,
         backend: Optional[EvaluationBackend] = None,
         fitness_store: Optional[object] = None,
         checkpoint: Optional[object] = None,
@@ -156,13 +145,10 @@ class StressmarkGenerator:
         self.ga_parameters = ga_parameters or GAParameters()
         self.max_instructions = max_instructions
         self.simulation_seed = simulation_seed
-        self.keep_history = keep_history
-        self.jobs = resolve_jobs(jobs) if backend is None else backend.jobs
-        self.backend = backend
+        self.backend = backend or SerialBackend()
         self.fitness_store = fitness_store
         self.checkpoint = checkpoint
         self.codegen = CodeGenerator(config)
-        self.history: list[EvaluationRecord] = []
 
     # --------------------------------------------------------------- eval
 
@@ -177,11 +163,7 @@ class StressmarkGenerator:
         program = self.codegen.generate(knobs)
         core = OutOfOrderCore(self.config, seed=self.simulation_seed)
         result = core.run(program, max_instructions=self.max_instructions)
-        score = self.fitness(result)
-        report = build_report(result, self.fault_rates)
-        if self.keep_history:
-            self.history.append(EvaluationRecord(knobs=knobs, fitness=score, report=report))
-        return score, report, program
+        return self.fitness(result), build_report(result, self.fault_rates), program
 
     # ----------------------------------------------------------- generate
 
@@ -201,51 +183,32 @@ class StressmarkGenerator:
         if initial_knobs:
             seeds = [Individual(genome=knobs.to_genome()) for knobs in initial_knobs]
 
-        on_evaluated = None
-        if self.keep_history:
-            def on_evaluated(individual: Individual) -> None:
-                self.history.append(
-                    EvaluationRecord(
-                        knobs=individual.payload["knobs"],
-                        fitness=float(individual.fitness),
-                        report=individual.payload["report"],
-                    )
-                )
+        # Bound the in-memory cache: entries retain full payloads (program +
+        # report), so an unbounded cache would hold every distinct candidate
+        # of a paper-scale run in memory.  A few generations' worth of
+        # entries covers elites, migrants and recent duplicates.
+        max_entries = max(256, 4 * self.ga_parameters.population_size)
+        if self.fitness_store is not None:
+            from repro.store.fitness_store import PersistentFitnessCache
 
-        backend = self.backend or create_backend(self.jobs)
-        owns_backend = self.backend is None
-        try:
-            # Bound the in-memory cache: entries retain full payloads
-            # (program + report), so an unbounded cache would hold every
-            # distinct candidate of a paper-scale run in memory.  A few
-            # generations' worth of entries covers elites, migrants and
-            # recent duplicates.
-            max_entries = max(256, 4 * self.ga_parameters.population_size)
-            if self.fitness_store is not None:
-                from repro.store.fitness_store import PersistentFitnessCache
-
-                cache: FitnessCache = PersistentFitnessCache(
-                    self.fitness_store,
-                    context_digest=evaluator.context_digest(),
-                    max_entries=max_entries,
-                )
-            else:
-                cache = FitnessCache(
-                    context_digest=evaluator.context_digest(),
-                    max_entries=max_entries,
-                )
-            engine = GeneticAlgorithm(
-                space,
-                evaluator,
-                self.ga_parameters,
-                backend=backend,
-                fitness_cache=cache,
-                on_evaluated=on_evaluated,
+            cache: FitnessCache = PersistentFitnessCache(
+                self.fitness_store,
+                context_digest=evaluator.context_digest(),
+                max_entries=max_entries,
             )
-            ga_result = engine.run(initial_population=seeds, checkpoint=self.checkpoint)
-        finally:
-            if owns_backend:
-                backend.close()
+        else:
+            cache = FitnessCache(
+                context_digest=evaluator.context_digest(),
+                max_entries=max_entries,
+            )
+        engine = GeneticAlgorithm(
+            space,
+            evaluator,
+            self.ga_parameters,
+            backend=self.backend,
+            fitness_cache=cache,
+        )
+        ga_result = engine.run(initial_population=seeds, checkpoint=self.checkpoint)
 
         best = ga_result.best
         knobs = best.payload.get("knobs") or self.knob_space.decode(best.genome)

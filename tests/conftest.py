@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.session import Session
+from repro.api.spec import RunSpec
 from repro.experiments.runner import ExperimentContext, ExperimentScale
 from repro.isa import (
     BranchBehavior,
@@ -68,9 +70,16 @@ def tiny_scale() -> ExperimentScale:
 
 
 @pytest.fixture(scope="session")
-def shared_context(tiny_scale: ExperimentScale) -> ExperimentContext:
-    """Session-wide experiment context so figure tests share cached runs."""
-    return ExperimentContext(tiny_scale)
+def shared_session(tiny_scale: ExperimentScale):
+    """Session-wide Session at the tiny scale so figure tests share cached runs."""
+    with Session(scale=tiny_scale) as session:
+        yield session
+
+
+@pytest.fixture(scope="session")
+def shared_context(shared_session: Session) -> ExperimentContext:
+    """The experiment context behind ``shared_session`` (its caches included)."""
+    return shared_session.context_for(RunSpec(kind="simulate"))
 
 
 def build_stressmark_like_program(config: MachineConfig, loop_loads: int = 6, loop_stores: int = 6) -> Program:

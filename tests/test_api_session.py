@@ -7,7 +7,6 @@ import pytest
 from repro.api.presets import children_of_kind, preset_names, preset_spec
 from repro.api.session import Session
 from repro.api.spec import RunResult, RunSpec, SpecError
-from repro.experiments.runner import ExperimentContext
 
 TINY_SCALE_OVERRIDES = {
     "workload_instructions": 1_500,
@@ -160,34 +159,9 @@ class TestSweepRuns:
 
 
 class TestSessionPinning:
-    def test_wrapped_context_is_reused(self, tiny_scale, shared_context):
-        session = Session(context=shared_context)
-        assert session.context_for(RunSpec(kind="simulate")) is shared_context
-        # Pinned scale wins over whatever the spec asks for.
-        assert session.resolve_scale(RunSpec(kind="simulate", scale="paper")) is tiny_scale
-
-    def test_wrapped_pool_keeps_a_specs_retry_policy(self, monkeypatch):
-        """A spec's retries and task timeout reach the backend it runs on,
-        even when the session wraps a pool context of the same jobs."""
-        for name in ("REPRO_RETRY_MAX_ATTEMPTS", "REPRO_RETRY_BASE_DELAY", "REPRO_RETRY_TIMEOUT"):
-            monkeypatch.delenv(name, raising=False)
-        wrapped = ExperimentContext(jobs=2)
-        with Session(context=wrapped) as session:
-            spec = {"kind": "simulate", "jobs": 2, "retries": 5, "task_timeout": 30}
-            context = session.context_for(spec)
-            assert context is not wrapped
-            retry = context.backend.policy.retry
-            assert (retry.max_attempts, retry.timeout) == (5, 30.0)
-            assert session.resolve(spec).retry == retry
-        wrapped.close()
-
-    def test_wrapped_pool_serves_a_spec_without_retry_fields(self, monkeypatch):
-        for name in ("REPRO_RETRY_MAX_ATTEMPTS", "REPRO_RETRY_BASE_DELAY", "REPRO_RETRY_TIMEOUT"):
-            monkeypatch.delenv(name, raising=False)
-        wrapped = ExperimentContext(jobs=2)
-        with Session(context=wrapped) as session:
-            assert session.context_for({"kind": "simulate", "jobs": 2}) is wrapped
-        wrapped.close()
+    def test_pinned_scale_wins_over_spec(self, tiny_scale):
+        with Session(scale=tiny_scale) as session:
+            assert session.resolve_scale(RunSpec(kind="simulate", scale="paper")) is tiny_scale
 
     def test_pinned_jobs_win_over_spec(self):
         with Session(jobs=1) as session:
@@ -233,8 +207,8 @@ class TestSessionPinning:
                 "kind": "simulate", "jobs": 2, "backend": "resilient",
                 "retries": 5, "task_timeout": 30,
             })
-            assert context.backend.policy.retry.max_attempts == 5
-            assert context.backend.policy.retry.timeout == 30.0
+            assert context.backend.retry.max_attempts == 5
+            assert context.backend.retry.timeout == 30.0
 
     def test_legacy_serial_backend_follows_jobs(self):
         """The worker count, not a backend name, decides how a spec runs."""

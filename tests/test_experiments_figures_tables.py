@@ -1,7 +1,7 @@
 """Integration tests for the per-figure and per-table experiment drivers.
 
 These run the actual experiment pipeline at a very small scale (the shared
-session context), so they validate wiring and the qualitative shape of the
+tiny-scale Session), so they validate wiring and the qualitative shape of the
 paper's results — stressmark above workloads, GA adaptation, estimator
 ordering — rather than absolute values.
 """
@@ -43,8 +43,8 @@ class TestFigure4Mibench:
     """Figure 4 at tiny scale: the stressmark dominates the MiBench proxies."""
 
     @pytest.fixture(scope="class")
-    def result(self, shared_context):
-        return figure4(shared_context)
+    def result(self, shared_session):
+        return figure4(shared_session)
 
     def test_row_count(self, result):
         assert len(result.rows) == 1 + 12
@@ -64,8 +64,8 @@ class TestFigure4Mibench:
 @pytest.mark.integration
 class TestFigure3Spec:
     @pytest.fixture(scope="class")
-    def result(self, shared_context):
-        return figure3(shared_context)
+    def result(self, shared_session):
+        return figure3(shared_session)
 
     def test_row_count(self, result):
         assert len(result.rows) == 1 + 21
@@ -83,8 +83,8 @@ class TestFigure3Spec:
 @pytest.mark.integration
 class TestFigure5Convergence:
     @pytest.fixture(scope="class")
-    def result(self, shared_context):
-        return figure5(shared_context)
+    def result(self, shared_session):
+        return figure5(shared_session)
 
     def test_knob_table_fields(self, result):
         assert "Loop Size" in result.knob_table
@@ -107,8 +107,8 @@ class TestFigure5Convergence:
 @pytest.mark.integration
 class TestFigure6PerStructureAvf:
     @pytest.fixture(scope="class")
-    def result(self, shared_context):
-        return figure6(shared_context)
+    def result(self, shared_session):
+        return figure6(shared_session)
 
     def test_all_suites_present(self, result):
         assert set(result) == set(WorkloadSuite)
@@ -137,12 +137,12 @@ class TestFigure6PerStructureAvf:
 @pytest.mark.integration
 class TestFigure7And8Adaptation:
     @pytest.fixture(scope="class")
-    def fig7(self, shared_context):
-        return figure7(shared_context)
+    def fig7(self, shared_session):
+        return figure7(shared_session)
 
     @pytest.fixture(scope="class")
-    def fig8(self, shared_context):
-        return figure8(shared_context)
+    def fig8(self, shared_session):
+        return figure8(shared_session)
 
     def test_fig7_scenarios(self, fig7):
         assert set(fig7) == {"rhc", "edr"}
@@ -171,8 +171,8 @@ class TestFigure7And8Adaptation:
 @pytest.mark.integration
 class TestFigure9DifferentMicroarchitecture:
     @pytest.fixture(scope="class")
-    def result(self, shared_context):
-        return figure9(shared_context)
+    def result(self, shared_session):
+        return figure9(shared_session)
 
     def test_both_configs_present(self, result):
         assert set(result.group_ser) == {"baseline", "config_a"}
@@ -189,8 +189,8 @@ class TestFigure9DifferentMicroarchitecture:
 @pytest.mark.integration
 class TestTable3:
     @pytest.fixture(scope="class")
-    def result(self, shared_context):
-        return table3(shared_context)
+    def result(self, shared_session):
+        return table3(shared_session)
 
     def test_scenarios(self, result):
         assert set(result.rows) == {"baseline", "rhc", "edr"}

@@ -35,10 +35,9 @@ class TestFitnessCache:
         hit = cache.lookup({"a": 1})
         assert hit == (2.5, {"tag": "x"})
         assert cache.lookup({"a": 2}) is None
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 2
-        assert cache.stats.lookups == 3
-        assert cache.stats.hit_rate == 1 / 3
+        keys = [cache.key_for({"a": 1}), cache.key_for({"a": 2})]
+        # A batched lookup returns the hits only.
+        assert cache.lookup_many(keys) == {keys[0]: (2.5, {"tag": "x"})}
 
     def test_equal_fitness_does_not_collide(self):
         """Two distinct genomes with the same fitness stay separate entries."""
@@ -66,9 +65,8 @@ class TestFitnessCache:
         cache.lookup({"a": 2})
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 0
         assert cache.lookup({"a": 1}) is None
+        assert cache.lookup_many([cache.key_for({"a": 1})]) == {}
 
     def test_max_entries_evicts_oldest(self):
         cache = FitnessCache(max_entries=2)

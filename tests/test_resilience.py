@@ -23,13 +23,12 @@ from repro.api.spec import RunSpec, SpecError
 from repro.ga.engine import GAParameters, GeneticAlgorithm
 from repro.ga.genes import FloatGene, GeneSpace, IntGene
 from repro.parallel.backends import SerialBackend
+from repro.parallel import resilience
 from repro.parallel.resilience import (
-    FailurePolicy,
     FailureStats,
     Quarantined,
     ResilientPoolBackend,
     RetryPolicy,
-    TaskFailedError,
 )
 from repro.store.result_store import JSONL_FILE, META_FILE, SCHEMA_VERSION, ResultStore, StoreError
 from repro.store.fsck import fsck_store
@@ -111,11 +110,8 @@ def _interrupting_sphere(individual, counter_dir: str, trigger: int) -> float:
     return sphere_fitness(individual)
 
 
-def _fast_policy(**overrides) -> FailurePolicy:
-    retry = RetryPolicy(max_attempts=3, base_delay=0.001)
-    fields = {"retry": retry}
-    fields.update(overrides)
-    return FailurePolicy(**fields)
+#: Three attempts with near-zero backoff, so fault tests run fast.
+FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001)
 
 
 # --------------------------------------------------------------- policies
@@ -145,40 +141,16 @@ class TestRetryPolicy:
         assert policy.delay_for(4) == pytest.approx(0.5)  # capped
         assert policy.delay_for(10) == pytest.approx(0.5)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_MAX_ATTEMPTS", "7")
-        monkeypatch.setenv("REPRO_RETRY_BASE_DELAY", "0.25")
-        monkeypatch.setenv("REPRO_RETRY_TIMEOUT", "12.5")
-        policy = RetryPolicy.from_env()
-        assert policy.max_attempts == 7
-        assert policy.base_delay == pytest.approx(0.25)
-        assert policy.timeout == pytest.approx(12.5)
-
-    def test_from_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_MAX_ATTEMPTS", "several")
-        with pytest.raises(ValueError):
-            RetryPolicy.from_env()
-
     def test_derive_overrides(self):
         derived = RetryPolicy().derive(max_attempts=5, timeout=3.0)
         assert derived.max_attempts == 5
         assert derived.timeout == pytest.approx(3.0)
         assert derived.base_delay == RetryPolicy().base_delay
 
-
-class TestFailurePolicy:
-    def test_from_env_picks_up_retry(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_MAX_ATTEMPTS", "4")
-        assert FailurePolicy.from_env().retry.max_attempts == 4
-
     def test_hashable_for_backend_sharing(self):
-        a = FailurePolicy(retry=RetryPolicy(max_attempts=2))
-        b = FailurePolicy(retry=RetryPolicy(max_attempts=2))
+        a = RetryPolicy(max_attempts=2)
+        b = RetryPolicy(max_attempts=2)
         assert {a: "shared"}[b] == "shared"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FailurePolicy(max_pool_failures=0)
 
 
 # ----------------------------------------------------------- chaos harness
@@ -234,14 +206,14 @@ class TestChaosHarness:
 class TestResilientMap:
     def test_clean_path_matches_serial(self):
         items = list(range(10))
-        with ResilientPoolBackend(jobs=2, policy=_fast_policy()) as backend:
+        with ResilientPoolBackend(jobs=2, retry=FAST_RETRY) as backend:
             assert backend.map(_square, items) == SerialBackend().map(_square, items)
             assert backend.map(_square, []) == []
             assert backend.failure_counters() == FailureStats().as_dict()
 
     def test_retry_after_raise(self, tmp_path):
         fn = functools.partial(_flaky, fail_dir=str(tmp_path), mode="raise", failures=2)
-        with ResilientPoolBackend(jobs=2, policy=_fast_policy()) as backend:
+        with ResilientPoolBackend(jobs=2, retry=FAST_RETRY) as backend:
             assert backend.map(fn, [3]) == [9]
             stats = backend.stats
         assert stats.failures == 2
@@ -250,23 +222,23 @@ class TestResilientMap:
 
     def test_worker_exit_respawns_only_lost_worker(self, tmp_path):
         fn = functools.partial(_flaky, fail_dir=str(tmp_path), mode="exit", failures=1)
-        with ResilientPoolBackend(jobs=2, policy=_fast_policy()) as backend:
+        with ResilientPoolBackend(jobs=2, retry=FAST_RETRY) as backend:
             assert backend.map(fn, [2, 3, 4, 5]) == [4, 9, 16, 25]
             assert backend.stats.worker_restarts >= 1
             assert not backend.degraded
 
     def test_hung_item_killed_at_deadline_and_retried(self, tmp_path):
-        policy = FailurePolicy(retry=RetryPolicy(max_attempts=3, base_delay=0.001, timeout=0.5))
+        retry = RetryPolicy(max_attempts=3, base_delay=0.001, timeout=0.5)
         fn = functools.partial(_flaky, fail_dir=str(tmp_path), mode="hang", failures=1)
         start = time.monotonic()
-        with ResilientPoolBackend(jobs=2, policy=policy) as backend:
+        with ResilientPoolBackend(jobs=2, retry=retry) as backend:
             assert backend.map(fn, [6]) == [36]
             assert backend.stats.worker_restarts >= 1
         assert time.monotonic() - start < 30.0  # killed at ~0.5s, not after 60s
 
     def test_quarantine_records_poisoned_item_in_place(self):
         fn = functools.partial(_fail_item, poison=2)
-        with ResilientPoolBackend(jobs=2, policy=_fast_policy()) as backend:
+        with ResilientPoolBackend(jobs=2, retry=FAST_RETRY) as backend:
             with pytest.warns(RuntimeWarning, match="quarantined"):
                 results = backend.map(fn, [0, 1, 2, 3, 4])
             assert backend.stats.quarantined == 1
@@ -277,15 +249,9 @@ class TestResilientMap:
         assert quarantined.attempts == 3
         assert "poisoned" in quarantined.error
 
-    def test_quarantine_disabled_raises(self):
-        fn = functools.partial(_fail_item, poison=1)
-        with ResilientPoolBackend(jobs=2, policy=_fast_policy(quarantine=False)) as backend:
-            with pytest.raises(TaskFailedError):
-                backend.map(fn, [0, 1, 2])
-
-    def test_degrades_to_serial_after_repeated_worker_loss(self):
-        policy = _fast_policy(max_pool_failures=1)
-        with ResilientPoolBackend(jobs=2, policy=policy) as backend:
+    def test_degrades_to_serial_after_repeated_worker_loss(self, monkeypatch):
+        monkeypatch.setattr(resilience, "MAX_POOL_FAILURES", 1)
+        with ResilientPoolBackend(jobs=2, retry=FAST_RETRY) as backend:
             with pytest.warns(RuntimeWarning, match="degrading"):
                 results = backend.map(_exit_in_child, [1, 2, 3, 4, 5])
             assert results == [1, 4, 9, 16, 25]
@@ -294,26 +260,14 @@ class TestResilientMap:
             # The degraded backend keeps serving map calls, in-process.
             assert backend.map(_square, [7]) == [49]
 
-    def test_degrade_disabled_keeps_respawning(self, tmp_path):
-        policy = FailurePolicy(
-            retry=RetryPolicy(max_attempts=4, base_delay=0.001),
-            degrade_to_serial=False,
-            max_pool_failures=1,
-        )
-        fn = functools.partial(_flaky, fail_dir=str(tmp_path), mode="exit", failures=2)
-        with ResilientPoolBackend(jobs=2, policy=policy) as backend:
-            assert backend.map(fn, [3]) == [9]
-            assert not backend.degraded
-            assert backend.stats.worker_restarts >= 2
-
     def test_map_identical_under_injected_chaos(self, monkeypatch):
         # Up to 2 injected raises per worker process; with 8 attempts per
         # item no item can exhaust its schedule, so the fault schedule must
         # be invisible in the results.
         monkeypatch.setenv(CHAOS_ENV_VAR, "worker:raise:1.0:2")
-        policy = FailurePolicy(retry=RetryPolicy(max_attempts=8, base_delay=0.001))
+        retry = RetryPolicy(max_attempts=8, base_delay=0.001)
         items = list(range(12))
-        with ResilientPoolBackend(jobs=2, policy=policy) as backend:
+        with ResilientPoolBackend(jobs=2, retry=retry) as backend:
             results = backend.map(_square, items)
             assert backend.stats.retries > 0
         monkeypatch.delenv(CHAOS_ENV_VAR)
@@ -327,7 +281,7 @@ class TestGAUnderFaults:
     def test_resilient_backend_matches_serial_ga(self):
         params = GAParameters(population_size=8, generations=4, seed=2010)
         serial = GeneticAlgorithm(SPACE, sphere_fitness, params, backend=SerialBackend()).run()
-        with ResilientPoolBackend(jobs=2, policy=_fast_policy()) as backend:
+        with ResilientPoolBackend(jobs=2, retry=FAST_RETRY) as backend:
             resilient = GeneticAlgorithm(SPACE, sphere_fitness, params, backend=backend).run()
         assert resilient.best.genome == serial.best.genome
         assert resilient.best_fitness == serial.best_fitness
@@ -336,8 +290,8 @@ class TestGAUnderFaults:
 
     def test_quarantined_individuals_get_minus_inf_fitness(self):
         params = GAParameters(population_size=4, generations=2, seed=7)
-        policy = FailurePolicy(retry=RetryPolicy(max_attempts=1, base_delay=0.0))
-        with ResilientPoolBackend(jobs=2, policy=policy) as backend:
+        retry = RetryPolicy(max_attempts=1, base_delay=0.0)
+        with ResilientPoolBackend(jobs=2, retry=retry) as backend:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 result = GeneticAlgorithm(SPACE, _failing_fitness, params, backend=backend).run()
@@ -366,19 +320,6 @@ class TestCheckpointOnInterrupt:
         assert resumed.best.genome == reference.best.genome
         assert resumed.best_fitness == reference.best_fitness
         assert resumed.history == reference.history
-
-    def test_aborting_worker_failure_checkpoints_too(self, tmp_path):
-        from repro.store.checkpoint import CheckpointManager
-
-        params = GAParameters(population_size=4, generations=3, seed=99)
-        manager = CheckpointManager(tmp_path / "ga.ckpt")
-        policy = FailurePolicy(retry=RetryPolicy(max_attempts=1, base_delay=0.0), quarantine=False)
-        with ResilientPoolBackend(jobs=2, policy=policy) as backend:
-            with pytest.raises(TaskFailedError):
-                GeneticAlgorithm(SPACE, _failing_fitness, params, backend=backend).run(
-                    checkpoint=manager
-                )
-        assert manager.exists()
 
 
 # -------------------------------------------------------- salvageable stores
@@ -538,28 +479,19 @@ class TestSpecRetryKnobs:
         assert all(child.retries == 4 for child in children)
         assert all(child.task_timeout == pytest.approx(9.0) for child in children)
 
-    def test_session_retry_precedence(self, monkeypatch):
+    def test_session_retry_precedence(self):
         from repro.api.session import Session
 
-        monkeypatch.delenv("REPRO_RETRY_MAX_ATTEMPTS", raising=False)
-        monkeypatch.delenv("REPRO_RETRY_BASE_DELAY", raising=False)
-        monkeypatch.delenv("REPRO_RETRY_TIMEOUT", raising=False)
         plain = RunSpec(kind="simulate", name="x", workloads=("crc32_proxy",))
         tuned = plain.replace(retries=2, task_timeout=30.0)
 
         with Session() as session:
             # Library defaults when nothing is set.
             assert session.resolve_retry(plain) == RetryPolicy()
-            # Spec fields override the environment/defaults.
+            # Spec fields override the defaults.
             policy = session.resolve_retry(tuned)
             assert policy.max_attempts == 2
             assert policy.timeout == pytest.approx(30.0)
-
-        monkeypatch.setenv("REPRO_RETRY_MAX_ATTEMPTS", "6")
-        with Session() as session:
-            assert session.resolve_retry(plain).max_attempts == 6
-            # Spec still wins over the environment.
-            assert session.resolve_retry(tuned).max_attempts == 2
 
         pinned = RetryPolicy(max_attempts=9, timeout=1.5)
         with Session(retry=pinned) as session:

@@ -16,7 +16,6 @@ import pytest
 
 from repro.api.session import Session
 from repro.api.spec import RunResult, RunSpec
-from repro.parallel.resilience import TaskFailedError
 from repro.serve.client import (
     RemoteError,
     RemoteRunError,
@@ -256,12 +255,12 @@ def test_failed_job_raises_remote_run_error(gated):
 
 
 def test_quarantined_job_maps_to_its_own_code(gated):
-    server, session, gate = gated
-    session.fail_names["toxic"] = TaskFailedError("every retry failed")
-    gate.set()
+    server, _, _ = gated
+    # The gate stays shut, so the job outlives its own deadline and the
+    # watchdog quarantines it.
     with _client(server) as client:
         with pytest.raises(RemoteRunError) as excinfo:
-            client.run(_spec("toxic"))
+            client.run(dict(_spec("toxic"), task_timeout=0.3))
         assert excinfo.value.code == "job_quarantined"
         assert excinfo.value.state == "quarantined"
 
@@ -328,6 +327,34 @@ class FakeStore:
 
 def _digest(spec: dict) -> str:
     return RunSpec.from_json_dict(spec).digest
+
+
+def test_no_queued_job_starts_after_the_shutdown_ack(monkeypatch):
+    """A client holding the drain ack sees no queued job start, even when the
+    handler thread is slow to run the stop."""
+    stop = ReproServer.stop
+
+    def late_stop(self, drain=None):
+        time.sleep(0.3)
+        stop(self, drain)
+
+    monkeypatch.setattr(ReproServer, "stop", late_stop)
+    gate = threading.Event()
+    session = FakeSession(gate=gate)
+    server = ReproServer(session, port=0)
+    server.start()
+    try:
+        with _client(server) as client:
+            blocker = client.submit(_spec("blocker"))
+            _wait_state(client, blocker["job_id"], "running")
+            client.submit(_spec("queued"))
+            client.shutdown(drain=True)
+            gate.set()
+            time.sleep(0.5)
+    finally:
+        gate.set()
+        server.join(timeout=30.0)
+    assert session.ran == ["blocker"]
 
 
 def test_journal_replay_reenqueues_lost_jobs(tmp_path):
@@ -471,6 +498,7 @@ def test_watchdog_quarantines_hung_eval_and_loop_survives():
             with pytest.raises(RemoteRunError) as excinfo:
                 client.run(_spec("wedged"))
             assert excinfo.value.code == "job_quarantined"
+            assert excinfo.value.state == "quarantined"
             assert "watchdog" in str(excinfo.value)
             # The eval loop survived the abandoned thread: next job runs.
             assert client.run(_spec("healthy")).spec.name == "healthy"

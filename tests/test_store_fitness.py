@@ -52,13 +52,19 @@ class TestPersistentFitnessCache:
         with PersistentFitnessCache(path, context_digest="ctx") as cache:
             cache.store({"x": 1}, 0.5, {"report": "r"})
         with PersistentFitnessCache(path, context_digest="ctx") as fresh:
+            key = fresh.key_for({"x": 1})
+            assert key not in fresh  # nothing in memory yet: a disk hit
             hit = fresh.lookup({"x": 1})
             assert hit == (0.5, {"report": "r"})
-            assert fresh.disk_hits == 1
-            assert fresh.stats.hits == 1
-            # Second lookup is served from the promoted in-memory entry.
+            # The hit was promoted: the second lookup is served from memory.
+            assert key in fresh
             assert fresh.lookup({"x": 1}) == (0.5, {"report": "r"})
-            assert fresh.disk_hits == 1
+        with PersistentFitnessCache(path, context_digest="ctx") as batched:
+            key = batched.key_for({"x": 1})
+            assert batched.lookup_many([key, batched.key_for({"x": 2})]) == {
+                key: (0.5, {"report": "r"})
+            }
+            assert key in batched
 
     def test_context_digests_never_alias(self, tmp_path):
         path = tmp_path / "fitness.sqlite"
@@ -83,7 +89,7 @@ class TestPersistentFitnessCache:
             assert key_b in cache
             # ...but the disk layer still serves it.
             assert cache.lookup({"x": 1}) == (1.0, {})
-            assert cache.disk_hits == 1
+            assert key_a in cache  # promoted back into memory
 
     def test_shared_store_object_not_closed(self, tmp_path):
         store = ArtifactStore(tmp_path / "fitness.sqlite")
@@ -96,8 +102,8 @@ class TestPersistentFitnessCache:
     def test_miss_counted_once(self, tmp_path):
         with PersistentFitnessCache(tmp_path / "fitness.sqlite") as cache:
             assert cache.lookup({"x": 1}) is None
-            assert cache.stats.misses == 1
-            assert cache.stats.hits == 0
+            assert cache.lookup_many([cache.key_for({"x": 1})]) == {}
+            assert len(cache) == 0  # a miss promotes nothing
 
 
 class TestGeneratorIntegration:

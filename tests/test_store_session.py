@@ -116,18 +116,35 @@ class TestRunWithStore:
         with open_store(tmp_path / "store") as store:
             assert len(store) == 2
 
-    def test_wrapped_context_session_accepts_store(self, tmp_path):
-        from repro.experiments.runner import ExperimentContext, ExperimentScale
-
-        context = ExperimentContext(ExperimentScale.quick())
-        try:
-            with Session(context=context, store=tmp_path / "store") as session:
-                assert session.store is not None
-        finally:
-            context.close()
-
 
 class TestContextArtifacts:
+    def test_artifact_keys_replay_older_stores(self, tmp_path, monkeypatch):
+        """The default search and a workload simulation look their artifacts
+        up under the digests earlier releases stored them under (the
+        stressmark key's last part was once a parameter, now always True)."""
+        from repro.experiments.runner import ExperimentContext, ExperimentScale
+        from repro.store.artifacts import ArtifactStore
+        from repro.uarch.config import baseline_config
+        from repro.workloads.suite import profile_by_name
+
+        looked_up = []
+
+        def spy_get(store, key):
+            looked_up.append(key)
+            raise LookupError(key)
+
+        monkeypatch.setattr(ArtifactStore, "get", spy_get)
+        with open_store(tmp_path / "store") as store:
+            context = ExperimentContext(ExperimentScale.quick(), store=store)
+            with pytest.raises(LookupError):
+                context.stressmark()
+            with pytest.raises(LookupError):
+                context.run_workload(profile_by_name("crc32_proxy"), baseline_config())
+        assert looked_up == [
+            "8b321da64b9ed679faaee9818bde2631c789ca3136040a97e7aca583f25002e8",
+            "a01b89bd7acddbd5b8f95b0e8f6dca5ece8c21bc183f9746398da085fe3724e7",
+        ]
+
     def test_workload_simulations_replay_from_artifacts(self, tmp_path, monkeypatch):
         from repro.experiments.runner import ExperimentContext, ExperimentScale
         from repro.uarch.config import baseline_config
@@ -138,7 +155,6 @@ class TestContextArtifacts:
         with open_store(tmp_path / "store") as store:
             context = ExperimentContext(scale, store=store)
             report = context.run_workload(profile, baseline_config())
-            context.close()
 
             monkeypatch.setattr(
                 "repro.uarch.pipeline.OutOfOrderCore.run",
@@ -146,7 +162,6 @@ class TestContextArtifacts:
             )
             fresh_context = ExperimentContext(scale, store=store)
             replayed = fresh_context.run_workload(profile, baseline_config())
-            fresh_context.close()
         assert replayed.as_row() == report.as_row()
 
     def test_a_suite_stores_its_simulations_in_one_transaction(self, tmp_path, monkeypatch):
@@ -206,7 +221,6 @@ class TestContextArtifacts:
             context = ExperimentContext(scale, store=store)
             with pytest.raises(RuntimeError, match="simulation failed"):
                 context.workload_reports(baseline_config())
-            context.close()
             assert len(store.artifact_store().keys()) == 2
 
     def test_checkpoint_cleared_after_completed_search(self, tmp_path):

@@ -58,16 +58,6 @@ class TestEvaluate:
         weak_fitness, _, _ = quick_generator.evaluate(degenerate)
         assert good_fitness > weak_fitness
 
-    def test_history_kept_when_requested(self):
-        generator = StressmarkGenerator(
-            config=baseline_config(),
-            max_instructions=1_500,
-            keep_history=True,
-        )
-        generator.evaluate(reference_knobs(baseline_config()))
-        assert len(generator.history) == 1
-        assert generator.history[0].fitness > 0.0
-
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             StressmarkGenerator(config=baseline_config(), max_instructions=0)
